@@ -1,25 +1,25 @@
 """Command-line interface.
 
 Subcommands: preprocess, learn, evaluate, predict, dsep, export-dot.
-Exit codes: 0 on success, 1 on usage errors, 2 on data or model errors;
-every failure prints a one-line diagnostic to standard error.
+Exit codes: 0 on success, 1 on usage errors (including malformed or
+out-of-range option values), 2 on data or model errors; every failure
+prints a one-line diagnostic to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import dataset as ds
 from .core import d_separated
 from .errors import HeartBnError
-from .evaluation import run_experiment
-from .heart import heart_network
+from .evaluation import ESTIMATORS, METHODS, fit_model, run_experiment
 from .inference import classify
-from .learn import fit_bayesian, fit_mle, hill_climb, hybrid_learn, learn_skeleton, orient
+from .learn import SCORE_KINDS
 from .model_io import export_dot, load_model, save_model
-from .naive_bayes import nb_fit
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -34,35 +34,55 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _checked(convert, accept, requirement: str):
+    """argparse type: ``convert(text)`` if that succeeds and ``accept``s it, else a usage error."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
+_OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
+_SEEDS = _checked(
+    lambda text: [int(part) for part in text.split(",") if part.strip()],
+    lambda seeds: seeds and min(seeds) >= 0,
+    "a comma-separated list of non-negative integers",
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="heartbn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--data", required=True, help="discretized CSV from 'preprocess'")
+    model.add_argument("--method", required=True, choices=METHODS)
+    model.add_argument("--estimator", default="mle", choices=ESTIMATORS)
+    model.add_argument("--score", default="bic", choices=SCORE_KINDS)
+    model.add_argument("--ess", type=_POSITIVE, default=10.0)
+    model.add_argument("--alpha", type=_OPEN_UNIT, default=0.05)
+    model.add_argument("--pseudo", type=_NON_NEGATIVE, default=1.0)
 
     p = sub.add_parser("preprocess", help="raw table -> cleaned, discretized CSV")
     p.add_argument("--input", required=True, help="raw comma-separated file ('?' = missing)")
     p.add_argument("--output", required=True, help="destination CSV with header row")
     p.add_argument("--cutpoints", help="JSON file {attribute: [thresholds]}")
 
-    p = sub.add_parser("learn", help="fit a model and write a model file")
-    p.add_argument("--data", required=True, help="discretized CSV from 'preprocess'")
-    p.add_argument("--method", required=True, choices=("paper", "hc", "pc", "hybrid", "nb"))
-    p.add_argument("--estimator", default="mle", choices=("mle", "bayes"))
-    p.add_argument("--score", default="bic", choices=("bic", "bdeu"))
-    p.add_argument("--ess", type=float, default=10.0)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--pseudo", type=float, default=1.0)
+    p = sub.add_parser("learn", help="fit a model and write a model file", parents=[model])
     p.add_argument("--out", required=True, help="destination model file")
 
-    p = sub.add_parser("evaluate", help="repeated-split evaluation report")
-    p.add_argument("--data", required=True)
-    p.add_argument("--method", required=True, choices=("paper", "hc", "pc", "hybrid", "nb"))
-    p.add_argument("--ratio", type=float, default=0.8)
-    p.add_argument("--seeds", required=True, help="comma-separated seed list")
-    p.add_argument("--estimator", default="mle", choices=("mle", "bayes"))
-    p.add_argument("--score", default="bic", choices=("bic", "bdeu"))
-    p.add_argument("--ess", type=float, default=10.0)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--pseudo", type=float, default=1.0)
+    p = sub.add_parser("evaluate", help="repeated-split evaluation report", parents=[model])
+    p.add_argument("--ratio", type=_OPEN_UNIT, default=0.8)
+    p.add_argument("--seeds", required=True, type=_SEEDS, help="comma-separated seed list")
     p.add_argument("--report", required=True, help="destination JSON report")
 
     p = sub.add_parser("predict", help="classify from evidence")
@@ -110,51 +130,23 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _learn_dag(args, table):
-    if args.method == "paper":
-        return heart_network()
-    if args.method == "hc":
-        return hill_climb(table, kind=args.score, ess=args.ess)
-    if args.method == "pc":
-        return orient(learn_skeleton(table, args.alpha))
-    return hybrid_learn(table, args.alpha, kind=args.score, ess=args.ess)
+def _model_options(args) -> dict:
+    """Keyword arguments of fit_model and run_experiment from the shared model options."""
+    model_kind, learner = METHODS[args.method]
+    return dict(model_kind=model_kind, learner=learner, estimator=args.estimator, ess=args.ess,
+                alpha=args.alpha, score_kind=args.score, pseudo=args.pseudo)
 
 
 def _cmd_learn(args) -> int:
-    table = ds.read_table_csv(args.data)
-    if args.method == "nb":
-        net = nb_fit(table, "target", args.pseudo).to_net()
-    else:
-        dag = _learn_dag(args, table)
-        if args.estimator == "mle":
-            net = fit_mle(dag, table)
-        else:
-            net = fit_bayesian(dag, table, args.ess)
-    save_model(net, args.out)
+    options = _model_options(args)
+    model = fit_model(ds.read_table_csv(args.data), **options)
+    save_model(model.to_net() if options["model_kind"] == "nb" else model, args.out)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     table = ds.read_table_csv(args.data)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if args.method == "nb":
-        kind, learner = "nb", "hc"
-    elif args.method == "paper":
-        kind, learner = "bn-paper", "hc"
-    else:
-        kind, learner = "bn-learned", args.method
-    report = run_experiment(
-        table,
-        kind,
-        args.ratio,
-        seeds,
-        estimator=args.estimator,
-        ess=args.ess,
-        learner=learner,
-        alpha=args.alpha,
-        score_kind=args.score,
-        pseudo=args.pseudo,
-    )
+    report = run_experiment(table, ratio=args.ratio, seeds=args.seeds, **_model_options(args))
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -8,6 +8,7 @@ after construction, so values can be shared freely across threads.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -233,7 +234,7 @@ class Cpt:
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
         table = np.array(self.table, dtype=float)
-        q = int(np.prod([p.cardinality for p in self.parents], dtype=int)) if self.parents else 1
+        q = math.prod(p.cardinality for p in self.parents)
         r = self.variable.cardinality
         if table.shape != (q, r):
             raise ValueError(

@@ -1,6 +1,7 @@
-"""Confusion matrix, classification metrics and the repeated-split harness.
+"""Model fitting, confusion matrix, classification metrics and the repeated-split harness.
 
-The positive class is state 1 (disease present).  ``run_experiment``
+The positive class is state 1 (disease present).  :func:`fit_model` is the
+one dispatch from a model description to a fitted model.  ``run_experiment``
 repeats a seeded train/test split, fits the requested model on the training
 rows, classifies every test row using all non-target columns as evidence
 and reports one confusion matrix and metric set per seed plus aggregates.
@@ -13,16 +14,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import markov_blanket
+from .core import DiscreteBayesNet, markov_blanket
 from .dataset import DataTable, split
 from .errors import ZeroEvidenceError
 from .heart import heart_network
 from .inference import classify
-from .learn import fit_bayesian, fit_mle, hill_climb, hybrid_learn, learn_skeleton, orient
-from .naive_bayes import nb_fit, nb_predict
+from .learn import (
+    SCORE_KINDS, fit_bayesian, fit_mle, hill_climb, hybrid_learn, learn_skeleton, orient,
+)
+from .naive_bayes import NbModel, nb_fit, nb_predict
 
 MODEL_KINDS = ("bn-paper", "bn-learned", "nb")
 LEARNERS = ("hc", "pc", "hybrid")
+ESTIMATORS = ("mle", "bayes")
+# Command-line --method name -> (model kind, structure learner).
+METHODS = {
+    "paper": ("bn-paper", None),
+    **{name: ("bn-learned", name) for name in LEARNERS},
+    "nb": ("nb", None),
+}
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,30 @@ def _fallback_classify(model, model_kind: str, evidence: dict[str, int]) -> int:
     return label
 
 
-def _fit_for_seed(train: DataTable, model_kind, learner, estimator, ess, alpha, score_kind, pseudo):
+def fit_model(
+    train: DataTable, model_kind: str, learner: str | None, estimator: str,
+    ess: float, alpha: float, score_kind: str, pseudo: float,
+) -> DiscreteBayesNet | NbModel:
+    """Fit one model of ``model_kind`` on ``train`` with class variable ``target``.
+
+    ``learner`` is used only by "bn-learned".  Every value is validated
+    before any work, including values the chosen model does not use.
+    """
+    if model_kind not in MODEL_KINDS:
+        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
+    if model_kind == "bn-learned" and learner not in LEARNERS:
+        raise ValueError(f"learner must be one of {LEARNERS}")
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}")
+    if score_kind not in SCORE_KINDS:
+        raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
+    if not ess > 0.0:
+        raise ValueError("ess must be positive")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    if not pseudo >= 0.0:
+        raise ValueError("pseudo must be non-negative")
+
     if model_kind == "nb":
         return nb_fit(train, "target", pseudo)
     if model_kind == "bn-paper":
@@ -129,9 +162,7 @@ def _fit_for_seed(train: DataTable, model_kind, learner, estimator, ess, alpha, 
         dag = hybrid_learn(train, alpha, kind=score_kind, ess=ess)
     if estimator == "mle":
         return fit_mle(dag, train)
-    if estimator == "bayes":
-        return fit_bayesian(dag, train, ess)
-    raise ValueError("estimator must be 'mle' or 'bayes'")
+    return fit_bayesian(dag, train, ess)
 
 
 def run_experiment(
@@ -141,7 +172,7 @@ def run_experiment(
     seeds: Sequence[int],
     estimator: str = "mle",
     ess: float = 10.0,
-    learner: str = "hc",
+    learner: str | None = "hc",
     alpha: float = 0.05,
     score_kind: str = "bic",
     pseudo: float = 1.0,
@@ -152,18 +183,12 @@ def run_experiment(
     evidence has probability zero under the fitted model fall back to the
     class prior and are counted in ``zero_evidence_rows``.
     """
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-    if model_kind == "bn-learned" and learner not in LEARNERS:
-        raise ValueError(f"learner must be one of {LEARNERS}")
     if not seeds:
         raise ValueError("at least one seed is required")
     per_seed = []
     for seed in sorted(int(s) for s in seeds):
         train, test = split(table, ratio, seed)
-        model = _fit_for_seed(
-            train, model_kind, learner, estimator, ess, alpha, score_kind, pseudo
-        )
+        model = fit_model(train, model_kind, learner, estimator, ess, alpha, score_kind, pseudo)
         predicted = []
         zero_evidence = 0
         for i in range(test.n_rows):

@@ -1,7 +1,12 @@
 """Parameter estimation and structure learning from complete categorical data.
 
-Parameters: :func:`fit_mle` uses relative frequencies, :func:`fit_bayesian`
-adds a uniform Dirichlet prior of total weight ``ess`` spread over each CPT.
+Parameters: every fit is one Dirichlet estimator,
+P(x | pa) = (N(x, pa) + a) / (N(pa) + a * r), for a child with r states and
+q parent configurations, where the per-cell prior ``a`` sets the method.
+:func:`fit_mle` uses a = 0 (relative frequencies), :func:`fit_bayesian` uses
+a = ess / (r * q) (a uniform prior of total weight ``ess`` spread over each
+CPT), and Naive Bayes uses a = pseudo.  A parent configuration with no
+weight at all becomes a uniform row.
 
 Structure: :func:`hill_climb` greedily optimizes a decomposable score (BIC
 or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
@@ -63,7 +68,7 @@ def count_table(data: DataTable, child: str, parents: tuple[str, ...] = ()) -> C
     child_var = data.variable(child)
     parent_vars = tuple(data.variable(p) for p in parents)
     r = child_var.cardinality
-    q = int(np.prod([p.cardinality for p in parent_vars], dtype=int)) if parent_vars else 1
+    q = math.prod(p.cardinality for p in parent_vars)
     config = np.zeros(data.n_rows, dtype=np.int64)
     for p in parent_vars:
         config = config * p.cardinality + data.column(p.name)
@@ -77,19 +82,25 @@ def _require_nodes(dag: Dag, data: DataTable) -> None:
         raise SchemaMismatchError(f"data lacks columns for {sorted(missing)}")
 
 
-def fit_mle(dag: Dag, data: DataTable) -> DiscreteBayesNet:
-    """Relative-frequency CPTs; unseen parent configurations become uniform rows."""
+def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
+    """CPTs (N(x, pa) + a) / (N(pa) + a * r), a = cell_prior(q, r); zero-weight rows are uniform."""
     _require_nodes(dag, data)
     cpts = {}
     for node in dag.nodes:
         ct = count_table(data, node, dag.parents(node))
-        totals = ct.config_totals.astype(float)
-        r = ct.variable.cardinality
-        table = np.full(ct.counts.shape, 1.0 / r)
-        seen = totals > 0
-        table[seen] = ct.counts[seen] / totals[seen, None]
+        q, r = ct.counts.shape
+        a = cell_prior(q, r)
+        denominators = ct.config_totals + a * r
+        table = np.full((q, r), 1.0 / r)
+        seen = denominators > 0
+        table[seen] = (ct.counts[seen] + a) / denominators[seen, None]
         cpts[node] = Cpt(ct.variable, ct.parents, table)
     return DiscreteBayesNet(dag, cpts)
+
+
+def fit_mle(dag: Dag, data: DataTable) -> DiscreteBayesNet:
+    """Relative-frequency CPTs; unseen parent configurations become uniform rows."""
+    return _fit_dirichlet(dag, data, lambda q, r: 0.0)
 
 
 def fit_bayesian(dag: Dag, data: DataTable, ess: float) -> DiscreteBayesNet:
@@ -101,15 +112,7 @@ def fit_bayesian(dag: Dag, data: DataTable, ess: float) -> DiscreteBayesNet:
     """
     if not ess > 0.0:
         raise ValueError("ess must be positive")
-    _require_nodes(dag, data)
-    cpts = {}
-    for node in dag.nodes:
-        ct = count_table(data, node, dag.parents(node))
-        q, r = ct.counts.shape
-        alpha = ess / (r * q)
-        table = (ct.counts + alpha) / (ct.config_totals[:, None] + alpha * r)
-        cpts[node] = Cpt(ct.variable, ct.parents, table)
-    return DiscreteBayesNet(dag, cpts)
+    return _fit_dirichlet(dag, data, lambda q, r: ess / (r * q))
 
 
 def family_score(
@@ -118,6 +121,8 @@ def family_score(
     """Decomposable score contribution of one (child, parents) family."""
     if kind not in SCORE_KINDS:
         raise ValueError(f"kind must be one of {SCORE_KINDS}")
+    if kind == "bdeu" and not ess > 0.0:
+        raise ValueError("ess must be positive")
     ct = count_table(data, child, parents)
     counts = ct.counts.astype(float)
     q, r = counts.shape
@@ -161,7 +166,6 @@ def hill_climb(
     data: DataTable,
     kind: str = "bic",
     max_iter: int = 200,
-    seed: int = 0,
     ess: float = 10.0,
     allowed: set[frozenset[str]] | None = None,
     trace: list[float] | None = None,
@@ -172,11 +176,9 @@ def hill_climb(
     a single edge (improvements below :data:`MIN_IMPROVEMENT` count as ties),
     rejecting moves that would create a cycle, and stops at a local optimum
     or after ``max_iter`` accepted moves.  ``allowed`` limits edges to the
-    given unordered pairs.  ``seed`` is reserved for restart strategies; the
-    default search is deterministic.  When ``trace`` is given, the running
-    score is appended after every accepted move.
+    given unordered pairs.  The search is deterministic.  When ``trace`` is
+    given, the running score is appended after every accepted move.
     """
-    del seed  # deterministic single-start search
     if len(data.names) < 2:
         raise SchemaMismatchError("structure search needs at least two columns")
     names = sorted(data.names)
@@ -265,16 +267,8 @@ def ci_test(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    x_col, y_col = data.column(x), data.column(y)
     r_x, r_y = data.variable(x).cardinality, data.variable(y).cardinality
-    config = np.zeros(data.n_rows, dtype=np.int64)
-    q = 1
-    for name in z:
-        card = data.variable(name).cardinality
-        config = config * card + data.column(name)
-        q *= card
-    flat = np.bincount((config * r_x + x_col) * r_y + y_col, minlength=q * r_x * r_y)
-    tables = flat.reshape(q, r_x, r_y).astype(float)
+    tables = count_table(data, y, (*z, x)).counts.reshape(-1, r_x, r_y).astype(float)
 
     statistic = 0.0
     dof = 0

@@ -15,6 +15,7 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def model_from_document(doc: dict) -> DiscreteBayesNet:
     for node in doc["nodes"]:
         var = variables[node["name"]]
         parents = tuple(variables[p] for p in node["parents"])
-        q = int(np.prod([p.cardinality for p in parents], dtype=int)) if parents else 1
+        q = math.prod(p.cardinality for p in parents)
         table = np.array([float(cell) for cell in node["cpt"]], dtype=float)
         cpts[node["name"]] = Cpt(var, parents, table.reshape(q, var.cardinality))
     return DiscreteBayesNet(dag, cpts)

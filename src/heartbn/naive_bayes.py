@@ -1,9 +1,12 @@
 """Naive Bayes over categorical features.
 
 The classifier assumes features are independent given the class, which
-makes it exactly a star-shaped Bayesian network (class -> each feature);
-:meth:`NbModel.to_net` builds that network so the equivalence is testable
-and so the model serializes in the shared network format.
+makes it exactly a star-shaped Bayesian network (class -> each feature).
+:func:`nb_fit` fits that network with the shared Dirichlet estimator of
+:mod:`heartbn.learn`, using the additive pseudo-count as the per-cell prior:
+every count N becomes (N + pseudo) / (total + pseudo * cardinality).
+:meth:`NbModel.to_net` returns the network, so the equivalence is testable
+and the model serializes in the shared network format.
 """
 
 from __future__ import annotations
@@ -13,80 +16,62 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Cpt, DiscreteBayesNet, Variable, build_dag
+from .core import DiscreteBayesNet, Variable, build_dag
 from .dataset import DataTable
-from .errors import SchemaMismatchError, UnknownNodeError, ZeroEvidenceError
+from .errors import ZeroEvidenceError
 from .inference import Posterior
+from .learn import _fit_dirichlet
 
 
 @dataclass(frozen=True)
 class NbModel:
-    """Class prior and per-feature conditional tables P(feature | class).
+    """A fitted star network: the class node first, then one child per feature.
 
-    ``conditionals[name]`` has one row per class state and one column per
-    feature state; rows sum to one.
+    ``prior`` is P(class); ``conditionals[name]`` has one row per class
+    state and one column per feature state.  Rows sum to one.
     """
 
-    class_var: Variable
-    features: tuple[Variable, ...]
-    prior: np.ndarray
-    conditionals: dict[str, np.ndarray]
+    net: DiscreteBayesNet
     pseudo: float
 
     def __post_init__(self):
-        prior = np.array(self.prior, dtype=float)
-        prior.setflags(write=False)
-        object.__setattr__(self, "prior", prior)
-        tables = {}
-        for var in self.features:
-            t = np.array(self.conditionals[var.name], dtype=float)
-            if t.shape != (self.class_var.cardinality, var.cardinality):
-                raise ValueError(f"conditional table for {var.name!r} has wrong shape")
-            t.setflags(write=False)
-            tables[var.name] = t
-        object.__setattr__(self, "conditionals", tables)
+        c, *features = self.net.dag.nodes
+        if self.net.dag.edges != tuple((c, f) for f in features):
+            raise ValueError("a Naive Bayes network must be the star class -> each feature")
+
+    @property
+    def class_var(self) -> Variable:
+        return self.net.variable(self.net.dag.nodes[0])
+
+    @property
+    def features(self) -> tuple[Variable, ...]:
+        return tuple(self.net.variable(name) for name in self.net.dag.nodes[1:])
+
+    @property
+    def prior(self) -> np.ndarray:
+        return self.net.cpts[self.class_var.name].table[0]
+
+    @property
+    def conditionals(self) -> dict[str, np.ndarray]:
+        return {v.name: self.net.cpts[v.name].table for v in self.features}
 
     def to_net(self) -> DiscreteBayesNet:
         """The equivalent star-shaped network (class -> each feature)."""
-        c = self.class_var
-        dag = build_dag((c,) + self.features, tuple((c.name, f.name) for f in self.features))
-        cpts = {c.name: Cpt(c, (), self.prior.reshape(1, -1))}
-        for var in self.features:
-            cpts[var.name] = Cpt(var, (c,), self.conditionals[var.name])
-        return DiscreteBayesNet(dag, cpts)
+        return self.net
 
 
 def nb_fit(data: DataTable, class_var: str, pseudo: float = 1.0) -> NbModel:
     """Estimate prior and conditionals by (optionally smoothed) frequencies.
 
     Every count N becomes (N + pseudo) / (total + pseudo * cardinality);
-    pseudo = 0 is the plain relative frequency.
+    pseudo = 0 is the plain relative frequency, and a class never seen with
+    pseudo = 0 gets uniform conditionals.
     """
     if pseudo < 0.0:
         raise ValueError("pseudo must be non-negative")
-    if class_var not in data.names:
-        raise SchemaMismatchError(f"no column named {class_var!r}")
-    c_var = data.variable(class_var)
-    c_col = data.column(class_var)
-    r_c = c_var.cardinality
-    class_counts = np.bincount(c_col, minlength=r_c).astype(float)
-    if data.n_rows + pseudo * r_c > 0:
-        prior = (class_counts + pseudo) / (data.n_rows + pseudo * r_c)
-    else:
-        prior = np.full(r_c, 1.0 / r_c)
-
-    features = tuple(v for v in data.schema if v.name != class_var)
-    conditionals = {}
-    for var in features:
-        r_f = var.cardinality
-        joint = np.bincount(c_col * r_f + data.column(var.name), minlength=r_c * r_f)
-        joint = joint.reshape(r_c, r_f).astype(float)
-        denom = class_counts + pseudo * r_f
-        table = np.full((r_c, r_f), 1.0 / r_f)
-        seen = denom > 0  # empty class with pseudo = 0 stays uniform
-        table[seen] = (joint[seen] + pseudo) / denom[seen, None]
-        conditionals[var.name] = table
-    return NbModel(c_var, features, prior, conditionals, float(pseudo))
+    features = tuple(name for name in data.names if name != class_var)
+    dag = build_dag((class_var,) + features, tuple((class_var, f) for f in features))
+    return NbModel(_fit_dirichlet(dag, data, lambda q, r: pseudo), float(pseudo))
 
 
 def nb_predict(model: NbModel, evidence: Mapping[str, int]) -> tuple[int, Posterior]:
@@ -96,21 +81,18 @@ def nb_predict(model: NbModel, evidence: Mapping[str, int]) -> tuple[int, Poster
     supplied features; absent features are skipped.  Accumulation happens in
     log space, and ties break toward the lower class index.
     """
-    known = {v.name: v for v in model.features}
-    if model.class_var.name in evidence:
+    class_var = model.class_var
+    if class_var.name in evidence:
         raise ValueError("the class variable may not appear in the evidence")
-    for name, state in evidence.items():
-        if name not in known:
-            raise UnknownNodeError(f"unknown feature {name!r}")
-        if not 0 <= int(state) < known[name].cardinality:
-            raise ValueError(f"state {state} out of range for {name!r}")
+    model.net.validate_assignment(evidence)
 
+    cpts = model.net.cpts
     with np.errstate(divide="ignore"):
-        log_post = np.log(model.prior)
+        log_post = np.log(cpts[class_var.name].table[0])
         for name, state in evidence.items():
-            log_post = log_post + np.log(model.conditionals[name][:, int(state)])
+            log_post = log_post + np.log(cpts[name].table[:, int(state)])
     if np.all(np.isinf(log_post) & (log_post < 0)):
         raise ZeroEvidenceError("all class posteriors are zero under this evidence")
     shifted = np.exp(log_post - log_post.max())
     probabilities = shifted / shifted.sum()
-    return int(np.argmax(probabilities)), Posterior(model.class_var, probabilities)
+    return int(np.argmax(probabilities)), Posterior(class_var, probabilities)

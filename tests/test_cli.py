@@ -2,9 +2,28 @@ import json
 
 import pytest
 
-from heartbn import cleveland_path, load_model
+from heartbn import (
+    cleveland_path,
+    fit_bayesian,
+    fit_mle,
+    heart_network,
+    hill_climb,
+    hybrid_learn,
+    learn_skeleton,
+    load_model,
+    nb_fit,
+    orient,
+    save_model,
+)
 from heartbn.cli import main
 from heartbn.dataset import read_table_csv
+
+STRUCTURES = {
+    "paper": lambda table: heart_network(),
+    "hc": lambda table: hill_climb(table),
+    "pc": lambda table: orient(learn_skeleton(table)),
+    "hybrid": lambda table: hybrid_learn(table),
+}
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +89,27 @@ class TestLearn:
         code = main(["learn", "--data", str(pipeline["table"]), "--method", "hc", "--out", str(out)])
         assert code == 0
         assert load_model(out).dag.nodes
+
+    @pytest.mark.filterwarnings("ignore::heartbn.errors.ConflictingOrientationWarning")
+    @pytest.mark.parametrize("estimator", ["mle", "bayes"])
+    @pytest.mark.parametrize("method", ["paper", "hc", "pc", "hybrid", "nb"])
+    def test_model_file_matches_direct_library_calls(self, pipeline, tmp_path, method, estimator):
+        out = tmp_path / "cli.model"
+        code = main([
+            "learn", "--data", str(pipeline["table"]), "--method", method,
+            "--estimator", estimator, "--out", str(out),
+        ])
+        assert code == 0
+        table = read_table_csv(pipeline["table"])
+        if method == "nb":
+            net = nb_fit(table, "target").to_net()
+        elif estimator == "mle":
+            net = fit_mle(STRUCTURES[method](table), table)
+        else:
+            net = fit_bayesian(STRUCTURES[method](table), table, 10.0)
+        expected = tmp_path / "direct.model"
+        save_model(net, expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_bad_method_is_usage_error(self, pipeline, tmp_path):
         code = main([
@@ -196,3 +236,32 @@ class TestUsageErrors:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--method", "paper", "--seeds", "0", "--ratio", "1.5"],
+            ["evaluate", "--method", "paper", "--seeds", "0", "--ratio", "0"],
+            ["evaluate", "--method", "paper", "--seeds", "0", "--ratio", "x"],
+            ["evaluate", "--method", "paper", "--seeds", "a,b"],
+            ["evaluate", "--method", "paper", "--seeds", ","],
+            ["evaluate", "--method", "paper", "--seeds", "-1"],
+            ["evaluate", "--method", "nb", "--seeds", "0", "--pseudo", "-1"],
+            ["evaluate", "--method", "pc", "--seeds", "0", "--alpha", "1"],
+            ["learn", "--method", "nb", "--pseudo", "nan"],
+            ["learn", "--method", "pc", "--alpha", "0"],
+            ["learn", "--method", "hc", "--alpha", "x"],
+            ["learn", "--method", "paper", "--estimator", "bayes", "--ess", "0"],
+            ["learn", "--method", "hc", "--score", "bdeu", "--ess", "-1"],
+            ["learn", "--method", "paper", "--estimator", "bayes", "--ess", "inf"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}={argv[-1]}",
+    )
+    def test_bad_option_value(self, argv, tmp_path, capsys):
+        files = (
+            ["--report", str(tmp_path / "r.json")] if argv[0] == "evaluate"
+            else ["--out", str(tmp_path / "m.model")]
+        )
+        assert main([*argv, "--data", str(tmp_path / "heart.csv"), *files]) == 1
+        assert capsys.readouterr().err.strip()
+        assert not list(tmp_path.iterdir())

@@ -156,6 +156,12 @@ class TestScore:
         with pytest.raises(ValueError):
             score(build_dag(("x",), ()), data, "aic")
 
+    @pytest.mark.parametrize("ess", [0.0, -1.0])
+    def test_bdeu_rejects_nonpositive_ess(self, ess):
+        data = binary_table({"x": [0, 1, 1], "y": [1, 1, 0]})
+        with pytest.raises(ValueError):
+            family_score(data, "x", ("y",), "bdeu", ess)
+
 
 class TestHillClimb:
     def test_independent_columns_give_empty_graph(self):
@@ -200,6 +206,10 @@ class TestHillClimb:
     def test_single_column_rejected(self):
         with pytest.raises(SchemaMismatchError):
             hill_climb(binary_table({"x": [0, 1]}))
+
+    def test_bdeu_with_zero_ess_is_rejected_not_empty(self, heart_table):
+        with pytest.raises(ValueError):
+            hill_climb(heart_table, kind="bdeu", ess=0.0)
 
 
 class TestCiTest:

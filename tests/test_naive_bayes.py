@@ -114,15 +114,9 @@ class TestProperties:
             ]
         ).astype(np.int64)
         model = nb_fit(DataTable(schema, rows), "c")
-        from heartbn.naive_bayes import NbModel
-
-        dup = Variable("x_copy", "012")
-        extended = NbModel(
-            model.class_var,
-            model.features + (dup,),
-            model.prior,
-            {**model.conditionals, "x_copy": model.conditionals["x"]},
-            model.pseudo,
+        extended = nb_fit(
+            DataTable(schema + (Variable("x_copy", "012"),), np.column_stack([rows, rows[:, 1]])),
+            "c",
         )
         evidence = {"x": 2, "y": 1}
         base = nb_predict(model, evidence)
