@@ -33,7 +33,6 @@ from .dataset import (
 from .evaluation import ConfusionMatrix, Metrics, confusion, metrics, run_experiment
 from .heart import heart_network
 from .inference import (
-    Factor,
     Posterior,
     classify,
     posterior_enumeration,
@@ -85,7 +84,6 @@ __all__ = [
     "metrics",
     "run_experiment",
     "heart_network",
-    "Factor",
     "Posterior",
     "classify",
     "posterior_enumeration",

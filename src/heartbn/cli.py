@@ -138,9 +138,7 @@ def _model_options(args) -> dict:
 
 
 def _cmd_learn(args) -> int:
-    options = _model_options(args)
-    model = fit_model(ds.read_table_csv(args.data), **options)
-    save_model(model.to_net() if options["model_kind"] == "nb" else model, args.out)
+    save_model(fit_model(ds.read_table_csv(args.data), **_model_options(args)), args.out)
     return 0
 
 

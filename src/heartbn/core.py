@@ -155,6 +155,18 @@ def topological_order(dag: Dag) -> list[str]:
     return order
 
 
+def _ancestral_set(dag: Dag, names: Iterable[str]) -> set[str]:
+    """``names`` together with every node that has a directed path into one of them."""
+    found = set(names)
+    stack = list(found)
+    while stack:
+        for p in dag._parents[stack.pop()]:
+            if p not in found:
+                found.add(p)
+                stack.append(p)
+    return found
+
+
 def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) -> bool:
     """Return True iff every undirected path between ``x`` and ``y`` is blocked by ``z``.
 
@@ -173,13 +185,7 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
         return True
 
     # Ancestors of z (including z): colliders in this set are unblocked.
-    anc = set(zs)
-    stack = list(zs)
-    while stack:
-        for p in dag._parents[stack.pop()]:
-            if p not in anc:
-                anc.add(p)
-                stack.append(p)
+    anc = _ancestral_set(dag, zs)
 
     # Walk (node, direction): "up" = arrived from a child, "down" = from a parent.
     visited: set[tuple[str, str]] = set()

@@ -1,9 +1,10 @@
 """Model fitting, confusion matrix, classification metrics and the repeated-split harness.
 
 The positive class is state 1 (disease present).  :func:`fit_model` is the
-one dispatch from a model description to a fitted model.  ``run_experiment``
-repeats a seeded train/test split, fits the requested model on the training
-rows, classifies every test row using all non-target columns as evidence
+one dispatch from a model description to a fitted network, Naive Bayes
+included.  ``run_experiment`` repeats a seeded train/test split, fits the
+requested model on the training rows, classifies every test row with
+:func:`~heartbn.inference.classify` using all non-target columns as evidence
 and reports one confusion matrix and metric set per seed plus aggregates.
 """
 
@@ -22,7 +23,7 @@ from .inference import classify
 from .learn import (
     SCORE_KINDS, fit_bayesian, fit_mle, hill_climb, hybrid_learn, learn_skeleton, orient,
 )
-from .naive_bayes import NbModel, nb_fit, nb_predict
+from .naive_bayes import nb_fit
 
 MODEL_KINDS = ("bn-paper", "bn-learned", "nb")
 LEARNERS = ("hc", "pc", "hybrid")
@@ -106,7 +107,7 @@ def degenerate_fields(cm: ConfusionMatrix) -> list[str]:
     return out
 
 
-def _fallback_classify(model, model_kind: str, evidence: dict[str, int]) -> int:
+def _fallback_classify(net: DiscreteBayesNet, evidence: dict[str, int]) -> int:
     """Classification when the full evidence has probability zero.
 
     States the training data never produced make the whole record impossible
@@ -115,25 +116,23 @@ def _fallback_classify(model, model_kind: str, evidence: dict[str, int]) -> int:
     change the posterior, so the evidence is first restricted to the
     blanket; if even that is impossible, the class prior decides.
     """
-    if model_kind == "nb":
-        label, _ = nb_predict(model, {})
-        return label
-    blanket = markov_blanket(model.dag, "target")
+    blanket = markov_blanket(net.dag, "target")
     try:
-        label, _ = classify(model, "target", {k: v for k, v in evidence.items() if k in blanket})
+        label, _ = classify(net, "target", {k: v for k, v in evidence.items() if k in blanket})
     except ZeroEvidenceError:
-        label, _ = classify(model, "target", {})
+        label, _ = classify(net, "target", {})
     return label
 
 
 def fit_model(
     train: DataTable, model_kind: str, learner: str | None, estimator: str,
     ess: float, alpha: float, score_kind: str, pseudo: float,
-) -> DiscreteBayesNet | NbModel:
-    """Fit one model of ``model_kind`` on ``train`` with class variable ``target``.
+) -> DiscreteBayesNet:
+    """Fit one network of ``model_kind`` on ``train`` with class variable ``target``.
 
-    ``learner`` is used only by "bn-learned".  Every value is validated
-    before any work, including values the chosen model does not use.
+    "nb" yields the fitted Naive Bayes star network.  ``learner`` is used
+    only by "bn-learned".  Every value is validated before any work,
+    including values the chosen model does not use.
     """
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
@@ -151,7 +150,7 @@ def fit_model(
         raise ValueError("pseudo must be non-negative")
 
     if model_kind == "nb":
-        return nb_fit(train, "target", pseudo)
+        return nb_fit(train, "target", pseudo).net
     if model_kind == "bn-paper":
         dag = heart_network()
     elif learner == "hc":
@@ -188,19 +187,16 @@ def run_experiment(
     per_seed = []
     for seed in sorted(int(s) for s in seeds):
         train, test = split(table, ratio, seed)
-        model = fit_model(train, model_kind, learner, estimator, ess, alpha, score_kind, pseudo)
+        net = fit_model(train, model_kind, learner, estimator, ess, alpha, score_kind, pseudo)
         predicted = []
         zero_evidence = 0
         for i in range(test.n_rows):
             evidence = test.row_assignment(i, exclude=("target",))
             try:
-                if model_kind == "nb":
-                    label, _ = nb_predict(model, evidence)
-                else:
-                    label, _ = classify(model, "target", evidence)
+                label, _ = classify(net, "target", evidence)
             except ZeroEvidenceError:
                 zero_evidence += 1
-                label = _fallback_classify(model, model_kind, evidence)
+                label = _fallback_classify(net, evidence)
             predicted.append(label)
         cm = confusion(predicted, [int(v) for v in test.column("target")])
         m = metrics(cm)

@@ -2,9 +2,12 @@
 
 Two routes compute P(query | evidence): :func:`posterior_enumeration` sums
 the chain-rule joint over every completion (the reference implementation)
-and :func:`posterior_ve` eliminates hidden variables factor by factor (the
+and :func:`posterior_ve` runs variable elimination over the CPT arrays (the
 production path).  They agree to within 1e-10 and both raise
 :class:`ZeroEvidenceError` when the evidence has probability exactly zero.
+
+Inside elimination a factor is a plain ``(values, scope)`` pair: an array
+with one axis per variable name in the ``scope`` tuple.
 """
 
 from __future__ import annotations
@@ -15,69 +18,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Cpt, DiscreteBayesNet, Variable
+from .core import DiscreteBayesNet, Variable, _ancestral_set
 from .errors import ZeroEvidenceError
 
-VE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Factor:
-    """Non-negative potentials over an ordered scope of variables.
-
-    ``values`` has one axis per scope variable, in scope order.
-    """
-
-    scope: tuple[Variable, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scope", tuple(self.scope))
-        values = np.array(self.values, dtype=float)
-        expected = tuple(v.cardinality for v in self.scope)
-        if values.shape != expected:
-            raise ValueError(f"factor shape {values.shape} does not match scope {expected}")
-        if np.any(values < 0.0):
-            raise ValueError("factor values must be non-negative")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.scope)
-
-    def multiply(self, other: "Factor") -> "Factor":
-        scope = self.scope + tuple(v for v in other.scope if v.name not in self.names)
-        return Factor(scope, _aligned(self, scope) * _aligned(other, scope))
-
-    def marginalize(self, name: str) -> "Factor":
-        axis = self.names.index(name)
-        scope = tuple(v for v in self.scope if v.name != name)
-        return Factor(scope, self.values.sum(axis=axis))
-
-    def reduce(self, name: str, state: int) -> "Factor":
-        axis = self.names.index(name)
-        scope = tuple(v for v in self.scope if v.name != name)
-        return Factor(scope, np.take(self.values, int(state), axis=axis))
-
-
-def _aligned(factor: Factor, scope: tuple[Variable, ...]) -> np.ndarray:
-    """View of the factor's values broadcastable over ``scope`` (a superset)."""
-    pos = {v.name: i for i, v in enumerate(scope)}
-    axes = [pos[v.name] for v in factor.scope]
-    order = np.argsort(axes)
-    values = np.transpose(factor.values, order) if len(axes) > 1 else factor.values
-    shape = [1] * len(scope)
-    for axis_pos, src in zip(sorted(axes), order):
-        shape[axis_pos] = factor.scope[src].cardinality
-    return values.reshape(shape)
-
-
-def cpt_factor(cpt: Cpt) -> Factor:
-    """The CPT as a factor with scope (parents..., variable)."""
-    scope = cpt.parents + (cpt.variable,)
-    shape = tuple(v.cardinality for v in scope)
-    return Factor(scope, cpt.table.reshape(shape))
+# NumPy 1.x takes at most 32 einsum operands; bigger products are folded in
+# groups of this many factors.
+_EINSUM_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -141,13 +87,13 @@ def posterior_enumeration(
     return Posterior(q_var, totals / normalizer)
 
 
-def _min_degree_order(factors: Sequence[Factor], eliminate: set[str]) -> list[str]:
+def _min_degree_order(scopes: Sequence[tuple[str, ...]], eliminate: set[str]) -> list[str]:
     """Min-degree elimination order over the factor interaction graph, ties by name."""
     neighbors: dict[str, set[str]] = {}
-    for f in factors:
-        for name in f.names:
+    for scope in scopes:
+        for name in scope:
             group = neighbors.setdefault(name, set())
-            group.update(n for n in f.names if n != name)
+            group.update(n for n in scope if n != name)
     order: list[str] = []
     remaining = set(eliminate)
     while remaining:
@@ -162,43 +108,67 @@ def _min_degree_order(factors: Sequence[Factor], eliminate: set[str]) -> list[st
     return order
 
 
+def _sum_product(factors: list, keep: tuple[str, ...]) -> np.ndarray:
+    """Product of the ``(values, scope)`` factors with every variable outside ``keep`` summed out.
+
+    The result has one axis per name in ``keep``.  Names are relabelled
+    0, 1, ... for each einsum call, so one call sees only its own variables.
+    """
+    while len(factors) > _EINSUM_GROUP:
+        head = factors[:_EINSUM_GROUP]
+        scope = tuple(dict.fromkeys(n for _, s in head for n in s))
+        factors = [(_sum_product(head, scope), scope)] + factors[_EINSUM_GROUP:]
+    labels: dict[str, int] = {}
+    operands: list = []
+    for values, scope in factors:
+        operands += [values, [labels.setdefault(n, len(labels)) for n in scope]]
+    return np.einsum(*operands, [labels[n] for n in keep])
+
+
 def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int]) -> Posterior:
     """P(query | evidence) by variable elimination.
 
-    Factors are sliced on the evidence up front, hidden variables are summed
-    out in min-degree order (ties broken by name) and the result is
-    normalized once at the end; a normalizer of exactly zero signals
+    Only the query, the evidence and their ancestors take part: every other
+    node's CPT sums out to one (barren-node pruning).  Each CPT is sliced on
+    the evidence; a slice left constant is checked for zero and dropped.
+    Hidden variables are summed out in min-degree order (ties broken by
+    name), one einsum each, and each intermediate is rescaled to a maximum
+    of one, so long products of small probabilities do not underflow.  A
+    zero constant, an all-zero intermediate or a zero normalizer signals
     impossible evidence.
     """
     _check_query(net, query, evidence)
-    factors: list[Factor] = []
+    relevant = _ancestral_set(net.dag, (query, *evidence))
+    factors = []
     for name in net.dag.nodes:
-        f = cpt_factor(net.cpts[name])
-        for ev_name, ev_state in evidence.items():
-            if ev_name in f.names:
-                f = f.reduce(ev_name, ev_state)
-        factors.append(f)
-
-    hidden = {n for n in net.dag.nodes if n != query and n not in evidence}
-    for name in _min_degree_order(factors, hidden):
-        related = [f for f in factors if name in f.names]
-        if not related:
+        if name not in relevant:
             continue
-        product = related[0]
-        for f in related[1:]:
-            product = product.multiply(f)
-        factors = [f for f in factors if name not in f.names]
-        factors.append(product.marginalize(name))
+        cpt = net.cpts[name]
+        scope = tuple(v.name for v in cpt.parents) + (name,)
+        values = cpt.table.reshape([v.cardinality for v in cpt.parents + (cpt.variable,)])
+        values = values[tuple(int(evidence[n]) if n in evidence else slice(None) for n in scope)]
+        if values.ndim:
+            factors.append((values, tuple(n for n in scope if n not in evidence)))
+        elif values == 0.0:
+            raise ZeroEvidenceError("evidence has probability zero")
 
-    result = factors[0]
-    for f in factors[1:]:
-        result = result.multiply(f)
-    q_var = net.variable(query)
-    values = result.values if result.names == (query,) else _aligned(result, (q_var,)).reshape(-1)
+    hidden = relevant - {query} - set(evidence)
+    for name in _min_degree_order([scope for _, scope in factors], hidden):
+        related = [f for f in factors if name in f[1]]
+        factors = [f for f in factors if name not in f[1]]
+        keep = tuple(dict.fromkeys(n for _, scope in related for n in scope if n != name))
+        values = _sum_product(related, keep)
+        peak = values.max()
+        if peak == 0.0:
+            raise ZeroEvidenceError("evidence has probability zero")
+        if keep:
+            factors.append((values / peak, keep))
+
+    values = _sum_product(factors, (query,))
     normalizer = values.sum()
     if normalizer == 0.0:
         raise ZeroEvidenceError("evidence has probability zero")
-    return Posterior(q_var, values / normalizer)
+    return Posterior(net.variable(query), values / normalizer)
 
 
 def classify(

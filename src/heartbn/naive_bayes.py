@@ -5,8 +5,9 @@ makes it exactly a star-shaped Bayesian network (class -> each feature).
 :func:`nb_fit` fits that network with the shared Dirichlet estimator of
 :mod:`heartbn.learn`, using the additive pseudo-count as the per-cell prior:
 every count N becomes (N + pseudo) / (total + pseudo * cardinality).
-:meth:`NbModel.to_net` returns the network, so the equivalence is testable
-and the model serializes in the shared network format.
+:func:`nb_predict` classifies on that network with the shared inference of
+:mod:`heartbn.inference`, and :meth:`NbModel.to_net` returns it, so the model
+serializes in the shared network format.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from .core import DiscreteBayesNet, Variable, build_dag
 from .dataset import DataTable
-from .errors import ZeroEvidenceError
-from .inference import Posterior
+from .inference import Posterior, classify
 from .learn import _fit_dirichlet
 
 
@@ -78,21 +78,8 @@ def nb_predict(model: NbModel, evidence: Mapping[str, int]) -> tuple[int, Poster
     """Most probable class given feature evidence.
 
     The posterior is proportional to P(c) * prod P(x_i | c) over the
-    supplied features; absent features are skipped.  Accumulation happens in
-    log space, and ties break toward the lower class index.
+    supplied features; absent features are skipped.  It is computed by
+    :func:`~heartbn.inference.classify` on the star network, so ties break
+    toward the lower class index.
     """
-    class_var = model.class_var
-    if class_var.name in evidence:
-        raise ValueError("the class variable may not appear in the evidence")
-    model.net.validate_assignment(evidence)
-
-    cpts = model.net.cpts
-    with np.errstate(divide="ignore"):
-        log_post = np.log(cpts[class_var.name].table[0])
-        for name, state in evidence.items():
-            log_post = log_post + np.log(cpts[name].table[:, int(state)])
-    if np.all(np.isinf(log_post) & (log_post < 0)):
-        raise ZeroEvidenceError("all class posteriors are zero under this evidence")
-    shifted = np.exp(log_post - log_post.max())
-    probabilities = shifted / shifted.sum()
-    return int(np.argmax(probabilities)), Posterior(class_var, probabilities)
+    return classify(model.net, model.class_var.name, evidence)

@@ -2,7 +2,9 @@
 
 The d-separation oracle enumerates every undirected simple path and applies
 the blocking rules literally, deliberately ignoring the library's
-reachability algorithm.  The generators produce small random DAGs and
+reachability algorithm.  The Naive Bayes oracle accumulates the class
+posterior in log space straight from the model's tables, without the
+library's inference.  The generators produce small random DAGs and
 networks for randomized comparisons.
 """
 
@@ -12,7 +14,10 @@ import itertools
 
 import numpy as np
 
-from heartbn import Cpt, Dag, DiscreteBayesNet, Variable, build_dag
+from heartbn import (
+    Cpt, Dag, DataTable, DiscreteBayesNet, NbModel, Variable, build_dag, nb_fit,
+)
+from heartbn.errors import ZeroEvidenceError
 
 
 def undirected_paths(dag: Dag, start: str, end: str):
@@ -56,6 +61,29 @@ def d_separated_bruteforce(dag: Dag, x: set[str], y: set[str], z: set[str]) -> b
                 if not path_blocked(dag, path, z):
                     return False
     return True
+
+
+def nb_posterior_logspace(model: NbModel, evidence: dict[str, int]) -> np.ndarray:
+    """P(class | evidence) from log P(c) + sum log P(x_i | c) over the observed features."""
+    with np.errstate(divide="ignore"):
+        log_post = np.log(model.prior)
+        for name, state in evidence.items():
+            log_post = log_post + np.log(model.conditionals[name][:, int(state)])
+    if np.all(np.isneginf(log_post)):
+        raise ZeroEvidenceError("all class posteriors are zero under this evidence")
+    shifted = np.exp(log_post - log_post.max())
+    return shifted / shifted.sum()
+
+
+def wide_nb_case(rng: np.random.Generator) -> tuple[NbModel, dict[str, int]]:
+    """A Naive Bayes model over 70 binary features and full evidence on them.
+
+    Its 71 factors exceed what one einsum call accepts (32 operands in
+    NumPy 1.x, 64 in 2.x), so classifying it exercises the folded product.
+    """
+    schema = tuple(Variable(f"w{i}", "01") for i in range(71))
+    model = nb_fit(DataTable(schema, rng.integers(0, 2, size=(80, len(schema)))), "w0")
+    return model, {v.name: int(rng.integers(2)) for v in schema[1:]}
 
 
 def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4) -> Dag:

@@ -26,7 +26,10 @@ from heartbn import (
 from heartbn.core import build_dag
 from heartbn.dataset import DataTable, Variable
 
-from oracles import d_separated_bruteforce, random_dag, random_net, sample_rows
+from oracles import (
+    d_separated_bruteforce, nb_posterior_logspace, random_dag, random_net, sample_rows,
+    wide_nb_case,
+)
 
 GOLDEN_TOL = 5e-7
 
@@ -190,32 +193,36 @@ def test_criterion_07_markov_blanket_sufficiency(heart_net, heart_table):
 
 def test_criterion_08_nb_bn_equivalence():
     rng = np.random.default_rng(4242)
-    worst = 0.0
-    label_mismatch = 0
+    cases = []
     for _ in range(100):
         net = random_net(rng, int(rng.integers(3, 6)), max_card=3, edge_prob=0.5)
         rows = sample_rows(net, rng, 80)
         data = DataTable(tuple(net.variables[n] for n in net.dag.nodes), rows)
         class_var = data.names[int(rng.integers(len(data.names)))]
-        model = nb_fit(data, class_var, pseudo=1.0)
-        star = model.to_net()
         features = [n for n in data.names if n != class_var]
         k = int(rng.integers(0, len(features) + 1))
         evidence = {
             f: int(rng.integers(data.variable(f).cardinality))
             for f in rng.permutation(features)[:k]
         }
+        cases.append((nb_fit(data, class_var, pseudo=1.0), evidence))
+    cases.append(wide_nb_case(rng))
+    worst = 0.0
+    label_mismatch = 0
+    for model, evidence in cases:
         nb_label, nb_post = nb_predict(model, evidence)
-        net_label, net_post = classify(star, class_var, evidence)
-        # an exactly tied posterior can round oppositely along the two routes,
+        net_label, net_post = classify(model.to_net(), model.class_var.name, evidence)
+        reference = nb_posterior_logspace(model, evidence)
+        # an exactly tied posterior can round oppositely along two routes,
         # so the label comparison only binds when the winner is clear
-        margin = np.sort(net_post.probabilities)[-1] - np.sort(net_post.probabilities)[-2]
+        margin = np.sort(reference)[-1] - np.sort(reference)[-2]
         if margin > 1e-9:
-            label_mismatch += nb_label != net_label
-        worst = max(worst, float(np.abs(nb_post.probabilities - net_post.probabilities).max()))
-    report(8, "Naive Bayes equals classification on its star network",
+            label_mismatch += nb_label != net_label or nb_label != int(np.argmax(reference))
+        worst = max(worst, float(np.abs(nb_post.probabilities - net_post.probabilities).max()),
+                    float(np.abs(nb_post.probabilities - reference).max()))
+    report(8, "Naive Bayes equals its star network and a log-space reference",
            worst <= 1e-10 and label_mismatch == 0,
-           f"max abs diff {worst:.2e}, label mismatches {label_mismatch}")
+           f"{len(cases)} cases, max abs diff {worst:.2e}, label mismatches {label_mismatch}")
 
 
 def test_criterion_09_estimator_properties():

@@ -4,7 +4,6 @@ import pytest
 from heartbn import (
     Cpt,
     DiscreteBayesNet,
-    Factor,
     Variable,
     build_dag,
     classify,
@@ -14,6 +13,7 @@ from heartbn import (
     posterior_ve,
 )
 from heartbn.errors import UnknownNodeError, ZeroEvidenceError
+from heartbn.inference import _sum_product
 
 from oracles import random_net
 
@@ -22,31 +22,26 @@ TWO_NODE_POSTERIOR = 0.27 / 0.41
 
 
 class TestFactor:
+    """Factor product, summing out, evidence slicing and non-negativity."""
+
     def test_multiply_aligns_scopes(self):
-        a = Variable("a", "01")
-        b = Variable("b", "012")
-        f = Factor((a,), np.array([0.4, 0.6]))
-        g = Factor((b, a), np.arange(6, dtype=float).reshape(3, 2))
-        product = f.multiply(g)
-        assert product.names == ("a", "b")
+        f = (np.array([0.4, 0.6]), ("a",))
+        g = (np.arange(6, dtype=float).reshape(3, 2), ("b", "a"))
+        product = _sum_product([f, g], ("a", "b"))
         expected = np.array([0.4, 0.6])[:, None] * np.arange(6, dtype=float).reshape(3, 2).T
-        assert np.allclose(product.values, expected)
+        assert np.allclose(product, expected)
 
     def test_marginalize(self):
-        a, b = Variable("a", "01"), Variable("b", "01")
-        f = Factor((a, b), np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert np.allclose(f.marginalize("b").values, [0.3, 0.7])
+        f = (np.array([[0.1, 0.2], [0.3, 0.4]]), ("a", "b"))
+        assert np.allclose(_sum_product([f], ("a",)), [0.3, 0.7])
 
-    def test_reduce(self):
-        a, b = Variable("a", "01"), Variable("b", "01")
-        f = Factor((a, b), np.array([[0.1, 0.2], [0.3, 0.4]]))
-        reduced = f.reduce("a", 1)
-        assert reduced.names == ("b",)
-        assert np.allclose(reduced.values, [0.3, 0.4])
+    def test_reduce(self, two_node_net):
+        # evidence on the parent slices B's CPT down to its A=1 row
+        assert np.allclose(posterior_ve(two_node_net, "B", {"A": 1}).probabilities, [0.1, 0.9])
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            Factor((Variable("a", "01"),), np.array([-0.1, 1.1]))
+            Cpt(Variable("a", "01"), (), np.array([[-0.1, 1.1]]))
 
 
 class TestEnumeration:
@@ -141,6 +136,21 @@ class TestVariableElimination:
             )
             assert np.abs(base.probabilities - extended.probabilities).max() <= 1e-10
             compared += 1
+
+    def test_long_chain_does_not_underflow(self):
+        # n0 -> n1 -> ... -> n799 with every CPT positive; the alternating
+        # evidence has probability 0.62 * 0.2**798 ~ 1e-558, below the
+        # smallest double, yet the root's posterior is P(n0) * P(n1 | n0)
+        # normalized, since no other factor mentions n0
+        nodes = [Variable(f"n{i}", "01") for i in range(800)]
+        cpts = {"n0": Cpt(nodes[0], (), [[0.3, 0.7]])}
+        for parent, child in zip(nodes, nodes[1:]):
+            cpts[child.name] = Cpt(child, (parent,), [[0.8, 0.2], [0.2, 0.8]])
+        net = DiscreteBayesNet(
+            build_dag(nodes, [(a.name, b.name) for a, b in zip(nodes, nodes[1:])]), cpts
+        )
+        post = posterior_ve(net, "n0", {f"n{i}": i % 2 for i in range(1, 800)})
+        assert np.allclose(post.probabilities, [0.06 / 0.62, 0.56 / 0.62], rtol=0.0, atol=1e-12)
 
     def test_posterior_normalizes(self, heart_net):
         post = posterior_ve(heart_net, "target", {"thal": 2, "cp": 3, "ca": 1})

@@ -4,7 +4,7 @@ import pytest
 from heartbn import DataTable, Variable, classify, nb_fit, nb_predict, split
 from heartbn.errors import SchemaMismatchError, UnknownNodeError, ZeroEvidenceError
 
-from oracles import sample_rows, random_net
+from oracles import nb_posterior_logspace, random_net, sample_rows, wide_nb_case
 
 
 def small_table() -> DataTable:
@@ -75,25 +75,28 @@ class TestNbPredict:
 class TestStarNetEquivalence:
     def test_matches_network_classifier(self):
         rng = np.random.default_rng(101)
+        cases = []
         for _ in range(25):
             net = random_net(rng, 4, max_card=3, edge_prob=0.6)
             rows = sample_rows(net, rng, 120)
             data = DataTable(tuple(net.variables[n] for n in net.dag.nodes), rows)
-            class_var = data.names[0]
-            model = nb_fit(data, class_var, pseudo=1.0)
-            star = model.to_net()
-            features = [n for n in data.names if n != class_var]
+            features = data.names[1:]
             k = int(rng.integers(0, len(features) + 1))
             evidence = {
                 f: int(rng.integers(data.variable(f).cardinality))
                 for f in rng.permutation(features)[:k]
             }
+            cases.append((nb_fit(data, data.names[0], pseudo=1.0), evidence))
+        cases.append(wide_nb_case(rng))
+        for model, evidence in cases:
             nb_label, nb_post = nb_predict(model, evidence)
-            net_label, net_post = classify(star, class_var, evidence)
+            net_label, net_post = classify(model.to_net(), model.class_var.name, evidence)
+            reference = nb_posterior_logspace(model, evidence)
             assert np.abs(nb_post.probabilities - net_post.probabilities).max() <= 1e-10
-            margin = np.sort(net_post.probabilities)[-1] - np.sort(net_post.probabilities)[-2]
+            assert np.abs(nb_post.probabilities - reference).max() <= 1e-10
+            margin = np.sort(reference)[-1] - np.sort(reference)[-2]
             if margin > 1e-9:  # labels must agree unless the posterior is tied
-                assert nb_label == net_label
+                assert nb_label == net_label == int(np.argmax(reference))
 
     def test_star_net_shape(self):
         model = nb_fit(small_table(), "c")
