@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -128,9 +128,15 @@ class DataTable:
 
     schema: tuple[Variable, ...]
     rows: np.ndarray
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
+        object.__setattr__(self, "names", tuple(v.name for v in self.schema))
+        # reversed, so a repeated name keeps its first column, as tuple.index does
+        index = {name: j for j, name in reversed(tuple(enumerate(self.names)))}
+        object.__setattr__(self, "_index", index)
         rows = np.array(self.rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise ValueError("rows must be a 2-D array with one column per variable")
@@ -145,14 +151,10 @@ class DataTable:
     def n_rows(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.schema)
-
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise SchemaMismatchError(f"no column named {name!r}") from None
 
     def variable(self, name: str) -> Variable:

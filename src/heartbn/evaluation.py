@@ -114,14 +114,17 @@ def _fallback_classify(net: DiscreteBayesNet, evidence: dict[str, int]) -> int:
     under an MLE-fitted model even when the offending variable is irrelevant
     to the class.  Variables outside the class's Markov blanket cannot
     change the posterior, so the evidence is first restricted to the
-    blanket; if even that is impossible, the class prior decides.
+    blanket; if that drops nothing (a Naive Bayes blanket is every feature)
+    or is still impossible, the class prior decides.
     """
     blanket = markov_blanket(net.dag, "target")
-    try:
-        label, _ = classify(net, "target", {k: v for k, v in evidence.items() if k in blanket})
-    except ZeroEvidenceError:
-        label, _ = classify(net, "target", {})
-    return label
+    reduced = {k: v for k, v in evidence.items() if k in blanket}
+    if len(reduced) < len(evidence):
+        try:
+            return classify(net, "target", reduced)[0]
+        except ZeroEvidenceError:
+            pass
+    return classify(net, "target", {})[0]
 
 
 def fit_model(

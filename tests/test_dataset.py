@@ -190,6 +190,17 @@ class TestSplit:
             split(heart_table, ratio, seed=0)
 
 
+class TestDataTable:
+    def test_duplicated_name_resolves_to_first_column(self):
+        schema = (Variable("a", "01"), Variable("b", "012"), Variable("a", "012"))
+        table = DataTable(schema, np.array([[0, 2, 1], [1, 0, 2]]))
+        assert table.index("a") == 0
+        assert table.variable("a") is schema[0]
+        assert table.column("a").tolist() == [0, 1]
+        with pytest.raises(SchemaMismatchError):
+            table.index("c")
+
+
 class TestCsvRoundTrip:
     def test_round_trip(self, heart_table, tmp_path):
         path = tmp_path / "table.csv"

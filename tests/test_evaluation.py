@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from heartbn import ConfusionMatrix, confusion, metrics, run_experiment
+from heartbn import ConfusionMatrix, DataTable, Variable, confusion, metrics, run_experiment
+from heartbn import evaluation
 
 
 class TestConfusion:
@@ -93,6 +94,26 @@ class TestRunExperiment:
         )
         assert report["learner"] == learner
         assert 0.0 <= report["per_seed"][0]["metrics"]["accuracy"] <= 1.0
+
+    def test_impossible_nb_row_goes_straight_to_prior(self, monkeypatch):
+        # A Naive Bayes blanket is every feature, so restricting the evidence
+        # to it would repeat the impossible query.
+        seed = 0
+        test_row = int(np.random.default_rng(seed).permutation(10)[-1])
+        rows = np.array([[i % 2, i // 2 % 2, 0] for i in range(10)])
+        rows[test_row, 2] = 1  # a state the training rows never show
+        schema = (Variable("target", "01"), Variable("a", "01"), Variable("b", "01"))
+        evidence_sizes = []
+        real_classify = evaluation.classify
+
+        def spy(net, class_var, evidence):
+            evidence_sizes.append(len(evidence))
+            return real_classify(net, class_var, evidence)
+
+        monkeypatch.setattr(evaluation, "classify", spy)
+        report = run_experiment(DataTable(schema, rows), "nb", 0.9, [seed], pseudo=0.0)
+        assert report["per_seed"][0]["zero_evidence_rows"] == 1
+        assert evidence_sizes == [2, 0]
 
     def test_unknown_learner_rejected(self, heart_table):
         with pytest.raises(ValueError):

@@ -1,4 +1,10 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +24,17 @@ from heartbn import (
     learn_skeleton,
     orient,
     score,
+    split,
     topological_order,
 )
-from heartbn.errors import InsufficientDataError, SchemaMismatchError
+from heartbn import learn
+from heartbn.errors import (
+    ConflictingOrientationWarning,
+    InsufficientDataError,
+    SchemaMismatchError,
+)
 
-from oracles import random_net, sample_rows
+from oracles import ci_test_per_stratum, random_net, sample_rows
 
 
 def binary_table(columns: dict[str, list[int]], cards: dict[str, int] | None = None) -> DataTable:
@@ -298,6 +310,43 @@ class TestCiTest:
         with pytest.raises(ValueError):
             ci_test(data, "x", "y", alpha=1.5)
 
+    def test_matches_per_stratum_oracle(self):
+        # Few rows over up to three conditioning variables leave many strata
+        # empty; drawing a column from a prefix of its states leaves zero
+        # row or column margins.
+        rng = np.random.default_rng(4)
+        empty_strata = zero_margins = 0
+        for _ in range(250):
+            names = ["x", "y", *(f"z{i}" for i in range(int(rng.integers(0, 4))))]
+            cards = {m: int(rng.integers(2, 5)) for m in names}
+            n = int(rng.integers(1, 60))
+            columns = {
+                m: rng.integers(0, int(rng.integers(1, cards[m] + 1)), size=n).tolist()
+                for m in names
+            }
+            data = binary_table(columns, cards)
+            z = tuple(names[2:])
+            mine = ci_test(data, "x", "y", z)
+            reference = ci_test_per_stratum(data, "x", "y", z)
+            assert mine.dof == reference.dof
+            assert mine.independent == reference.independent
+            assert abs(mine.statistic - reference.statistic) <= 1e-12 * reference.statistic
+            assert abs(mine.p_value - reference.p_value) <= 1e-12 * reference.p_value
+            configs = {tuple(row) for row in data.rows[:, 2:]}
+            empty_strata += len(configs) < math.prod(cards[m] for m in z)
+            zero_margins += len(set(columns["x"])) < cards["x"] or len(set(columns["y"])) < cards["y"]
+        assert empty_strata >= 100 and zero_margins >= 100
+
+    def test_import_loads_no_scipy_stats(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", "import heartbn, sys; assert 'scipy.stats' not in sys.modules"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+
 
 def chain_data(seed: int, n: int = 2000) -> DataTable:
     rng = np.random.default_rng(seed)
@@ -344,6 +393,37 @@ class TestSkeleton:
         second = learn_skeleton(shuffled)
         assert first.edges == second.edges
         assert first.sepsets == second.sepsets
+
+    def test_heart_splits_match_per_stratum_oracle(self, heart_table, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConflictingOrientationWarning)
+            for seed in range(20):
+                train, _ = split(heart_table, 0.8, seed)
+                skeleton = learn_skeleton(train)
+                with monkeypatch.context() as patch:
+                    patch.setattr(learn, "ci_test", ci_test_per_stratum)
+                    reference = learn_skeleton(train)
+                assert skeleton == reference, f"seed {seed}"
+                assert orient(skeleton) == orient(reference), f"seed {seed}"
+
+    def test_conditioning_sets_come_from_current_neighborhoods(self, heart_table, monkeypatch):
+        # Replays the removals from the test results: each conditioning set
+        # must lie within x's or y's neighbors at the time of the test.
+        train, _ = split(heart_table, 0.8, 0)
+        neighbors = {n: set(train.names) - {n} for n in train.names}
+        real_ci_test = learn.ci_test
+
+        def spy(data, x, y, z, alpha):
+            assert set(z) <= neighbors[x] - {y} or set(z) <= neighbors[y] - {x}
+            result = real_ci_test(data, x, y, z, alpha)
+            if result.independent:
+                neighbors[x].discard(y)
+                neighbors[y].discard(x)
+            return result
+
+        monkeypatch.setattr(learn, "ci_test", spy)
+        skeleton = learn_skeleton(train)
+        assert {n: set(skeleton.adjacent(n)) for n in train.names} == neighbors
 
     def test_sepset_iff_no_edge(self):
         skeleton = learn_skeleton(chain_data(seed=44))
