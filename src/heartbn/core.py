@@ -93,7 +93,7 @@ class Dag:
         return self._children[self._check(name)]
 
     def has_edge(self, parent: str, child: str) -> bool:
-        return (parent, child) in set(self.edges)
+        return parent in self._parents.get(child, ())
 
     def descendants(self, name: str) -> set[str]:
         """All nodes reachable from ``name`` by directed paths (excluding itself)."""

@@ -101,8 +101,7 @@ def degenerate_fields(cm: ConfusionMatrix) -> list[str]:
         out.append("precision")
     if cm.tp + cm.fn == 0:
         out.append("recall")
-    m = metrics(cm)
-    if m.precision + m.recall == 0:
+    if cm.tp == 0:  # precision and recall are both 0
         out.append("f1")
     return out
 

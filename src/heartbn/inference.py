@@ -97,13 +97,13 @@ def _min_degree_order(scopes: Sequence[tuple[str, ...]], eliminate: set[str]) ->
     order: list[str] = []
     remaining = set(eliminate)
     while remaining:
-        best = min(remaining, key=lambda n: (len(neighbors.get(n, set()) & set(neighbors)), n))
+        # the neighbor sets only ever hold names not yet eliminated
+        best = min(remaining, key=lambda n: (len(neighbors[n]), n))
         order.append(best)
-        best_neighbors = neighbors.pop(best, set())
+        best_neighbors = neighbors.pop(best)
         for a in best_neighbors:
-            if a in neighbors:
-                neighbors[a].discard(best)
-                neighbors[a].update(b for b in best_neighbors if b != a and b in neighbors)
+            neighbors[a].discard(best)
+            neighbors[a].update(b for b in best_neighbors if b != a)
         remaining.discard(best)
     return order
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,11 @@ SCORE_KINDS = ("bic", "bdeu")
 # Smallest score gain counted as an improvement.  Score-equivalent moves
 # (reversing a lone edge, say) differ by zero exactly, but their computed
 # deltas carry rounding noise around 1e-13; accepting that noise makes the
-# search ping-pong between equivalent structures until max_iter.
+# search ping-pong between equivalent structures until MAX_MOVES.
 MIN_IMPROVEMENT = 1e-9
+
+# Accepted moves after which hill_climb stops even short of a local optimum.
+MAX_MOVES = 200
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def score(dag: Dag, data: DataTable, kind: str = "bic", ess: float = 10.0) -> fl
     return sum(family_score(data, node, dag.parents(node), kind, ess) for node in dag.nodes)
 
 
-def _creates_cycle(parent_sets: dict[str, set[str]], parent: str, child: str) -> bool:
+def _creates_cycle(parent_sets: Mapping[str, Iterable[str]], parent: str, child: str) -> bool:
     """Would adding parent -> child close a directed cycle?"""
     stack = [parent]
     seen = set()
@@ -164,7 +168,6 @@ def _creates_cycle(parent_sets: dict[str, set[str]], parent: str, child: str) ->
 def hill_climb(
     data: DataTable,
     kind: str = "bic",
-    max_iter: int = 200,
     ess: float = 10.0,
     allowed: set[frozenset[str]] | None = None,
     trace: list[float] | None = None,
@@ -174,69 +177,54 @@ def hill_climb(
     Each step applies the best strictly improving add / delete / reverse of
     a single edge (improvements below :data:`MIN_IMPROVEMENT` count as ties),
     rejecting moves that would create a cycle, and stops at a local optimum
-    or after ``max_iter`` accepted moves.  ``allowed`` limits edges to the
-    given unordered pairs.  The search is deterministic.  When ``trace`` is
-    given, the running score is appended after every accepted move.
+    or after :data:`MAX_MOVES` accepted moves.  ``allowed`` limits edges to
+    the given unordered pairs.  The search is deterministic.  When ``trace``
+    is given, the running score is appended after every accepted move.
     """
     if len(data.names) < 2:
         raise SchemaMismatchError("structure search needs at least two columns")
     names = sorted(data.names)
-    parent_sets: dict[str, set[str]] = {n: set() for n in names}
-    fam_cache: dict[tuple[str, tuple[str, ...]], float] = {}
+    parent_sets: dict[str, frozenset[str]] = {n: frozenset() for n in names}
+    cache: dict[tuple[str, frozenset[str]], float] = {}
 
-    def fam(child: str, parents: set[str]) -> float:
-        key = (child, tuple(sorted(parents)))
-        if key not in fam_cache:
-            fam_cache[key] = family_score(data, child, key[1], kind, ess)
-        return fam_cache[key]
+    def fam(child: str, parents: frozenset[str]) -> float:
+        if (child, parents) not in cache:
+            cache[child, parents] = family_score(data, child, tuple(sorted(parents)), kind, ess)
+        return cache[child, parents]
 
     current = sum(fam(n, parent_sets[n]) for n in names)
     if trace is not None:
         trace.append(current)
 
-    def pair_ok(a: str, b: str) -> bool:
-        return allowed is None or frozenset((a, b)) in allowed
-
-    for _ in range(max_iter):
-        best_delta = MIN_IMPROVEMENT
-        best_apply = None
+    for _ in range(MAX_MOVES):
+        # a move maps each child it changes to that child's new parent set
+        best_delta, best_move = MIN_IMPROVEMENT, None
         for a, b in itertools.permutations(names, 2):
             if b in parent_sets[a] or a in parent_sets[b]:
                 continue
-            if not pair_ok(a, b) or _creates_cycle(parent_sets, a, b):
+            pair_ok = allowed is None or frozenset((a, b)) in allowed
+            if not pair_ok or _creates_cycle(parent_sets, a, b):
                 continue
-            delta = fam(b, parent_sets[b] | {a}) - fam(b, parent_sets[b])
+            new_b = parent_sets[b] | {a}
+            delta = fam(b, new_b) - fam(b, parent_sets[b])
             if delta > best_delta:
-                best_delta, best_apply = delta, ("add", a, b)
+                best_delta, best_move = delta, {b: new_b}
         edges_now = [(p, c) for c in names for p in sorted(parent_sets[c])]
         for p, c in edges_now:
-            delta = fam(c, parent_sets[c] - {p}) - fam(c, parent_sets[c])
+            new_c = parent_sets[c] - {p}
+            delta = fam(c, new_c) - fam(c, parent_sets[c])
             if delta > best_delta:
-                best_delta, best_apply = delta, ("del", p, c)
+                best_delta, best_move = delta, {c: new_c}
         for p, c in edges_now:
-            parent_sets[c].discard(p)
-            cycle = _creates_cycle(parent_sets, c, p)
-            parent_sets[c].add(p)
-            if cycle:
+            new_c, new_p = parent_sets[c] - {p}, parent_sets[p] | {c}
+            if _creates_cycle({**parent_sets, c: new_c}, c, p):
                 continue
-            delta = (
-                fam(c, parent_sets[c] - {p})
-                + fam(p, parent_sets[p] | {c})
-                - fam(c, parent_sets[c])
-                - fam(p, parent_sets[p])
-            )
+            delta = fam(c, new_c) + fam(p, new_p) - fam(c, parent_sets[c]) - fam(p, parent_sets[p])
             if delta > best_delta:
-                best_delta, best_apply = delta, ("rev", p, c)
-        if best_apply is None:
+                best_delta, best_move = delta, {c: new_c, p: new_p}
+        if best_move is None:
             break
-        op, a, b = best_apply
-        if op == "add":
-            parent_sets[b].add(a)
-        elif op == "del":
-            parent_sets[b].discard(a)
-        else:
-            parent_sets[b].discard(a)
-            parent_sets[a].add(b)
+        parent_sets.update(best_move)
         current += best_delta
         if trace is not None:
             trace.append(current)
@@ -361,8 +349,8 @@ def orient(skeleton: Skeleton) -> Dag:
     undirected = set(skeleton.edges)
     directed: dict[tuple[str, str], tuple[str, str]] = {}  # sorted pair -> (parent, child)
 
-    def adjacent(a: str, b: str) -> bool:
-        return tuple(sorted((a, b))) in skeleton.edges
+    def points(parent: str, child: str) -> bool:
+        return directed.get(tuple(sorted((parent, child)))) == (parent, child)
 
     def demand(parent: str, child: str) -> None:
         pair = tuple(sorted((parent, child)))
@@ -379,14 +367,25 @@ def orient(skeleton: Skeleton) -> Dag:
         directed[pair] = (parent, child)
         undirected.discard(pair)
 
-    # v-structures
+    def forced(a: str, b: str) -> tuple[str, str] | None:
+        """The direction a propagation rule forces on the undirected a - b, if any."""
+        # rule 1: parent -> x - y with parent, y non-adjacent forces x -> y
+        for parent, child in directed.values():
+            for x, y in ((a, b), (b, a)):
+                if child == x and not skeleton.has_edge(parent, y):
+                    return x, y
+        # rule 2: x -> mid -> y forces x -> y
+        for mid in skeleton.nodes:
+            for x, y in ((a, b), (b, a)):
+                if points(x, mid) and points(mid, y):
+                    return x, y
+        return None
+
+    # v-structures; adjacent() is sorted, so (x, y) keys the separating set
+    # that every non-adjacent pair has
     for c in skeleton.nodes:
-        neigh = skeleton.adjacent(c)
-        for x, y in itertools.combinations(neigh, 2):
-            if adjacent(x, y):
-                continue
-            sepset = skeleton.sepsets.get(tuple(sorted((x, y))))
-            if sepset is not None and c not in sepset:
+        for x, y in itertools.combinations(skeleton.adjacent(c), 2):
+            if not skeleton.has_edge(x, y) and c not in skeleton.sepsets[x, y]:
                 demand(x, c)
                 demand(y, c)
 
@@ -394,39 +393,18 @@ def orient(skeleton: Skeleton) -> Dag:
     changed = True
     while changed:
         changed = False
-        for pair in sorted(undirected):
-            a, b = pair
-            for parent, child in list(directed.values()):
-                # rule 1: parent -> child, child - other, parent and other non-adjacent
-                if child in pair:
-                    other = b if child == a else a
-                    if other != parent and not adjacent(parent, other):
-                        demand(child, other)
-                        changed = True
-                        break
-                # rule 2: a -> b -> c forces a -> c for the undirected a - c
-            if pair not in undirected:
-                continue
-            for mid in skeleton.nodes:
-                if directed.get(tuple(sorted((a, mid)))) == (a, mid) and directed.get(
-                    tuple(sorted((mid, b)))
-                ) == (mid, b):
-                    demand(a, b)
-                    changed = True
-                    break
-                if directed.get(tuple(sorted((b, mid)))) == (b, mid) and directed.get(
-                    tuple(sorted((mid, a)))
-                ) == (mid, a):
-                    demand(b, a)
-                    changed = True
-                    break
+        for a, b in sorted(undirected):
+            edge = forced(a, b)
+            if edge:
+                demand(*edge)
+                changed = True
 
     # assemble acyclically: forced orientations first, then lexicographic fallback
     parent_sets: dict[str, set[str]] = {n: set() for n in skeleton.nodes}
 
-    def add_edge(parent: str, child: str, forced: bool) -> None:
+    def add_edge(parent: str, child: str, demanded: bool) -> None:
         if _creates_cycle(parent_sets, parent, child):
-            if forced:
+            if demanded:
                 warnings.warn(
                     f"orientation {parent} -> {child} would close a cycle; reversed",
                     ConflictingOrientationWarning,
@@ -436,24 +414,22 @@ def orient(skeleton: Skeleton) -> Dag:
         parent_sets[child].add(parent)
 
     for pair in sorted(directed):
-        parent, child = directed[pair]
-        add_edge(parent, child, forced=True)
+        add_edge(*directed[pair], demanded=True)
     for a, b in sorted(undirected):
-        add_edge(a, b, forced=False)
+        add_edge(a, b, demanded=False)
 
     edges = sorted((p, c) for c in skeleton.nodes for p in parent_sets[c])
     return build_dag(skeleton.nodes, tuple(edges))
 
 
 def hybrid_learn(
-    data: DataTable,
-    alpha: float = 0.05,
-    kind: str = "bic",
-    ess: float = 10.0,
-    max_sepset: int = 3,
-    max_iter: int = 200,
+    data: DataTable, alpha: float = 0.05, kind: str = "bic", ess: float = 10.0
 ) -> Dag:
-    """Score-based search restricted to the constraint-learned skeleton."""
-    skeleton = learn_skeleton(data, alpha, max_sepset)
-    allowed = {frozenset(pair) for pair in skeleton.edges}
-    return hill_climb(data, kind=kind, max_iter=max_iter, ess=ess, allowed=allowed)
+    """Score-based search restricted to the constraint-learned skeleton.
+
+    The skeleton is :func:`learn_skeleton` at ``alpha`` (separating sets of
+    up to three variables); :func:`hill_climb` then searches over its edges,
+    for at most :data:`MAX_MOVES` accepted moves.
+    """
+    allowed = {frozenset(pair) for pair in learn_skeleton(data, alpha).edges}
+    return hill_climb(data, kind=kind, ess=ess, allowed=allowed)

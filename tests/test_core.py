@@ -299,6 +299,8 @@ class TestHeartNetwork:
         assert heart_dag.parents("thal") == ("sex",)
         assert heart_dag.has_edge("thal", "target")
         assert not heart_dag.has_edge("target", "thal")
+        assert not heart_dag.has_edge("nosuch", "target")
+        assert not heart_dag.has_edge("thal", "nosuch")
 
     def test_isolated_nodes(self, heart_dag):
         for name in ("fbs", "restecg", "cholC"):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -47,6 +48,22 @@ class TestMetrics:
         m = metrics(ConfusionMatrix(tp=0, fp=0, fn=3, tn=7))
         assert m.precision == 0.0
         assert m.f1 == 0.0
+
+    @pytest.mark.parametrize("tp", range(4))
+    def test_degenerate_fields_name_the_zero_denominators(self, tp):
+        # every nonempty confusion with cells 0-3; F1 is degenerate exactly
+        # when precision + recall is zero
+        for fp, fn, tn in itertools.product(range(4), repeat=3):
+            cm = ConfusionMatrix(tp, fp, fn, tn)
+            if cm.total == 0:
+                continue
+            m = metrics(cm)
+            zero = {
+                "precision": tp + fp == 0,
+                "recall": tp + fn == 0,
+                "f1": m.precision + m.recall == 0,
+            }
+            assert evaluation.degenerate_fields(cm) == [k for k, v in zero.items() if v], cm
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from heartbn import (
     posterior_ve,
 )
 from heartbn.errors import UnknownNodeError, ZeroEvidenceError
-from heartbn.inference import _sum_product
+from heartbn.inference import _min_degree_order, _sum_product
 
 from oracles import random_net
 
@@ -159,6 +159,16 @@ class TestVariableElimination:
     def test_unknown_evidence_node(self, two_node_net):
         with pytest.raises(UnknownNodeError):
             posterior_ve(two_node_net, "A", {"zzz": 0})
+
+
+class TestEliminationOrder:
+    def test_min_degree_with_ties_by_name(self):
+        # the 4-cycle x-y-z-w with a leaf v on x and the kept query q on y:
+        # v goes first (degree 1), then w, x, z tie at degree 2 and w wins
+        # by name; eliminating w joins x and z
+        scopes = [("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"), ("x", "v"), ("q", "y")]
+        order = _min_degree_order(scopes, {"v", "w", "x", "y", "z"})
+        assert order == ["v", "w", "x", "z", "y"]
 
 
 class TestConcurrentQueries:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from heartbn import (
     DataTable,
+    Skeleton,
     Variable,
     build_dag,
     ci_test,
@@ -53,6 +55,18 @@ def xy_from_net(seed: int, p_same: float = 0.95, n: int = 1000) -> DataTable:
     flip = rng.random(n) < (1.0 - p_same)
     b = np.where(flip, 1 - a, a)
     return binary_table({"A": a.tolist(), "B": b.tolist()})
+
+
+def digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def orient_with_messages(skeleton) -> list[str]:
+    """The oriented edges, then the text of every warning raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lines = [repr(orient(skeleton).edges)]
+    return lines + [str(w.message) for w in caught]
 
 
 def independent_table(seed: int, n: int = 1000) -> DataTable:
@@ -203,7 +217,7 @@ class TestHillClimb:
     def test_score_equivalent_reverse_is_not_an_improvement(self):
         # reversing a lone edge changes the score by exactly zero, so the
         # search must stop after the single genuine move instead of
-        # ping-ponging on rounding noise until max_iter
+        # ping-ponging on rounding noise until MAX_MOVES
         rng = np.random.default_rng(97)
         for _ in range(10):
             net = random_net(rng, int(rng.integers(2, 5)), max_card=3, edge_prob=0.5)
@@ -213,7 +227,7 @@ class TestHillClimb:
             hill_climb(data, trace=trace)
             assert all(b > a for a, b in zip(trace, trace[1:]))
             n = len(data.names)
-            assert len(trace) - 1 <= n * (n - 1)  # far below the max_iter cap
+            assert len(trace) - 1 <= n * (n - 1)  # far below the MAX_MOVES cap
 
     def test_single_column_rejected(self):
         with pytest.raises(SchemaMismatchError):
@@ -529,6 +543,28 @@ class TestOrient:
             assert len(topological_order(dag)) == len(names)
             assert {tuple(sorted(e)) for e in dag.edges} == edges
 
+    def test_orientations_pinned_on_random_skeletons(self):
+        # Random skeletons with random separating sets, node order shuffled
+        # so that it differs from name order; the digest pins every edge and
+        # every warning text, conflicts included.
+        rng = np.random.default_rng(5)
+        lines, warned = [], 0
+        for _ in range(2000):
+            size = int(rng.integers(3, 9))
+            names = tuple(str(n) for n in rng.permutation(list("abcdefgh"))[:size])
+            density = rng.uniform(0.2, 0.8)
+            edges = {p for p in itertools.combinations(names, 2) if rng.random() < density}
+            sepsets = {
+                pair: frozenset(n for n in names if n not in pair and rng.random() < 0.3)
+                for pair in itertools.combinations(names, 2)
+                if pair not in edges
+            }
+            result = orient_with_messages(Skeleton(names, frozenset(edges), sepsets))
+            warned += len(result) > 1
+            lines += result
+        assert warned > 500
+        assert digest(lines) == "e19a0ff97e55d2b7"
+
 
 class TestHybrid:
     def test_independent_data_empty(self):
@@ -585,3 +621,19 @@ class TestHeartStructureFit:
         assert np.allclose(
             net.cpts["cholC"].table[0], [0.1649832, 0.3265993, 0.5084175], atol=5e-7
         )
+
+    def test_learned_structures_on_heart_splits(self, heart_table):
+        # One digest over every learner's output on 20 training splits: hc
+        # BIC edges and score trace, hc BDeu edges, PC edges and warning
+        # texts, hybrid edges.  Trace values are rounded to 1e-6, far above
+        # rounding noise and far below any real score difference.
+        lines = []
+        for seed in range(20):
+            train, _ = split(heart_table, 0.8, seed)
+            trace: list[float] = []
+            lines.append(repr(hill_climb(train, trace=trace).edges))
+            lines.append(" ".join(f"{value:.6f}" for value in trace))
+            lines.append(repr(hill_climb(train, kind="bdeu", ess=10.0).edges))
+            lines += orient_with_messages(learn_skeleton(train))
+            lines.append(repr(hybrid_learn(train).edges))
+        assert digest(lines) == "59ab24cb66403dee"
