@@ -35,6 +35,7 @@ from .heart import heart_network
 from .inference import (
     Posterior,
     classify,
+    classify_rows,
     posterior_enumeration,
     posterior_ve,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "heart_network",
     "Posterior",
     "classify",
+    "classify_rows",
     "posterior_enumeration",
     "posterior_ve",
     "CITestResult",

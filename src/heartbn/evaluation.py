@@ -3,9 +3,11 @@
 The positive class is state 1 (disease present).  :func:`fit_model` is the
 one dispatch from a model description to a fitted network, Naive Bayes
 included.  ``run_experiment`` repeats a seeded train/test split, fits the
-requested model on the training rows, classifies every test row with
-:func:`~heartbn.inference.classify` using all non-target columns as evidence
-and reports one confusion matrix and metric set per seed plus aggregates.
+requested model on the training rows, classifies all test rows at once with
+:func:`~heartbn.inference.classify_rows` using all non-target columns as
+evidence, sends only the rows whose evidence is impossible through a
+per-row fallback, and reports one confusion matrix and metric set per seed
+plus aggregates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .core import DiscreteBayesNet, markov_blanket
 from .dataset import DataTable, split
 from .errors import ZeroEvidenceError
 from .heart import heart_network
-from .inference import classify
+from .inference import classify, classify_rows
 from .learn import (
     SCORE_KINDS, fit_bayesian, fit_mle, hill_climb, hybrid_learn, learn_skeleton, orient,
 )
@@ -180,9 +182,11 @@ def run_experiment(
 ) -> dict:
     """Repeated-split evaluation; returns a JSON-ready report.
 
-    Every test row is classified from all non-target columns.  Rows whose
-    evidence has probability zero under the fitted model fall back to the
-    class prior and are counted in ``zero_evidence_rows``.
+    Each seed's test rows are classified from all non-target columns in one
+    :func:`~heartbn.inference.classify_rows` call.  Rows whose evidence has
+    probability zero under the fitted model go through
+    :func:`_fallback_classify` (Markov blanket, then class prior) and are
+    counted in ``zero_evidence_rows``.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -190,17 +194,11 @@ def run_experiment(
     for seed in sorted(int(s) for s in seeds):
         train, test = split(table, ratio, seed)
         net = fit_model(train, model_kind, learner, estimator, ess, alpha, score_kind, pseudo)
-        predicted = []
-        zero_evidence = 0
-        for i in range(test.n_rows):
-            evidence = test.row_assignment(i, exclude=("target",))
-            try:
-                label, _ = classify(net, "target", evidence)
-            except ZeroEvidenceError:
-                zero_evidence += 1
-                label = _fallback_classify(net, evidence)
-            predicted.append(label)
-        cm = confusion(predicted, [int(v) for v in test.column("target")])
+        predicted, _ = classify_rows(net, "target", test)
+        impossible = np.flatnonzero(predicted == -1)
+        for i in impossible:
+            predicted[i] = _fallback_classify(net, test.row_assignment(i, exclude=("target",)))
+        cm = confusion(predicted.tolist(), [int(v) for v in test.column("target")])
         m = metrics(cm)
         per_seed.append(
             {
@@ -213,7 +211,7 @@ def run_experiment(
                     "f1": m.f1,
                 },
                 "degenerate_metrics": degenerate_fields(cm),
-                "zero_evidence_rows": zero_evidence,
+                "zero_evidence_rows": len(impossible),
             }
         )
     aggregate = {"mean": {}, "stddev": {}}

@@ -5,6 +5,9 @@ the chain-rule joint over every completion (the reference implementation)
 and :func:`posterior_ve` runs variable elimination over the CPT arrays (the
 production path).  They agree to within 1e-10 and both raise
 :class:`ZeroEvidenceError` when the evidence has probability exactly zero.
+:func:`classify` answers one query through :func:`posterior_ve`;
+:func:`classify_rows` classifies every row of a table at once when all
+other nodes are observed, which needs no elimination at all.
 
 Inside elimination a factor is a plain ``(values, scope)`` pair: an array
 with one axis per variable name in the ``scope`` tuple.
@@ -18,8 +21,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DiscreteBayesNet, Variable, _ancestral_set
-from .errors import ZeroEvidenceError
+from .core import Cpt, DiscreteBayesNet, Variable, _ancestral_set
+from .dataset import DataTable
+from .errors import SchemaMismatchError, ZeroEvidenceError
 
 # NumPy 1.x takes at most 32 einsum operands; bigger products are folded in
 # groups of this many factors.
@@ -108,16 +112,30 @@ def _min_degree_order(scopes: Sequence[tuple[str, ...]], eliminate: set[str]) ->
     return order
 
 
+def _cpt_factor(cpt: Cpt) -> tuple[np.ndarray, tuple[str, ...]]:
+    """A CPT as a ``(values, scope)`` factor: one axis per parent, then the child's."""
+    family = cpt.parents + (cpt.variable,)
+    return cpt.table.reshape([v.cardinality for v in family]), tuple(v.name for v in family)
+
+
 def _sum_product(factors: list, keep: tuple[str, ...]) -> np.ndarray:
     """Product of the ``(values, scope)`` factors with every variable outside ``keep`` summed out.
 
     The result has one axis per name in ``keep``.  Names are relabelled
     0, 1, ... for each einsum call, so one call sees only its own variables.
+    More than ``_EINSUM_GROUP`` factors are folded in groups, each fold
+    rescaled to a maximum of one so that a long product cannot underflow;
+    the result is then the product up to a positive constant, and an
+    all-zero fold raises :class:`ZeroEvidenceError`.
     """
     while len(factors) > _EINSUM_GROUP:
         head = factors[:_EINSUM_GROUP]
         scope = tuple(dict.fromkeys(n for _, s in head for n in s))
-        factors = [(_sum_product(head, scope), scope)] + factors[_EINSUM_GROUP:]
+        values = _sum_product(head, scope)
+        peak = values.max()
+        if peak == 0.0:
+            raise ZeroEvidenceError("evidence has probability zero")
+        factors = [(values / peak, scope)] + factors[_EINSUM_GROUP:]
     labels: dict[str, int] = {}
     operands: list = []
     for values, scope in factors:
@@ -143,9 +161,7 @@ def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int])
     for name in net.dag.nodes:
         if name not in relevant:
             continue
-        cpt = net.cpts[name]
-        scope = tuple(v.name for v in cpt.parents) + (name,)
-        values = cpt.table.reshape([v.cardinality for v in cpt.parents + (cpt.variable,)])
+        values, scope = _cpt_factor(net.cpts[name])
         values = values[tuple(int(evidence[n]) if n in evidence else slice(None) for n in scope)]
         if values.ndim:
             factors.append((values, tuple(n for n in scope if n not in evidence)))
@@ -181,3 +197,55 @@ def classify(
     """
     posterior = posterior_ve(net, class_var, evidence)
     return int(np.argmax(posterior.probabilities)), posterior
+
+
+def classify_rows(
+    net: DiscreteBayesNet, class_var: str, table: DataTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classify every row of ``table`` from the columns of all other nodes.
+
+    Every node except ``class_var`` must have a column whose
+    :class:`Variable` equals the node's, else :class:`SchemaMismatchError`;
+    the class column and columns outside the network are ignored.  With
+    every other node observed, P(class | row) is proportional to the
+    product of the CPT entries of the families that contain the class (its
+    own and its children's), so each family takes one gather over all rows
+    and nothing is eliminated.  The product is rescaled per row to a
+    maximum of one after each family, so it cannot underflow.
+
+    Returns ``(labels, probabilities)``: one label per row, ties broken
+    toward the lower state as in :func:`classify`, and an ``(n_rows, r)``
+    array of posteriors.  A row whose evidence has probability zero (a
+    family without the class gathers a zero, or every class state's product
+    is zero) gets label -1 and an all-zero posterior row; these are exactly
+    the rows for which :func:`posterior_ve` raises :class:`ZeroEvidenceError`.
+    """
+    columns = {}
+    for name in net.dag.nodes:
+        if name != class_var:
+            column, node = table.variable(name), net.variable(name)
+            if column != node:
+                raise SchemaMismatchError(
+                    f"column {name!r} has states {column.states}, the network's node {node.states}"
+                )
+            columns[name] = table.column(name)
+    scores = np.ones((table.n_rows, net.variable(class_var).cardinality))
+    possible = np.ones(table.n_rows, dtype=bool)
+    for cpt in net.cpts.values():
+        values, scope = _cpt_factor(cpt)
+        if class_var not in scope:
+            possible &= values[tuple(columns[n] for n in scope)] > 0.0
+            continue
+        # the class axis goes last so that the index arrays lead and the row
+        # axis comes out first; adjacent index arrays after a slice would
+        # leave it in place, giving (r, n_rows) for a class first parent
+        values = np.moveaxis(values, scope.index(class_var), -1)
+        scores *= values[tuple(columns[n] for n in scope if n != class_var)]
+        peak = scores.max(axis=1, keepdims=True)
+        scores /= np.where(peak > 0.0, peak, 1.0)
+    totals = scores.sum(axis=1)
+    possible &= totals > 0.0
+    probabilities = np.zeros_like(scores)
+    probabilities[possible] = scores[possible] / totals[possible, None]
+    labels = np.where(possible, probabilities.argmax(axis=1), -1)
+    return labels, probabilities

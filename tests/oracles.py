@@ -112,15 +112,21 @@ def ci_test_per_stratum(
     return CITestResult(statistic, dof, p_value, p_value > alpha)
 
 
-def wide_nb_case(rng: np.random.Generator) -> tuple[NbModel, dict[str, int]]:
-    """A Naive Bayes model over 70 binary features and full evidence on them.
+def wide_nb_case(
+    rng: np.random.Generator, n_features: int = 70, n_states: int = 2, n_rows: int = 80
+) -> tuple[NbModel, dict[str, int]]:
+    """A Naive Bayes model fitted on uniform random rows and full evidence on its features.
 
-    Its 71 factors exceed what one einsum call accepts (32 operands in
-    NumPy 1.x, 64 in 2.x), so classifying it exercises the folded product.
+    The class ``w0`` and every feature have ``n_states`` states.  The 71
+    factors of the default case exceed what one einsum call accepts (32
+    operands in NumPy 1.x, 64 in 2.x), so classifying it exercises the
+    folded product; hundreds of four-state features make the unscaled
+    product underflow.
     """
-    schema = tuple(Variable(f"w{i}", "01") for i in range(71))
-    model = nb_fit(DataTable(schema, rng.integers(0, 2, size=(80, len(schema)))), "w0")
-    return model, {v.name: int(rng.integers(2)) for v in schema[1:]}
+    states = tuple(str(s) for s in range(n_states))
+    schema = tuple(Variable(f"w{i}", states) for i in range(n_features + 1))
+    model = nb_fit(DataTable(schema, rng.integers(0, n_states, size=(n_rows, len(schema)))), "w0")
+    return model, {v.name: int(rng.integers(n_states)) for v in schema[1:]}
 
 
 def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4) -> Dag:

@@ -114,7 +114,8 @@ class TestRunExperiment:
 
     def test_impossible_nb_row_goes_straight_to_prior(self, monkeypatch):
         # A Naive Bayes blanket is every feature, so restricting the evidence
-        # to it would repeat the impossible query.
+        # to it would repeat the impossible query; classify_rows has already
+        # flagged it, so the only per-row query is the prior's.
         seed = 0
         test_row = int(np.random.default_rng(seed).permutation(10)[-1])
         rows = np.array([[i % 2, i // 2 % 2, 0] for i in range(10)])
@@ -130,7 +131,7 @@ class TestRunExperiment:
         monkeypatch.setattr(evaluation, "classify", spy)
         report = run_experiment(DataTable(schema, rows), "nb", 0.9, [seed], pseudo=0.0)
         assert report["per_seed"][0]["zero_evidence_rows"] == 1
-        assert evidence_sizes == [2, 0]
+        assert evidence_sizes == [0]
 
     def test_unknown_learner_rejected(self, heart_table):
         with pytest.raises(ValueError):

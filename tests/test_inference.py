@@ -3,19 +3,23 @@ import pytest
 
 from heartbn import (
     Cpt,
+    DataTable,
     DiscreteBayesNet,
     Variable,
     build_dag,
     classify,
+    classify_rows,
     d_separated,
     markov_blanket,
     posterior_enumeration,
     posterior_ve,
+    split,
 )
-from heartbn.errors import UnknownNodeError, ZeroEvidenceError
+from heartbn.errors import SchemaMismatchError, UnknownNodeError, ZeroEvidenceError
+from heartbn.evaluation import METHODS, fit_model
 from heartbn.inference import _min_degree_order, _sum_product
 
-from oracles import random_net
+from oracles import nb_posterior_logspace, random_net, sample_rows, wide_nb_case
 
 # P(A=1 | B=1) for the two-node fixture: 0.3*0.9 / (0.3*0.9 + 0.7*0.2)
 TWO_NODE_POSTERIOR = 0.27 / 0.41
@@ -152,6 +156,15 @@ class TestVariableElimination:
         post = posterior_ve(net, "n0", {f"n{i}": i % 2 for i in range(1, 800)})
         assert np.allclose(post.probabilities, [0.06 / 0.62, 0.56 / 0.62], rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_features", [600, 1200])
+    def test_wide_full_evidence_does_not_underflow(self, n_features):
+        # 600 four-state likelihoods multiply to ~0.25**600 ~ 1e-361: the
+        # folded einsum product underflows unless each fold is rescaled
+        model, evidence = wide_nb_case(np.random.default_rng(0), n_features, 4, 400)
+        expected = nb_posterior_logspace(model, evidence)
+        got = posterior_ve(model.net, "w0", evidence).probabilities
+        assert np.abs(got - expected).max() <= 1e-10
+
     def test_posterior_normalizes(self, heart_net):
         post = posterior_ve(heart_net, "target", {"thal": 2, "cp": 3, "ca": 1})
         assert post.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
@@ -215,6 +228,8 @@ class TestClassify:
         )
         label, _ = classify(net, "x", {})
         assert label == 0
+        labels, _ = classify_rows(net, "x", DataTable((y,), [[0], [1]]))
+        assert labels.tolist() == [0, 0]
 
     def test_outside_blanket_is_irrelevant(self, heart_net):
         blanket = markov_blanket(heart_net.dag, "target")
@@ -224,3 +239,80 @@ class TestClassify:
         for outside, state in (("fbs", 1), ("restecg", 2), ("sex", 0), ("cholC", 2)):
             withit = classify(heart_net, "target", {**evidence, outside: state})[1].probabilities
             assert np.abs(withit - base).max() <= 1e-12
+
+
+class TestClassifyRows:
+    def test_matches_classify_on_random_nets(self):
+        rng = np.random.default_rng(23)
+        # (index of the class among a child's parents, number of parents)
+        positions = set()
+        flagged = kept = 0
+        for _ in range(25):
+            net = random_net(
+                rng, int(rng.integers(3, 7)), max_card=4, edge_prob=0.6, allow_zeros=True
+            )
+            schema = tuple(net.variable(n) for n in net.dag.nodes)
+            cards = [v.cardinality for v in schema]
+            # sampled rows are mostly possible, uniform ones often are not
+            rows = np.vstack(
+                [sample_rows(net, rng, 10), rng.integers(0, cards, size=(10, len(cards)))]
+            )
+            table = DataTable(schema, rows)
+            for class_var in net.dag.nodes:
+                for child in net.dag.children(class_var):
+                    parents = [v.name for v in net.cpts[child].parents]
+                    positions.add((parents.index(class_var), len(parents)))
+                labels, probabilities = classify_rows(net, class_var, table)
+                assert probabilities.shape == (table.n_rows, net.variable(class_var).cardinality)
+                for i in range(table.n_rows):
+                    evidence = table.row_assignment(i, exclude=(class_var,))
+                    try:
+                        label, posterior = classify(net, class_var, evidence)
+                    except ZeroEvidenceError:
+                        assert labels[i] == -1 and not probabilities[i].any()
+                        flagged += 1
+                        continue
+                    assert labels[i] == label
+                    assert np.abs(probabilities[i] - posterior.probabilities).max() <= 1e-10
+                    kept += 1
+        assert any(i == 0 and n > 1 for i, n in positions)
+        assert any(0 < i < n - 1 for i, n in positions)
+        assert any(i == n - 1 and n > 1 for i, n in positions)
+        assert flagged >= 100 and kept >= 1000
+
+    # the pc learner legitimately reports orientation conflicts on this data
+    @pytest.mark.filterwarnings("ignore::heartbn.errors.ConflictingOrientationWarning")
+    @pytest.mark.parametrize("method, total", [("paper", 20), ("pc", 29)])
+    def test_flags_the_heart_rows_classify_rejects(self, heart_table, method, total):
+        model_kind, learner = METHODS[method]
+        flagged = 0
+        for seed in range(20):
+            train, test = split(heart_table, 0.8, seed)
+            net = fit_model(train, model_kind, learner, "mle", 10.0, 0.05, "bic", 1.0)
+            labels, _ = classify_rows(net, "target", test)
+            for i in range(test.n_rows):
+                try:
+                    label, _ = classify(net, "target", test.row_assignment(i, exclude=("target",)))
+                except ZeroEvidenceError:
+                    label = -1
+                assert labels[i] == label
+            flagged += int((labels == -1).sum())
+        assert flagged == total
+
+    def test_schema_mismatch(self, two_node_net):
+        a = two_node_net.variable("A")
+        with pytest.raises(SchemaMismatchError):
+            classify_rows(two_node_net, "A", DataTable((a,), [[0]]))
+        for states in (("no", "yes"), ("0", "1", "2")):
+            with pytest.raises(SchemaMismatchError):
+                classify_rows(two_node_net, "A", DataTable((a, Variable("B", states)), [[0, 1]]))
+
+    @pytest.mark.parametrize("n_features", [600, 1200])
+    def test_wide_nb_does_not_underflow(self, n_features):
+        model, evidence = wide_nb_case(np.random.default_rng(0), n_features, 4, 400)
+        schema = tuple(model.net.variable(n) for n in model.net.dag.nodes)
+        table = DataTable(schema, [[evidence.get(v.name, 0) for v in schema]])
+        labels, probabilities = classify_rows(model.net, "w0", table)
+        expected = nb_posterior_logspace(model, evidence)
+        assert labels[0] == np.argmax(expected)
+        assert np.abs(probabilities[0] - expected).max() <= 1e-10
