@@ -54,8 +54,8 @@ _NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a non-negative f
 _OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 _SEEDS = _checked(
     lambda text: [int(part) for part in text.split(",") if part.strip()],
-    lambda seeds: seeds and min(seeds) >= 0,
-    "a comma-separated list of non-negative integers",
+    lambda seeds: seeds and min(seeds) >= 0 and len(set(seeds)) == len(seeds),
+    "a comma-separated list of distinct non-negative integers",
 )
 
 
@@ -111,6 +111,8 @@ def _parse_evidence(spec: str, net) -> dict[str, int]:
             raise ValueError(f"evidence item {item!r} is not name=state")
         name, _, state = item.partition("=")
         name, state = name.strip(), state.strip()
+        if name in evidence:
+            raise ValueError(f"evidence names {name!r} more than once")
         var = net.variable(name)
         if state in var.states:
             evidence[name] = var.state_index(state)

@@ -180,7 +180,7 @@ def run_experiment(
     score_kind: str = "bic",
     pseudo: float = 1.0,
 ) -> dict:
-    """Repeated-split evaluation; returns a JSON-ready report.
+    """Repeated-split evaluation over distinct ``seeds``; returns a JSON-ready report.
 
     Each seed's test rows are classified from all non-target columns in one
     :func:`~heartbn.inference.classify_rows` call.  Rows whose evidence has
@@ -190,8 +190,11 @@ def run_experiment(
     """
     if not seeds:
         raise ValueError("at least one seed is required")
+    seeds = sorted(int(s) for s in seeds)
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be distinct, got {seeds}")
     per_seed = []
-    for seed in sorted(int(s) for s in seeds):
+    for seed in seeds:
         train, test = split(table, ratio, seed)
         net = fit_model(train, model_kind, learner, estimator, ess, alpha, score_kind, pseudo)
         predicted, _ = classify_rows(net, "target", test)

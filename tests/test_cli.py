@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,13 @@ class TestPredict:
         assert code == 2
         assert capsys.readouterr().err.strip()
 
+    def test_repeated_evidence_variable_is_data_error(self, pipeline, capsys):
+        code = main(["predict", "--model", str(pipeline["model"]), "--evidence", "thal=1,thal=2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.count("\n") == 1 and "'thal'" in captured.err
+
 
 class TestDsep:
     def test_isolated_node_separated(self, pipeline, capsys):
@@ -246,6 +257,7 @@ class TestUsageErrors:
             ["evaluate", "--method", "paper", "--seeds", "a,b"],
             ["evaluate", "--method", "paper", "--seeds", ","],
             ["evaluate", "--method", "paper", "--seeds", "-1"],
+            ["evaluate", "--method", "paper", "--seeds", "3,3"],
             ["evaluate", "--method", "nb", "--seeds", "0", "--pseudo", "-1"],
             ["evaluate", "--method", "pc", "--seeds", "0", "--alpha", "1"],
             ["learn", "--method", "nb", "--pseudo", "nan"],
@@ -265,3 +277,49 @@ class TestUsageErrors:
         assert main([*argv, "--data", str(tmp_path / "heart.csv"), *files]) == 1
         assert capsys.readouterr().err.strip()
         assert not list(tmp_path.iterdir())
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a new interpreter importing heartbn from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestStartup:
+    """Commands that need no chi-squared test or BDeu score never import scipy."""
+
+    def test_import_loads_no_scipy(self):
+        result = run_fresh(f"import sys, heartbn.cli; print({SCIPY_MODULES})")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        table, model = str(tmp_path / "heart.csv"), str(tmp_path / "paper.model")
+        commands = [
+            ["preprocess", "--input", str(cleveland_path()), "--output", table],
+            ["learn", "--data", table, "--method", "paper", "--out", model],
+            ["predict", "--model", model, "--evidence", "thal=2,cp=3"],
+            ["dsep", "--model", model, "--x", "fbs", "--y", "target"],
+            ["export-dot", "--model", model, "--out", str(tmp_path / "heart.dot")],
+            ["evaluate", "--data", table, "--method", "nb", "--seeds", "0,1",
+             "--report", str(tmp_path / "report.json")],
+        ]
+        code = (
+            "import json, sys\n"
+            "from heartbn.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            f"print(json.dumps([codes, {SCIPY_MODULES}]))"
+        )
+        result = run_fresh(code, json.dumps(commands))
+        assert result.returncode == 0, result.stderr
+        codes, scipy_modules = json.loads(result.stdout.splitlines()[-1])
+        assert codes == [0] * len(commands)
+        assert scipy_modules == []

@@ -145,6 +145,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(heart_table, "nb", 0.8, [])
 
+    def test_repeated_seed_rejected(self, heart_table):
+        with pytest.raises(ValueError, match="distinct"):
+            run_experiment(heart_table, "nb", 0.8, [3, 3, 4])
+
     def test_json_serializable(self, heart_table):
         report = run_experiment(heart_table, "bn-paper", 0.8, [0])
         json.dumps(report)

@@ -361,6 +361,34 @@ class TestCiTest:
         )
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "ci_test(table, 'fbs', 'restecg', ('ca', 'thal', 'cp'))",
+            "family_score(table, 'target', ('thal', 'cp'), 'bdeu', 10.0)",
+        ],
+        ids=["ci_test", "bdeu"],
+    )
+    def test_first_call_in_fresh_process_loads_scipy(self, heart_table, call):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "from heartbn import ci_test, clean, discretize, family_score, load_cleveland\n"
+            "table = discretize(clean(load_cleveland()))\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"print(repr({call}))\n"
+            "assert 'scipy.special' in sys.modules"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        namespace = {"ci_test": ci_test, "family_score": family_score, "table": heart_table}
+        assert result.stdout.strip() == repr(eval(call, namespace))
+
 
 def chain_data(seed: int, n: int = 2000) -> DataTable:
     rng = np.random.default_rng(seed)
