@@ -116,8 +116,13 @@ def _parse_evidence(spec: str, net) -> dict[str, int]:
         var = net.variable(name)
         if state in var.states:
             evidence[name] = var.state_index(state)
-        else:
+        elif state.isdecimal() and int(state) < var.cardinality:
             evidence[name] = int(state)  # fall back to a bare state index
+        else:
+            raise ValueError(
+                f"{state!r} is not a state of {name!r}: give one of the labels "
+                f"{', '.join(var.states)} or an index 0-{var.cardinality - 1}"
+            )
     return evidence
 
 

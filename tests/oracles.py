@@ -5,8 +5,11 @@ the blocking rules literally, deliberately ignoring the library's
 reachability algorithm.  The Naive Bayes oracle accumulates the class
 posterior in log space straight from the model's tables, without the
 library's inference.  The chi-squared oracle tests one stratum at a time
-and takes its p-value from ``scipy.stats``.  The generators produce small
-random DAGs and networks for randomized comparisons.
+and takes its p-value from ``scipy.stats``; the PC skeleton oracle calls it
+once per test, in the library's documented order, without batching, and
+the hill-climb oracle rescans and rescores every move at every step.  The
+generators produce small random DAGs and networks for randomized
+comparisons.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 from scipy.stats import chi2
 
 from heartbn import (
-    CITestResult, Cpt, Dag, DataTable, DiscreteBayesNet, NbModel, Variable, build_dag, nb_fit,
+    CITestResult, Cpt, Dag, DataTable, DiscreteBayesNet, NbModel, Skeleton, Variable, build_dag,
+    nb_fit,
 )
 from heartbn.errors import InsufficientDataError, ZeroEvidenceError
 
@@ -110,6 +114,102 @@ def ci_test_per_stratum(
         raise InsufficientDataError(f"every stratum of {z} is empty")
     p_value = float(chi2.sf(statistic, dof))
     return CITestResult(statistic, dof, p_value, p_value > alpha)
+
+
+def hill_climb_sequential(
+    data: DataTable, kind: str = "bic", ess: float = 10.0, allowed=None, trace=None
+) -> Dag:
+    """Greedy add / delete / reverse search scoring each move with ``family_score``.
+
+    Every step scans all moves in the library's documented order (adds by
+    parent then child, then deletes and reverses by child then parent),
+    tests each for a cycle by walking up the parent sets, and keeps the
+    first move with the largest gain above ``MIN_IMPROVEMENT``.
+    """
+    from heartbn.learn import MAX_MOVES, MIN_IMPROVEMENT, family_score
+
+    names = sorted(data.names)
+    parent_sets = {n: frozenset() for n in names}
+
+    def fam(child, parents):
+        return family_score(data, child, tuple(sorted(parents)), kind, ess)
+
+    def closes_cycle(sets, parent, child):
+        stack, seen = [parent], set()
+        while stack:
+            node = stack.pop()
+            if node == child:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(sets[node])
+        return False
+
+    current = sum(fam(n, parent_sets[n]) for n in names)
+    if trace is not None:
+        trace.append(current)
+    for _ in range(MAX_MOVES):
+        best_delta, best_move = MIN_IMPROVEMENT, None
+        for a, b in itertools.permutations(names, 2):
+            if b in parent_sets[a] or a in parent_sets[b]:
+                continue
+            if allowed is not None and frozenset((a, b)) not in allowed:
+                continue
+            if closes_cycle(parent_sets, a, b):
+                continue
+            delta = fam(b, parent_sets[b] | {a}) - fam(b, parent_sets[b])
+            if delta > best_delta:
+                best_delta, best_move = delta, {b: parent_sets[b] | {a}}
+        edges_now = [(p, c) for c in names for p in sorted(parent_sets[c])]
+        for p, c in edges_now:
+            delta = fam(c, parent_sets[c] - {p}) - fam(c, parent_sets[c])
+            if delta > best_delta:
+                best_delta, best_move = delta, {c: parent_sets[c] - {p}}
+        for p, c in edges_now:
+            new_c, new_p = parent_sets[c] - {p}, parent_sets[p] | {c}
+            if closes_cycle({**parent_sets, c: new_c}, c, p):
+                continue
+            delta = fam(c, new_c) + fam(p, new_p) - fam(c, parent_sets[c]) - fam(p, parent_sets[p])
+            if delta > best_delta:
+                best_delta, best_move = delta, {c: new_c, p: new_p}
+        if best_move is None:
+            break
+        parent_sets.update(best_move)
+        current += best_delta
+        if trace is not None:
+            trace.append(current)
+    edges = sorted((p, c) for c in names for p in parent_sets[c])
+    return build_dag(tuple(data.names), tuple(edges))
+
+
+def pc_skeleton_sequential(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) -> Skeleton:
+    """The PC skeleton with one :func:`ci_test_per_stratum` call per test.
+
+    Levels, pairs and conditioning subsets are visited in the library's
+    documented order: for each level, each remaining pair in sorted order
+    tries the subsets of x's current neighborhood, then y's, and the first
+    independent one removes the edge.
+    """
+    names = tuple(data.names)
+    edges = {tuple(sorted(p)) for p in itertools.combinations(names, 2)}
+    neighbors = {n: set(names) - {n} for n in names}
+    sepsets: dict[tuple[str, str], frozenset[str]] = {}
+    for level in range(max_sepset + 1):
+        for x, y in sorted(edges):
+            candidates = dict.fromkeys(
+                itertools.chain(
+                    itertools.combinations(sorted(neighbors[x] - {y}), level),
+                    itertools.combinations(sorted(neighbors[y] - {x}), level),
+                )
+            )
+            for subset in candidates:
+                if ci_test_per_stratum(data, x, y, subset, alpha).independent:
+                    edges.discard((x, y))
+                    neighbors[x].discard(y)
+                    neighbors[y].discard(x)
+                    sepsets[(x, y)] = frozenset(subset)
+                    break
+    return Skeleton(names, frozenset(edges), sepsets)
 
 
 def wide_nb_case(

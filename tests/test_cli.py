@@ -150,6 +150,17 @@ class TestPredict:
         assert not captured.out
         assert captured.err.count("\n") == 1 and "'thal'" in captured.err
 
+    @pytest.mark.parametrize("state", ["1.5", "", "3", "-1"])
+    def test_unknown_evidence_state_names_variable_and_states(self, pipeline, capsys, state):
+        code = main(["predict", "--model", str(pipeline["model"]), "--evidence", f"thal={state}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            f"heartbn predict: {state!r} is not a state of 'thal': "
+            "give one of the labels 0, 1, 2 or an index 0-2\n"
+        )
+
 
 class TestDsep:
     def test_isolated_node_separated(self, pipeline, capsys):

@@ -36,7 +36,13 @@ from heartbn.errors import (
     SchemaMismatchError,
 )
 
-from oracles import ci_test_per_stratum, random_net, sample_rows
+from oracles import (
+    ci_test_per_stratum,
+    hill_climb_sequential,
+    pc_skeleton_sequential,
+    random_net,
+    sample_rows,
+)
 
 
 def binary_table(columns: dict[str, list[int]], cards: dict[str, int] | None = None) -> DataTable:
@@ -229,6 +235,24 @@ class TestHillClimb:
             n = len(data.names)
             assert len(trace) - 1 <= n * (n - 1)  # far below the MAX_MOVES cap
 
+    @pytest.mark.parametrize("kind", ["bic", "bdeu"])
+    def test_matches_sequential_reference(self, kind):
+        # cached deltas and the ancestor matrix against rescoring and
+        # walking the graph for every move at every step
+        rng = np.random.default_rng(61)
+        for case in range(40):
+            net = random_net(rng, int(rng.integers(3, 9)), max_card=3, edge_prob=0.6)
+            rows = sample_rows(net, rng, int(rng.integers(30, 300)))
+            data = DataTable(tuple(net.variables[n] for n in net.dag.nodes), rows)
+            allowed = None
+            if case % 3 == 2:
+                pairs = itertools.combinations(data.names, 2)
+                allowed = {frozenset(p) for p in pairs if rng.random() < 0.6}
+            mine, reference = [], []
+            dag = hill_climb(data, kind, 10.0, allowed, trace=mine)
+            assert dag == hill_climb_sequential(data, kind, 10.0, allowed, trace=reference)
+            assert mine == reference
+
     def test_single_column_rejected(self):
         with pytest.raises(SchemaMismatchError):
             hill_climb(binary_table({"x": [0, 1]}))
@@ -390,6 +414,90 @@ class TestCiTest:
         assert result.stdout.strip() == repr(eval(call, namespace))
 
 
+def random_table(rng: np.random.Generator, n_columns: int, n_rows: int) -> DataTable:
+    """Columns of 2-4 states drawn uniformly; few rows leave many configurations unseen."""
+    cards = {f"v{i}": int(rng.integers(2, 5)) for i in range(n_columns)}
+    columns = {name: rng.integers(0, card, size=n_rows).tolist() for name, card in cards.items()}
+    return binary_table(columns, cards)
+
+
+class TestKernel:
+    """The stacked-bincount kernel against the one-family, one-test paths."""
+
+    @pytest.mark.parametrize("kind", ["bic", "bdeu"])
+    def test_batched_family_scores_equal_family_score(self, kind):
+        rng = np.random.default_rng(8)
+        empty_parents = unseen = 0
+        for n_rows in (0, 1, 7, 40, 300):
+            data = random_table(rng, 6, n_rows)
+            families = []
+            for _ in range(60):
+                child, *parents = rng.permutation(data.names)[: 1 + int(rng.integers(0, 4))]
+                families.append((str(child), tuple(str(p) for p in parents)))
+            index = [(data.index(c), tuple(map(data.index, ps))) for c, ps in families]
+            batched = learn._family_scores(data, index, kind, 10.0)
+            assert batched == [family_score(data, c, ps, kind, 10.0) for c, ps in families]
+            empty_parents += sum(not ps for _, ps in families)
+            unseen += sum((count_table(data, c, ps).config_totals == 0).any() for c, ps in families)
+        assert empty_parents >= 20 and unseen >= 100
+
+    def test_batched_ci_matches_per_stratum_oracle(self):
+        # one batch mixing state counts and conditioning-set sizes, so the
+        # padded strata and state axes differ from test to test
+        rng = np.random.default_rng(12)
+        for n_rows in (5, 60, 400):
+            data = random_table(rng, 7, n_rows)
+            named = []
+            for _ in range(80):
+                x, y, *z = rng.permutation(data.names)[: 2 + int(rng.integers(0, 4))]
+                named.append((str(x), str(y), tuple(str(v) for v in z)))
+            tests = [(data.index(x), data.index(y), tuple(map(data.index, z))) for x, y, z in named]
+            for (x, y, z), mine in zip(named, learn._ci_results(data, tests, 0.05)):
+                reference = ci_test_per_stratum(data, x, y, z)
+                assert mine.dof == reference.dof
+                assert mine.independent == reference.independent
+                assert abs(mine.statistic - reference.statistic) <= 1e-12 * reference.statistic
+                assert abs(mine.p_value - reference.p_value) <= 1e-12 * reference.p_value
+
+    def test_test_without_dof_raises_only_when_reached(self, monkeypatch):
+        # x and y are exactly independent, x and w identical.  A table gives
+        # a test no degrees of freedom only when it has no rows, which stops
+        # every test at once; to put one such test among others in a batch,
+        # the kernel below reports no degrees of freedom for tests on k.
+        x = [0] * 50 + [1] * 50
+        full = binary_table({"x": x, "y": ([0] * 25 + [1] * 25) * 2, "w": list(x), "k": x})
+        cases = {"independent": ("x", "y"), "dependent": ("x", "w"), "no dof": ("x", "k")}
+        real_batch = learn._ci_batch
+
+        def no_dof_on_k(data, tests):
+            statistic, dof = real_batch(data, tests)
+            on_k = [data.index("k") in (a, b) for a, b, _ in tests]
+            return statistic, np.where(on_k, 0, dof)
+
+        def one_at_a_time(data, pairs):
+            for a, b in pairs:
+                if "k" in (a, b):
+                    raise InsufficientDataError("no degrees of freedom")
+                yield ci_test_per_stratum(data, a, b)
+
+        def first_independent(order, results):
+            try:
+                return next((name for name, r in zip(order, results) if r.independent), None)
+            except InsufficientDataError:
+                return "raised"
+
+        monkeypatch.setattr(learn, "_ci_batch", no_dof_on_k)
+        outcomes = set()
+        for data in (full, full.take([])):
+            for order in itertools.permutations(cases):
+                pairs = [cases[name] for name in order]
+                tests = [(data.index(a), data.index(b), ()) for a, b in pairs]
+                batched = first_independent(order, learn._ci_results(data, tests, 0.05))
+                assert batched == first_independent(order, one_at_a_time(data, pairs)), order
+                outcomes.add((data.n_rows, batched))
+        assert outcomes == {(100, "independent"), (100, "raised"), (0, "raised")}
+
+
 def chain_data(seed: int, n: int = 2000) -> DataTable:
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2, size=n)
@@ -436,35 +544,44 @@ class TestSkeleton:
         assert first.edges == second.edges
         assert first.sepsets == second.sepsets
 
-    def test_heart_splits_match_per_stratum_oracle(self, heart_table, monkeypatch):
+    def test_heart_splits_match_per_stratum_oracle(self, heart_table):
+        # the batched skeleton against one ci_test_per_stratum call per test
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConflictingOrientationWarning)
             for seed in range(20):
                 train, _ = split(heart_table, 0.8, seed)
                 skeleton = learn_skeleton(train)
-                with monkeypatch.context() as patch:
-                    patch.setattr(learn, "ci_test", ci_test_per_stratum)
-                    reference = learn_skeleton(train)
+                reference = pc_skeleton_sequential(train)
                 assert skeleton == reference, f"seed {seed}"
                 assert orient(skeleton) == orient(reference), f"seed {seed}"
 
     def test_conditioning_sets_come_from_current_neighborhoods(self, heart_table, monkeypatch):
-        # Replays the removals from the test results: each conditioning set
-        # must lie within x's or y's neighbors at the time of the test.
+        # Replays the removals from the kernel's batches: every conditioning
+        # set in every batch must lie within x's or y's neighbors at the time
+        # the batch is counted.
+        from scipy.special import chdtrc
+
         train, _ = split(heart_table, 0.8, 0)
         neighbors = {n: set(train.names) - {n} for n in train.names}
-        real_ci_test = learn.ci_test
+        real_batch = learn._ci_batch
+        sizes = set()
 
-        def spy(data, x, y, z, alpha):
-            assert set(z) <= neighbors[x] - {y} or set(z) <= neighbors[y] - {x}
-            result = real_ci_test(data, x, y, z, alpha)
-            if result.independent:
-                neighbors[x].discard(y)
-                neighbors[y].discard(x)
-            return result
+        def spy(data, tests):
+            name = data.names
+            named = [(name[x], name[y], {name[v] for v in z}) for x, y, z in tests]
+            for x, y, z in named:
+                assert z <= neighbors[x] - {y} or z <= neighbors[y] - {x}
+                sizes.add(len(z))
+            statistic, dof = real_batch(data, tests)
+            for (x, y, _), p_value in zip(named, chdtrc(dof, statistic)):
+                if p_value > 0.05:
+                    neighbors[x].discard(y)
+                    neighbors[y].discard(x)
+            return statistic, dof
 
-        monkeypatch.setattr(learn, "ci_test", spy)
+        monkeypatch.setattr(learn, "_ci_batch", spy)
         skeleton = learn_skeleton(train)
+        assert sizes == {0, 1, 2, 3}
         assert {n: set(skeleton.adjacent(n)) for n in train.names} == neighbors
 
     def test_sepset_iff_no_edge(self):
