@@ -246,9 +246,10 @@ class Cpt:
             raise ValueError(
                 f"CPT for {self.variable.name!r} must have shape {(q, r)}, got {table.shape}"
             )
-        if np.any(table < 0.0) or np.any(table > 1.0):
+        # fmin/fmax skip NaN, so a NaN beside an entry above 1 still reads as outside
+        if np.fmin.reduce(table, axis=None) < 0.0 or np.fmax.reduce(table, axis=None) > 1.0:
             raise ValueError(f"CPT for {self.variable.name!r} has entries outside [0, 1]")
-        if not np.allclose(table.sum(axis=1), 1.0, rtol=0.0, atol=ROW_SUM_TOL):
+        if not (np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
             raise ValueError(f"CPT rows for {self.variable.name!r} must each sum to 1")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)

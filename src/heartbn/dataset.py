@@ -129,6 +129,7 @@ class DataTable:
     schema: tuple[Variable, ...]
     rows: np.ndarray
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    cards: np.ndarray = field(init=False, repr=False, compare=False)  # states per column
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -140,12 +141,14 @@ class DataTable:
         rows = np.array(self.rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise ValueError("rows must be a 2-D array with one column per variable")
-        for j, var in enumerate(self.schema):
-            col = rows[:, j]
-            if col.size and (col.min() < 0 or col.max() >= var.cardinality):
-                raise ValueError(f"column {var.name!r} has state indices out of range")
+        cards = np.array([v.cardinality for v in self.schema], dtype=np.int64)
+        bad = (rows.min(axis=0, initial=0) < 0) | (rows.max(axis=0, initial=0) >= cards)
+        if bad.any():
+            raise ValueError(f"column {self.names[bad.argmax()]!r} has state indices out of range")
         rows.setflags(write=False)
+        cards.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cards", cards)
 
     @property
     def n_rows(self) -> int:

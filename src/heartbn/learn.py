@@ -13,17 +13,17 @@ or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
 by chi-squared independence tests and :func:`orient` turns the result into a
 DAG; :func:`hybrid_learn` restricts the hill climb to the learned skeleton.
 
-Counting: every count table comes from one kernel, :func:`_stacked_counts`.
-It encodes many families (or CI tests) per row, each from its own offset,
-and counts them all with one ``np.bincount``.  A batch holds as many as
-fit a fixed row budget (:data:`_ROW_BUDGET`), so large tables fall back to
-one family per bincount.  The fits count all their families in one call,
-:func:`hill_climb` counts the families a step still lacks, and
-:func:`learn_skeleton` counts a batch of CI tests and evaluates their
-statistics, degrees of freedom and p-values as arrays.
-:func:`count_table`, :func:`family_score` and :func:`ci_test` are the
-batch-of-one case of the same code.  Each family's score terms are still
-summed as one 1-D array, so a score is bitwise the same in any batch.
+Counting: one kernel, :func:`_stacked_counts`, encodes many families (or CI
+tests) per row, each from its own offset, and counts them with one
+``np.bincount``; a batch holds as many as fit :data:`_ROW_BUDGET` rows.  The
+fits count all their families in one call, :func:`hill_climb` the families
+a step lacks; a family's score terms are summed as one 1-D array, so a
+score is bitwise the same in any batch.  :func:`learn_skeleton` plans each
+level (every test the sequential order can reach from the neighborhoods at
+its start), counts the plan in size-sorted batches as the replay of that
+order first looks them up, and evaluates statistics, degrees of freedom and
+p-values as arrays.  :func:`count_table`, :func:`family_score` and
+:func:`ci_test` are the batch-of-one case of the same code.
 """
 
 from __future__ import annotations
@@ -55,10 +55,8 @@ MIN_IMPROVEMENT = 1e-9
 # Accepted moves after which hill_climb stops even short of a local optimum.
 MAX_MOVES = 200
 
-# Column-index forms the counting kernel takes: a family (child, parents)
-# and a CI test (x, y, z).
+# A family in the column-index form the counting kernel takes: (child, parents).
 _Family = tuple[int, tuple[int, ...]]
-_Test = tuple[int, int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -88,31 +86,20 @@ class CountTable:
 _ROW_BUDGET = 1 << 14
 
 
-def _batches(items: list, n_rows: int):
-    """Consecutive slices of ``items``, each small enough for one stacked bincount."""
-    step = max(1, _ROW_BUDGET // max(n_rows, 1))
-    for start in range(0, len(items), step):
-        yield items[start : start + step]
-
-
 def _stacked_counts(
-    data: DataTable, members: list[list[tuple[int, int]]], sizes: list[int]
+    data: DataTable, columns: np.ndarray, places: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
     """Count many code layouts over the same rows with one ``np.bincount``.
 
-    A member is a list of (column index, place value) pairs: a row's code is
-    the sum of its column values times their place values, and member i's
-    counts fill the next ``sizes[i]`` cells of the returned flat array.
+    Member i is row i of ``columns`` and ``places`` (members, width): a row's
+    code is the sum of those columns' values times their place values, and
+    member i's counts fill the next ``sizes[i]`` cells of the flat result.
     """
-    width = max(map(len, members))
-    padded = ((m + [(0, 0)] * width)[:width] for m in members)
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(padded))
-    layout = np.fromiter(flat, np.int64, 2 * width * len(members)).reshape(-1, width, 2)
-    columns, places = layout[:, :, 0], layout[:, :, 1]
-    codes = np.cumsum([0, *sizes[:-1]]) + data.rows[:, columns[:, 0]] * places[:, 0]
-    for k in range(1, width):
+    ends = sizes.cumsum()
+    codes = (ends - sizes) + data.rows[:, columns[:, 0]] * places[:, 0]
+    for k in range(1, columns.shape[1]):
         codes += data.rows[:, columns[:, k]] * places[:, k]
-    return np.bincount(codes.ravel(), minlength=sum(sizes))
+    return np.bincount(codes.ravel(), minlength=int(ends[-1]))
 
 
 def _family_counts(data: DataTable, families: list[_Family]):
@@ -123,17 +110,19 @@ def _family_counts(data: DataTable, families: list[_Family]):
     parent configuration (last parent varying fastest), one column per
     child state.
     """
-    cards = [v.cardinality for v in data.schema]
-    for batch in _batches(families, data.n_rows):
-        members, shapes = [], []
-        for child, parents in batch:
-            place, member = cards[child], [(child, 1)]
-            for p in reversed(parents):
-                member.append((p, place))
-                place *= cards[p]
-            members.append(member)
-            shapes.append((place // cards[child], cards[child]))
-        yield _stacked_counts(data, members, [q * r for q, r in shapes]), shapes
+    step = max(1, _ROW_BUDGET // max(data.n_rows, 1))
+    for batch in (families[start : start + step] for start in range(0, len(families), step)):
+        lengths = [len(parents) for _, parents in batch]
+        width = 1 + max(lengths)
+        # the child, then its parents from last to first; padding repeats the
+        # child as a digit of size 1 and place value 0
+        columns = np.array([[c, *ps[::-1]] + [c] * (width - 1 - len(ps)) for c, ps in batch])
+        real = np.arange(width) <= np.array(lengths)[:, None]
+        dims = np.where(real, data.cards[columns], 1)
+        spans = dims.cumprod(axis=1)  # a digit's place value is its span over its size
+        sizes, r = spans[:, -1], dims[:, 0]
+        shapes = list(zip((sizes // r).tolist(), r.tolist()))
+        yield _stacked_counts(data, columns, spans // dims * real, sizes), shapes
 
 
 def _family_tables(data: DataTable, families: list[_Family]) -> list[np.ndarray]:
@@ -381,58 +370,38 @@ class CITestResult:
     independent: bool
 
 
-def _ci_batch(data: DataTable, tests: list[_Test]) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson statistics and degrees of freedom of column-index tests (x, y, z).
+def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int, float]]:
+    """(statistic, dof, p-value) of each column-index test (x, y, *z), one per row.
 
-    All tests are counted by one stacked bincount into an array of shape
-    (tests, strata, x states, y states), padded to the batch's largest
-    sizes.  Padded cells count nothing, so they add to neither figure.
+    One stacked bincount counts them into an array of shape (tests, strata,
+    x states, y states), padded to the batch's largest sizes; padded cells
+    count nothing, so they add to neither figure.
     """
-    schema = data.schema
-    r_x = np.array([schema[x].cardinality for x, _, _ in tests])
-    r_y = np.array([schema[y].cardinality for _, y, _ in tests])
-    nx, ny = int(r_x.max()), int(r_y.max())
-    members, strata = [], 1
-    for x, y, z in tests:
-        place, member = nx * ny, [(x, ny), (y, 1)]
-        for v in reversed(z):
-            member.append((v, place))
-            place *= schema[v].cardinality
-        members.append(member)
-        strata = max(strata, place // (nx * ny))
-    flat = _stacked_counts(data, members, [strata * nx * ny] * len(tests))
-    tables = flat.reshape(len(tests), strata, nx, ny).astype(float)
+    from scipy.special import chdtrc  # imported on first use, as gammaln is
+
+    cards = data.cards[tests]
+    nx, ny = cards[:, :2].max(axis=0).tolist()
+    # y varies fastest, then x, then z with its last variable fastest
+    digits = [1, 0, *range(tests.shape[1] - 1, 1, -1)]
+    columns, dims = tests.take(digits, axis=1), cards.take(digits, axis=1)
+    dims[:, :2] = ny, nx
+    spans = dims.cumprod(axis=1)  # the last is a test's table size, padded to nx by ny
+    size = int(spans[:, -1].max())
+    flat = _stacked_counts(data, columns, spans // dims, np.full(len(tests), size))
+    tables = flat.reshape(len(tests), size // (nx * ny), nx, ny).astype(float)
     x_margins, y_margins = tables.sum(axis=3), tables.sum(axis=2)
     totals = x_margins.sum(axis=2)
     scale = np.where(totals > 0, totals, 1.0)[..., None, None]
     expected = x_margins[..., None] * y_margins[..., None, :] / scale
     deviations = (tables - expected) ** 2 / np.where(expected > 0, expected, 1.0)
     statistic = deviations.sum(axis=(1, 2, 3))
-    dof = (totals > 0).sum(axis=1) * (r_x - 1) * (r_y - 1)
-    return statistic, dof
+    dof = (totals > 0).sum(axis=1) * (cards[:, 0] - 1) * (cards[:, 1] - 1)
+    return list(zip(statistic.tolist(), dof.tolist(), chdtrc(dof, statistic).tolist()))
 
 
-def _ci_results(data: DataTable, tests: list[_Test], alpha: float):
-    """Yield the result of each column-index test (x, y, z), in order.
-
-    Tests are counted one batch (one :func:`_ci_batch`) at a time, and only
-    when the consumer reaches it.  Reaching a test that has no degrees of
-    freedom raises :class:`InsufficientDataError`, just as testing one at a
-    time would; a consumer that stops earlier never sees it.
-    """
-    from scipy.special import chdtrc  # imported on first use, as gammaln is
-
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    for batch in _batches(tests, data.n_rows):
-        statistic, dof = _ci_batch(data, batch)
-        p_values = chdtrc(dof, statistic)
-        for (_, _, z), s, d, p in zip(batch, statistic.tolist(), dof.tolist(), p_values.tolist()):
-            if d == 0:
-                raise InsufficientDataError(
-                    f"every stratum of {tuple(data.names[v] for v in z)} is empty"
-                )
-            yield CITestResult(s, d, p, p > alpha)
 
 
 def ci_test(
@@ -446,8 +415,12 @@ def ci_test(
     is declared when the p-value exceeds ``alpha``.  This is a batch of one
     for the kernel :func:`learn_skeleton` batches its tests through.
     """
-    test = (data.index(x), data.index(y), tuple(data.index(v) for v in z))
-    return next(_ci_results(data, [test], alpha))
+    test = np.array([[data.index(x), data.index(y), *map(data.index, z)]])
+    _check_alpha(alpha)
+    ((statistic, dof, p_value),) = _ci_batch(data, test)
+    if dof == 0:
+        raise InsufficientDataError(f"every stratum of {tuple(z)} is empty")
+    return CITestResult(statistic, dof, p_value, p_value > alpha)
 
 
 @dataclass(frozen=True)
@@ -490,46 +463,64 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
     subsets are visited in lexicographic order, so the result is
     deterministic and independent of data row order.
 
-    Tests are counted in batches by a stacked bincount kernel.  Level 0
-    batches every pair's single test, since removals there cannot change
-    another pair's candidates.  A later level batches one pair's candidate
-    subsets, which are fixed before its first test, and keeps the first
-    independent one; the result is exactly that of testing one at a time.
+    Each level is planned, counted and replayed.  The plan holds every
+    remaining pair's candidate subsets at the start of the level, and so
+    every test the order above can reach, since neighborhoods only shrink.
+    Its tests are sorted by table size and cut into batches, and a batch is
+    counted when the replay first looks up one of its tests.  In the
+    replay a pair takes its planned subsets unless an endpoint lost a
+    neighbor earlier in the level; then they are listed again.  A test
+    without degrees of freedom raises :class:`InsufficientDataError` when
+    looked up, so the result is exactly that of testing one at a time.
     """
-    names = tuple(data.names)
-    edges = {tuple(sorted(p)) for p in itertools.combinations(names, 2)}
-    neighbors = {n: set(names) - {n} for n in names}
+    _check_alpha(alpha)
+    names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
+    columns = np.array([data.index(name) for name in names])
+    step = max(1, _ROW_BUDGET // max(data.n_rows, 1))
+    edges = set(itertools.combinations(range(len(names)), 2))
+    neighbors = [set(range(len(names))) - {n} for n in range(len(names))]
     sepsets: dict[tuple[str, str], frozenset[str]] = {}
 
-    def remove(x: str, y: str, subset: tuple[str, ...]) -> None:
-        edges.discard((x, y))
-        neighbors[x].discard(y)
-        neighbors[y].discard(x)
-        sepsets[(x, y)] = frozenset(subset)
+    def candidates(x: int, y: int, level: int) -> Iterable[tuple[int, ...]]:
+        # subsets of either neighborhood, each once, x's side first
+        x_side = itertools.combinations(sorted(neighbors[x] - {y}), level)
+        y_side = itertools.combinations(sorted(neighbors[y] - {x}), level)
+        return dict.fromkeys(itertools.chain(x_side, y_side))
 
-    if max_sepset >= 0:
+    for level in range(max_sepset + 1):
         pairs = sorted(edges)
-        marginal = [(data.index(x), data.index(y), ()) for x, y in pairs]
-        for (x, y), result in zip(pairs, _ci_results(data, marginal, alpha)):
-            if result.independent:
-                remove(x, y, ())
-    for level in range(1, max_sepset + 1):
-        for x, y in sorted(edges):
-            # subsets of either neighborhood, each once, x's side first
-            candidates = list(
-                dict.fromkeys(
-                    itertools.chain(
-                        itertools.combinations(sorted(neighbors[x] - {y}), level),
-                        itertools.combinations(sorted(neighbors[y] - {x}), level),
-                    )
-                )
-            )
-            tests = [(data.index(x), data.index(y), tuple(map(data.index, s))) for s in candidates]
-            for subset, result in zip(candidates, _ci_results(data, tests, alpha)):
-                if result.independent:
-                    remove(x, y, subset)
-                    break
-    return Skeleton(names, frozenset(edges), sepsets)
+        plans = [candidates(x, y, level) for x, y in pairs]
+        tests = [(x, y, *z) for (x, y), plan in zip(pairs, plans) for z in plan]
+        if not tests:
+            break
+        planned = columns[np.array(tests)]
+        by_size = np.argsort(data.cards[planned].prod(axis=1), kind="stable")
+        slots = dict(zip(tests, np.argsort(by_size).tolist()))  # test -> place in size order
+        scored: list = [None] * len(tests)
+
+        def independent(test: tuple[int, ...]) -> bool:
+            i = slots[test]
+            if scored[i] is None:
+                start = i - i % step
+                batch = planned[by_size[start : start + step]]
+                scored[start : start + len(batch)] = _ci_batch(data, batch)
+            _, dof, p_value = scored[i]
+            if dof == 0:
+                z = tuple(names[v] for v in test[2:])
+                raise InsufficientDataError(f"every stratum of {z} is empty")
+            return p_value > alpha
+
+        touched: set[int] = set()
+        for (x, y), plan in zip(pairs, plans):
+            plan = candidates(x, y, level) if x in touched or y in touched else plan
+            z = next((z for z in plan if independent((x, y, *z))), None)
+            if z is not None:
+                edges.discard((x, y))
+                neighbors[x].discard(y)
+                neighbors[y].discard(x)
+                touched.update((x, y))
+                sepsets[(names[x], names[y])] = frozenset(names[v] for v in z)
+    return Skeleton(tuple(data.names), frozenset((names[x], names[y]) for x, y in edges), sepsets)
 
 
 def orient(skeleton: Skeleton) -> Dag:

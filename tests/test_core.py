@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,33 @@ class TestCpt:
         x = Variable("x", ("0", "1"))
         cpt = Cpt(x, (), np.array([[0.0, 1.0]]))
         assert cpt.prob(0) == 0.0
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([-0.2, 1.2], "has entries outside [0, 1]"),
+            ([-1e-12, 1.0], "has entries outside [0, 1]"),
+            ([0.5, 1.5], "has entries outside [0, 1]"),
+            ([np.inf, 0.0], "has entries outside [0, 1]"),
+            ([-np.inf, 1.0], "has entries outside [0, 1]"),
+            ([np.nan, 2.0], "has entries outside [0, 1]"),
+            ([np.nan, 0.5], "rows for 'x' must each sum to 1"),
+            ([np.nan, np.nan], "rows for 'x' must each sum to 1"),
+            ([0.5, 0.5 + 2e-9], "rows for 'x' must each sum to 1"),
+            ([0.5, 0.5 - 2e-9], "rows for 'x' must each sum to 1"),
+            ([0.5, 0.5 + 0.5e-9], None),
+            ([0.5, 0.5 - 0.5e-9], None),
+        ],
+    )
+    def test_validation_messages(self, row, message):
+        # the second row is valid, so only the first one can trip a check
+        x, a = Variable("x", ("0", "1")), Variable("a", ("0", "1"))
+        table = np.array([row, [0.25, 0.75]])
+        if message is None:
+            assert Cpt(x, (a,), table).table.tolist() == table.tolist()
+        else:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Cpt(x, (a,), table)
 
 
 class TestDiscreteBayesNet:

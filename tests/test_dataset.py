@@ -200,6 +200,20 @@ class TestDataTable:
         with pytest.raises(SchemaMismatchError):
             table.index("c")
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [([[0, 3, -1], [1, 0, 0]], "b"), ([[0, 0, 2], [-1, 3, 0]], "a"), ([[0, 0, 2]], None)],
+    )
+    def test_range_error_names_first_bad_column(self, rows, named):
+        # a and b both break their ranges in the first two cases
+        schema = (Variable("a", "01"), Variable("b", "012"), Variable("c", "012"))
+        if named is None:
+            table = DataTable(schema, np.array(rows))
+            assert table.cards.tolist() == [2, 3, 3] and not table.cards.flags.writeable
+        else:
+            with pytest.raises(ValueError, match=f"column '{named}' has state indices"):
+                DataTable(schema, np.array(rows))
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, heart_table, tmp_path):

@@ -36,6 +36,7 @@ from heartbn.errors import (
     SchemaMismatchError,
 )
 
+import oracles
 from oracles import (
     ci_test_per_stratum,
     hill_climb_sequential,
@@ -414,6 +415,22 @@ class TestCiTest:
         assert result.stdout.strip() == repr(eval(call, namespace))
 
 
+def sampled_table(net, n_rows: int, seed: int) -> DataTable:
+    """Rows drawn from ``net`` by ancestral sampling, one node at a time for all rows."""
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for name in topological_order(net.dag):
+        cpt = net.cpts[name]
+        config = np.zeros(n_rows, dtype=np.int64)
+        for parent in cpt.parents:
+            config = config * parent.cardinality + columns[parent.name]
+        thresholds = cpt.table.cumsum(axis=1)[config, :-1]
+        columns[name] = (rng.random((n_rows, 1)) >= thresholds).sum(axis=1)
+    nodes = net.dag.nodes
+    rows = np.column_stack([columns[n] for n in nodes])
+    return DataTable(tuple(net.variables[n] for n in nodes), rows)
+
+
 def random_table(rng: np.random.Generator, n_columns: int, n_rows: int) -> DataTable:
     """Columns of 2-4 states drawn uniformly; few rows leave many configurations unseen."""
     cards = {f"v{i}": int(rng.integers(2, 5)) for i in range(n_columns)}
@@ -442,60 +459,61 @@ class TestKernel:
         assert empty_parents >= 20 and unseen >= 100
 
     def test_batched_ci_matches_per_stratum_oracle(self):
-        # one batch mixing state counts and conditioning-set sizes, so the
+        # one batch per conditioning-set size, mixing state counts, so the
         # padded strata and state axes differ from test to test
         rng = np.random.default_rng(12)
         for n_rows in (5, 60, 400):
             data = random_table(rng, 7, n_rows)
-            named = []
-            for _ in range(80):
-                x, y, *z = rng.permutation(data.names)[: 2 + int(rng.integers(0, 4))]
-                named.append((str(x), str(y), tuple(str(v) for v in z)))
-            tests = [(data.index(x), data.index(y), tuple(map(data.index, z))) for x, y, z in named]
-            for (x, y, z), mine in zip(named, learn._ci_results(data, tests, 0.05)):
-                reference = ci_test_per_stratum(data, x, y, z)
-                assert mine.dof == reference.dof
-                assert mine.independent == reference.independent
-                assert abs(mine.statistic - reference.statistic) <= 1e-12 * reference.statistic
-                assert abs(mine.p_value - reference.p_value) <= 1e-12 * reference.p_value
+            for size in range(4):
+                draws = (rng.permutation(data.names)[: 2 + size] for _ in range(20))
+                named = [tuple(map(str, test)) for test in draws]
+                tests = np.array([[data.index(v) for v in test] for test in named])
+                scored = learn._ci_batch(data, tests)
+                for (x, y, *z), (statistic, dof, p_value) in zip(named, scored):
+                    reference = ci_test_per_stratum(data, x, y, tuple(z))
+                    assert dof == reference.dof
+                    assert (p_value > 0.05) == reference.independent
+                    assert abs(statistic - reference.statistic) <= 1e-12 * reference.statistic
+                    assert abs(p_value - reference.p_value) <= 1e-12 * reference.p_value
 
     def test_test_without_dof_raises_only_when_reached(self, monkeypatch):
-        # x and y are exactly independent, x and w identical.  A table gives
-        # a test no degrees of freedom only when it has no rows, which stops
-        # every test at once; to put one such test among others in a batch,
-        # the kernel below reports no degrees of freedom for tests on k.
-        x = [0] * 50 + [1] * 50
-        full = binary_table({"x": x, "y": ([0] * 25 + [1] * 25) * 2, "w": list(x), "k": x})
-        cases = {"independent": ("x", "y"), "dependent": ("x", "w"), "no dof": ("x", "k")}
+        # A table gives a test no degrees of freedom only when it has no
+        # rows, which stops every test at once.  To put one such test among
+        # others in a batch, the kernel below reports no degrees of freedom
+        # for one chosen test.  learn_skeleton must raise exactly when the
+        # one-at-a-time order reaches that test, though it counts more.
+        net = random_net(np.random.default_rng(2), 7, max_card=3, edge_prob=0.5)
+        data = sampled_table(net, 200, 2)
+        reached = []
+
+        def recording(data, x, y, z=(), alpha=0.05):
+            reached.append((x, y, tuple(z)))
+            return ci_test_per_stratum(data, x, y, z, alpha)
+
+        monkeypatch.setattr(oracles, "ci_test_per_stratum", recording)
+        reference = pc_skeleton_sequential(data)
         real_batch = learn._ci_batch
+        chosen, counted = None, []  # the loop below sets chosen, which the kernel reads
 
-        def no_dof_on_k(data, tests):
-            statistic, dof = real_batch(data, tests)
-            on_k = [data.index("k") in (a, b) for a, b, _ in tests]
-            return statistic, np.where(on_k, 0, dof)
+        def no_dof_on_chosen(data, tests):
+            name = data.names
+            named = [(name[x], name[y], tuple(name[v] for v in z)) for x, y, *z in tests.tolist()]
+            counted.extend(named)
+            scored = real_batch(data, tests)
+            return [(s, 0 if t == chosen else d, p) for t, (s, d, p) in zip(named, scored)]
 
-        def one_at_a_time(data, pairs):
-            for a, b in pairs:
-                if "k" in (a, b):
-                    raise InsufficientDataError("no degrees of freedom")
-                yield ci_test_per_stratum(data, a, b)
-
-        def first_independent(order, results):
-            try:
-                return next((name for name, r in zip(order, results) if r.independent), None)
-            except InsufficientDataError:
-                return "raised"
-
-        monkeypatch.setattr(learn, "_ci_batch", no_dof_on_k)
-        outcomes = set()
-        for data in (full, full.take([])):
-            for order in itertools.permutations(cases):
-                pairs = [cases[name] for name in order]
-                tests = [(data.index(a), data.index(b), ()) for a, b in pairs]
-                batched = first_independent(order, learn._ci_results(data, tests, 0.05))
-                assert batched == first_independent(order, one_at_a_time(data, pairs)), order
-                outcomes.add((data.n_rows, batched))
-        assert outcomes == {(100, "independent"), (100, "raised"), (0, "raised")}
+        monkeypatch.setattr(learn, "_ci_batch", no_dof_on_chosen)
+        assert learn_skeleton(data) == reference
+        unreached = set(counted) - set(reached)
+        assert len(set(reached)) >= 30 and len(unreached) >= 10
+        for chosen in sorted(set(counted)):
+            if chosen in reached:
+                with pytest.raises(InsufficientDataError):
+                    learn_skeleton(data)
+            else:
+                assert learn_skeleton(data) == reference, chosen
+        with pytest.raises(InsufficientDataError):
+            learn_skeleton(data.take([]))
 
 
 def chain_data(seed: int, n: int = 2000) -> DataTable:
@@ -556,33 +574,45 @@ class TestSkeleton:
                 assert orient(skeleton) == orient(reference), f"seed {seed}"
 
     def test_conditioning_sets_come_from_current_neighborhoods(self, heart_table, monkeypatch):
-        # Replays the removals from the kernel's batches: every conditioning
-        # set in every batch must lie within x's or y's neighbors at the time
-        # the batch is counted.
-        from scipy.special import chdtrc
-
+        # Every test the kernel counts, reached or not, must condition on a
+        # subset of x's or y's neighbors at the start of its level: the
+        # sequential reference stopped one level earlier gives them.
         train, _ = split(heart_table, 0.8, 0)
-        neighbors = {n: set(train.names) - {n} for n in train.names}
+        start = {level: pc_skeleton_sequential(train, max_sepset=level - 1) for level in range(4)}
         real_batch = learn._ci_batch
-        sizes = set()
+        counted = []
 
         def spy(data, tests):
-            name = data.names
-            named = [(name[x], name[y], {name[v] for v in z}) for x, y, z in tests]
-            for x, y, z in named:
-                assert z <= neighbors[x] - {y} or z <= neighbors[y] - {x}
-                sizes.add(len(z))
-            statistic, dof = real_batch(data, tests)
-            for (x, y, _), p_value in zip(named, chdtrc(dof, statistic)):
-                if p_value > 0.05:
-                    neighbors[x].discard(y)
-                    neighbors[y].discard(x)
-            return statistic, dof
+            counted.extend([data.names[v] for v in test] for test in tests.tolist())
+            return real_batch(data, tests)
 
         monkeypatch.setattr(learn, "_ci_batch", spy)
-        skeleton = learn_skeleton(train)
-        assert sizes == {0, 1, 2, 3}
-        assert {n: set(skeleton.adjacent(n)) for n in train.names} == neighbors
+        learn_skeleton(train)
+        for x, y, *z in counted:
+            before = start[len(z)]
+            assert before.has_edge(x, y)
+            x_side, y_side = set(before.adjacent(x)) - {y}, set(before.adjacent(y)) - {x}
+            assert set(z) <= x_side or set(z) <= y_side
+        assert {len(z) for _, _, *z in counted} == {0, 1, 2, 3}
+
+    def test_matches_sequential_reference_across_batch_sizes(self):
+        # 237, 4,000 and 9,000 rows put 69, 4 and 1 tests in a batch.  The
+        # first case of each size was found by seeded search: there a pair
+        # whose endpoint lost a neighbor earlier in the level must list its
+        # subsets again, and reusing the level's plan changes the skeleton.
+        cases = [(8, 237, 2), (8, 237, 0), (7, 4000, 2), (7, 4000, 0), (7, 9000, 1), (6, 9000, 0)]
+        for n_nodes, n_rows, seed in cases:
+            net = random_net(np.random.default_rng(seed), n_nodes, max_card=3, edge_prob=0.5)
+            data = sampled_table(net, n_rows, seed)
+            assert learn_skeleton(data) == pc_skeleton_sequential(data), (n_nodes, n_rows, seed)
+
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, float("nan")])
+    def test_alpha_checked_before_any_test(self, columns, alpha):
+        data = binary_table({f"v{i}": [0, 1, 0, 1] for i in range(columns)})
+        for max_sepset in (-1, 0, 3):
+            with pytest.raises(ValueError, match="alpha"):
+                learn_skeleton(data, alpha, max_sepset)
 
     def test_sepset_iff_no_edge(self):
         skeleton = learn_skeleton(chain_data(seed=44))
