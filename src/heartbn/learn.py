@@ -110,19 +110,24 @@ def _family_counts(data: DataTable, families: list[_Family]):
     parent configuration (last parent varying fastest), one column per
     child state.
     """
+    cards = data.cards.tolist()
     step = max(1, _ROW_BUDGET // max(data.n_rows, 1))
     for batch in (families[start : start + step] for start in range(0, len(families), step)):
-        lengths = [len(parents) for _, parents in batch]
-        width = 1 + max(lengths)
-        # the child, then its parents from last to first; padding repeats the
-        # child as a digit of size 1 and place value 0
-        columns = np.array([[c, *ps[::-1]] + [c] * (width - 1 - len(ps)) for c, ps in batch])
-        real = np.arange(width) <= np.array(lengths)[:, None]
-        dims = np.where(real, data.cards[columns], 1)
-        spans = dims.cumprod(axis=1)  # a digit's place value is its span over its size
-        sizes, r = spans[:, -1], dims[:, 0]
-        shapes = list(zip((sizes // r).tolist(), r.tolist()))
-        yield _stacked_counts(data, columns, spans // dims * real, sizes), shapes
+        width = 1 + max(len(parents) for _, parents in batch)
+        columns, places, shapes = [], [], []
+        for child, parents in batch:
+            # the child, then its parents from last to first; padding repeats
+            # the child at place value 0
+            place, member, values = cards[child], [child], [1]
+            for p in reversed(parents):
+                member.append(p)
+                values.append(place)
+                place *= cards[p]
+            columns.append(member + [child] * (width - len(member)))
+            places.append(values + [0] * (width - len(values)))
+            shapes.append((place // cards[child], cards[child]))
+        sizes = np.array([q * r for q, r in shapes])
+        yield _stacked_counts(data, np.array(columns), np.array(places), sizes), shapes
 
 
 def _family_tables(data: DataTable, families: list[_Family]) -> list[np.ndarray]:
@@ -467,11 +472,11 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
     remaining pair's candidate subsets at the start of the level, and so
     every test the order above can reach, since neighborhoods only shrink.
     Its tests are sorted by table size and cut into batches, and a batch is
-    counted when the replay first looks up one of its tests.  In the
-    replay a pair takes its planned subsets unless an endpoint lost a
-    neighbor earlier in the level; then they are listed again.  A test
-    without degrees of freedom raises :class:`InsufficientDataError` when
-    looked up, so the result is exactly that of testing one at a time.
+    counted when the replay first looks up one of its tests.  The replay
+    lists each pair's subsets again from the neighborhoods as they stand, a
+    subset of its plan, and looks their tests up in order.  A test without
+    degrees of freedom raises :class:`InsufficientDataError` when looked
+    up, so the result is exactly that of testing one at a time.
     """
     _check_alpha(alpha)
     names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
@@ -489,8 +494,7 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
 
     for level in range(max_sepset + 1):
         pairs = sorted(edges)
-        plans = [candidates(x, y, level) for x, y in pairs]
-        tests = [(x, y, *z) for (x, y), plan in zip(pairs, plans) for z in plan]
+        tests = [(x, y, *z) for x, y in pairs for z in candidates(x, y, level)]
         if not tests:
             break
         planned = columns[np.array(tests)]
@@ -510,15 +514,12 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
                 raise InsufficientDataError(f"every stratum of {z} is empty")
             return p_value > alpha
 
-        touched: set[int] = set()
-        for (x, y), plan in zip(pairs, plans):
-            plan = candidates(x, y, level) if x in touched or y in touched else plan
-            z = next((z for z in plan if independent((x, y, *z))), None)
+        for x, y in pairs:
+            z = next((z for z in candidates(x, y, level) if independent((x, y, *z))), None)
             if z is not None:
                 edges.discard((x, y))
                 neighbors[x].discard(y)
                 neighbors[y].discard(x)
-                touched.update((x, y))
                 sepsets[(names[x], names[y])] = frozenset(names[v] for v in z)
     return Skeleton(tuple(data.names), frozenset((names[x], names[y]) for x, y in edges), sepsets)
 

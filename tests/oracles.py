@@ -9,7 +9,8 @@ and takes its p-value from ``scipy.stats``; the PC skeleton oracle calls it
 once per test, in the library's documented order, without batching, and
 the hill-climb oracle rescans and rescores every move at every step.  The
 generators produce small random DAGs and networks for randomized
-comparisons.
+comparisons, and two ancestral samplers draw rows from a network: one row
+at a time, or one node at a time for all rows.
 """
 
 from __future__ import annotations
@@ -287,3 +288,21 @@ def sample_rows(net: DiscreteBayesNet, rng: np.random.Generator, n: int) -> "np.
             assignment[name] = state
             rows[i, pos[name]] = state
     return rows
+
+
+def sample_table(net: DiscreteBayesNet, n_rows: int, seed: int) -> DataTable:
+    """Ancestral sampling one node at a time for all rows, columns in dag-node order."""
+    from heartbn import topological_order
+
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for name in topological_order(net.dag):
+        cpt = net.cpts[name]
+        config = np.zeros(n_rows, dtype=np.int64)
+        for parent in cpt.parents:
+            config = config * parent.cardinality + columns[parent.name]
+        thresholds = cpt.table.cumsum(axis=1)[config, :-1]
+        columns[name] = (rng.random((n_rows, 1)) >= thresholds).sum(axis=1)
+    nodes = net.dag.nodes
+    rows = np.column_stack([columns[n] for n in nodes])
+    return DataTable(tuple(net.variables[n] for n in nodes), rows)

@@ -43,6 +43,7 @@ from oracles import (
     pc_skeleton_sequential,
     random_net,
     sample_rows,
+    sample_table,
 )
 
 
@@ -415,22 +416,6 @@ class TestCiTest:
         assert result.stdout.strip() == repr(eval(call, namespace))
 
 
-def sampled_table(net, n_rows: int, seed: int) -> DataTable:
-    """Rows drawn from ``net`` by ancestral sampling, one node at a time for all rows."""
-    rng = np.random.default_rng(seed)
-    columns = {}
-    for name in topological_order(net.dag):
-        cpt = net.cpts[name]
-        config = np.zeros(n_rows, dtype=np.int64)
-        for parent in cpt.parents:
-            config = config * parent.cardinality + columns[parent.name]
-        thresholds = cpt.table.cumsum(axis=1)[config, :-1]
-        columns[name] = (rng.random((n_rows, 1)) >= thresholds).sum(axis=1)
-    nodes = net.dag.nodes
-    rows = np.column_stack([columns[n] for n in nodes])
-    return DataTable(tuple(net.variables[n] for n in nodes), rows)
-
-
 def random_table(rng: np.random.Generator, n_columns: int, n_rows: int) -> DataTable:
     """Columns of 2-4 states drawn uniformly; few rows leave many configurations unseen."""
     cards = {f"v{i}": int(rng.integers(2, 5)) for i in range(n_columns)}
@@ -483,7 +468,7 @@ class TestKernel:
         # for one chosen test.  learn_skeleton must raise exactly when the
         # one-at-a-time order reaches that test, though it counts more.
         net = random_net(np.random.default_rng(2), 7, max_card=3, edge_prob=0.5)
-        data = sampled_table(net, 200, 2)
+        data = sample_table(net, 200, 2)
         reached = []
 
         def recording(data, x, y, z=(), alpha=0.05):
@@ -603,7 +588,7 @@ class TestSkeleton:
         cases = [(8, 237, 2), (8, 237, 0), (7, 4000, 2), (7, 4000, 0), (7, 9000, 1), (6, 9000, 0)]
         for n_nodes, n_rows, seed in cases:
             net = random_net(np.random.default_rng(seed), n_nodes, max_card=3, edge_prob=0.5)
-            data = sampled_table(net, n_rows, seed)
+            data = sample_table(net, n_rows, seed)
             assert learn_skeleton(data) == pc_skeleton_sequential(data), (n_nodes, n_rows, seed)
 
     @pytest.mark.parametrize("columns", [1, 2, 3])
