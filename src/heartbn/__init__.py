@@ -41,7 +41,6 @@ from .inference import (
 )
 from .learn import (
     CITestResult,
-    CountTable,
     Skeleton,
     ci_test,
     count_table,
@@ -55,7 +54,7 @@ from .learn import (
     score,
 )
 from .model_io import export_dot, load_model, save_model, to_dot
-from .naive_bayes import NbModel, nb_fit, nb_predict
+from .naive_bayes import nb_fit, nb_predict
 
 __all__ = [
     "Cpt",
@@ -91,7 +90,6 @@ __all__ = [
     "posterior_enumeration",
     "posterior_ve",
     "CITestResult",
-    "CountTable",
     "Skeleton",
     "ci_test",
     "count_table",
@@ -107,7 +105,6 @@ __all__ = [
     "load_model",
     "save_model",
     "to_dot",
-    "NbModel",
     "nb_fit",
     "nb_predict",
 ]

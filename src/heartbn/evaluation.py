@@ -12,6 +12,7 @@ plus aggregates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,15 +147,15 @@ def fit_model(
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
     if score_kind not in SCORE_KINDS:
         raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
-    if not ess > 0.0:
-        raise ValueError("ess must be positive")
+    if not 0.0 < ess < math.inf:
+        raise ValueError("ess must be positive and finite")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if not pseudo >= 0.0:
-        raise ValueError("pseudo must be non-negative")
+    if not 0.0 <= pseudo < math.inf:
+        raise ValueError("pseudo must be non-negative and finite")
 
     if model_kind == "nb":
-        return nb_fit(train, "target", pseudo).net
+        return nb_fit(train, "target", pseudo)
     if model_kind == "bn-paper":
         dag = heart_network()
     elif learner == "hc":

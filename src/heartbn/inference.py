@@ -41,7 +41,7 @@ class Posterior:
         probs = np.array(self.probabilities, dtype=float)
         if probs.shape != (self.variable.cardinality,):
             raise ValueError("one probability per state required")
-        if np.any(probs < 0.0) or np.any(probs > 1.0) or abs(probs.sum() - 1.0) > 1e-9:
+        if not (np.all((probs >= 0.0) & (probs <= 1.0)) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("posterior must be a distribution over the states")
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)

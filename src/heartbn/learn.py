@@ -22,8 +22,9 @@ score is bitwise the same in any batch.  :func:`learn_skeleton` plans each
 level (every test the sequential order can reach from the neighborhoods at
 its start), counts the plan in size-sorted batches as the replay of that
 order first looks them up, and evaluates statistics, degrees of freedom and
-p-values as arrays.  :func:`count_table`, :func:`family_score` and
-:func:`ci_test` are the batch-of-one case of the same code.
+p-values as arrays.  :func:`count_table` (one family's (q, r) count
+array), :func:`family_score` and :func:`ci_test` are the batch-of-one case
+of the same code.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cpt, Dag, DiscreteBayesNet, Variable, build_dag
+from .core import Cpt, Dag, DiscreteBayesNet, build_dag
 from .dataset import DataTable
 from .errors import (
     ConflictingOrientationWarning,
@@ -57,27 +58,6 @@ MAX_MOVES = 200
 
 # A family in the column-index form the counting kernel takes: (child, parents).
 _Family = tuple[int, tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Sufficient statistics N(x, parent-config) for one family.
-
-    ``counts`` has one row per parent configuration (last declared parent
-    varying fastest) and one column per child state.
-    """
-
-    variable: Variable
-    parents: tuple[Variable, ...]
-    counts: np.ndarray
-
-    @property
-    def config_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 # Rows one stacked bincount may count.  A batch holds max(1, _ROW_BUDGET //
@@ -139,16 +119,26 @@ def _family_tables(data: DataTable, families: list[_Family]) -> list[np.ndarray]
     return tables
 
 
-def count_table(data: DataTable, child: str, parents: tuple[str, ...] = ()) -> CountTable:
-    """Count child states within each parent configuration."""
+def count_table(data: DataTable, child: str, parents: tuple[str, ...] = ()) -> np.ndarray:
+    """N(x, parent-config) as a (q, r) array: child states counted within each parent configuration.
+
+    One row per parent configuration (last declared parent varying fastest),
+    one column per child state.
+    """
     (counts,) = _family_tables(data, [(data.index(child), tuple(map(data.index, parents)))])
-    return CountTable(data.variable(child), tuple(map(data.variable, parents)), counts)
+    return counts
 
 
 def _require_nodes(dag: Dag, data: DataTable) -> None:
     missing = set(dag.nodes) - set(data.names)
     if missing:
         raise SchemaMismatchError(f"data lacks columns for {sorted(missing)}")
+
+
+def _require_unique_names(data: DataTable) -> None:
+    repeated = sorted({name for name in data.names if data.names.count(name) > 1})
+    if repeated:
+        raise SchemaMismatchError(f"structure learning needs distinct column names, not {repeated}")
 
 
 def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
@@ -180,8 +170,8 @@ def fit_bayesian(dag: Dag, data: DataTable, ess: float) -> DiscreteBayesNet:
     prior weight is spread uniformly over the whole table, so estimates
     shrink toward uniform and approach the MLE as ess -> 0.
     """
-    if not ess > 0.0:
-        raise ValueError("ess must be positive")
+    if not 0.0 < ess < math.inf:
+        raise ValueError("ess must be positive and finite")
     return _fit_dirichlet(dag, data, lambda q, r: ess / (r * q))
 
 
@@ -238,9 +228,9 @@ def family_score(
     """Decomposable score contribution of one (child, parents) family."""
     if kind not in SCORE_KINDS:
         raise ValueError(f"kind must be one of {SCORE_KINDS}")
-    if kind == "bdeu" and not ess > 0.0:
-        raise ValueError("ess must be positive")
-    counts = count_table(data, child, parents).counts
+    if kind == "bdeu" and not 0.0 < ess < math.inf:
+        raise ValueError("ess must be positive and finite")
+    counts = count_table(data, child, parents)
     return _scores(counts.ravel(), [counts.shape], data.n_rows, kind, ess)[0]
 
 
@@ -298,6 +288,7 @@ def hill_climb(
     """
     if len(data.names) < 2:
         raise SchemaMismatchError("structure search needs at least two columns")
+    _require_unique_names(data)
     names = sorted(data.names)
     n = len(names)
     columns = [data.index(name) for name in names]
@@ -479,6 +470,7 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
     up, so the result is exactly that of testing one at a time.
     """
     _check_alpha(alpha)
+    _require_unique_names(data)
     names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
     columns = np.array([data.index(name) for name in names])
     step = max(1, _ROW_BUDGET // max(data.n_rows, 1))

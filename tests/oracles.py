@@ -22,8 +22,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from heartbn import (
-    CITestResult, Cpt, Dag, DataTable, DiscreteBayesNet, NbModel, Skeleton, Variable, build_dag,
-    nb_fit,
+    CITestResult, Cpt, Dag, DataTable, DiscreteBayesNet, Skeleton, Variable, build_dag, nb_fit,
 )
 from heartbn.errors import InsufficientDataError, ZeroEvidenceError
 
@@ -71,12 +70,18 @@ def d_separated_bruteforce(dag: Dag, x: set[str], y: set[str], z: set[str]) -> b
     return True
 
 
-def nb_posterior_logspace(model: NbModel, evidence: dict[str, int]) -> np.ndarray:
-    """P(class | evidence) from log P(c) + sum log P(x_i | c) over the observed features."""
+def nb_posterior_logspace(
+    net: DiscreteBayesNet, class_var: str, evidence: dict[str, int]
+) -> np.ndarray:
+    """P(class | evidence) from log P(c) + sum log P(x_i | c) over the observed features.
+
+    ``net`` is a star network: the class CPT has one row, and each feature's
+    CPT has one row per class state.
+    """
     with np.errstate(divide="ignore"):
-        log_post = np.log(model.prior)
+        log_post = np.log(net.cpts[class_var].table[0])
         for name, state in evidence.items():
-            log_post = log_post + np.log(model.conditionals[name][:, int(state)])
+            log_post = log_post + np.log(net.cpts[name].table[:, int(state)])
     if np.all(np.isneginf(log_post)):
         raise ZeroEvidenceError("all class posteriors are zero under this evidence")
     shifted = np.exp(log_post - log_post.max())
@@ -215,8 +220,8 @@ def pc_skeleton_sequential(data: DataTable, alpha: float = 0.05, max_sepset: int
 
 def wide_nb_case(
     rng: np.random.Generator, n_features: int = 70, n_states: int = 2, n_rows: int = 80
-) -> tuple[NbModel, dict[str, int]]:
-    """A Naive Bayes model fitted on uniform random rows and full evidence on its features.
+) -> tuple[DiscreteBayesNet, dict[str, int]]:
+    """A Naive Bayes star network fitted on uniform random rows and full evidence on its features.
 
     The class ``w0`` and every feature have ``n_states`` states.  The 71
     factors of the default case exceed what one einsum call accepts (32
@@ -226,8 +231,8 @@ def wide_nb_case(
     """
     states = tuple(str(s) for s in range(n_states))
     schema = tuple(Variable(f"w{i}", states) for i in range(n_features + 1))
-    model = nb_fit(DataTable(schema, rng.integers(0, n_states, size=(n_rows, len(schema)))), "w0")
-    return model, {v.name: int(rng.integers(n_states)) for v in schema[1:]}
+    net = nb_fit(DataTable(schema, rng.integers(0, n_states, size=(n_rows, len(schema)))), "w0")
+    return net, {v.name: int(rng.integers(n_states)) for v in schema[1:]}
 
 
 def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4) -> Dag:

@@ -209,10 +209,11 @@ def test_criterion_08_nb_bn_equivalence():
     cases.append(wide_nb_case(rng))
     worst = 0.0
     label_mismatch = 0
-    for model, evidence in cases:
-        nb_label, nb_post = nb_predict(model, evidence)
-        net_label, net_post = classify(model.to_net(), model.class_var.name, evidence)
-        reference = nb_posterior_logspace(model, evidence)
+    for net, evidence in cases:
+        class_var = net.dag.nodes[0]  # nb_fit puts the class node first
+        nb_label, nb_post = nb_predict(net, evidence)
+        net_label, net_post = classify(net, class_var, evidence)
+        reference = nb_posterior_logspace(net, class_var, evidence)
         # an exactly tied posterior can round oppositely along two routes,
         # so the label comparison only binds when the winner is clear
         margin = np.sort(reference)[-1] - np.sort(reference)[-2]

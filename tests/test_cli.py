@@ -106,7 +106,7 @@ class TestLearn:
         assert code == 0
         table = read_table_csv(pipeline["table"])
         if method == "nb":
-            net = nb_fit(table, "target").to_net()
+            net = nb_fit(table, "target")
         elif estimator == "mle":
             net = fit_mle(STRUCTURES[method](table), table)
         else:

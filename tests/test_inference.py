@@ -5,6 +5,7 @@ from heartbn import (
     Cpt,
     DataTable,
     DiscreteBayesNet,
+    Posterior,
     Variable,
     build_dag,
     classify,
@@ -46,6 +47,25 @@ class TestFactor:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Cpt(Variable("a", "01"), (), np.array([[-0.1, 1.1]]))
+
+
+class TestPosterior:
+    @pytest.mark.parametrize(
+        "probabilities",
+        [
+            [np.nan, np.nan],
+            [np.nan, 1.0],
+            [np.inf, 0.0],
+            [-np.inf, 1.0],
+            [-0.5, 1.5],
+            [0.4, 0.4],
+            [0.5, 0.25, 0.25],
+        ],
+        ids=["nan", "nan-beside-1", "inf", "-inf", "outside-unit", "sum-0.8", "three-states"],
+    )
+    def test_rejects_non_distributions(self, probabilities):
+        with pytest.raises(ValueError):
+            Posterior(Variable("v", ("0", "1")), probabilities)
 
 
 class TestEnumeration:
@@ -160,9 +180,9 @@ class TestVariableElimination:
     def test_wide_full_evidence_does_not_underflow(self, n_features):
         # 600 four-state likelihoods multiply to ~0.25**600 ~ 1e-361: the
         # folded einsum product underflows unless each fold is rescaled
-        model, evidence = wide_nb_case(np.random.default_rng(0), n_features, 4, 400)
-        expected = nb_posterior_logspace(model, evidence)
-        got = posterior_ve(model.net, "w0", evidence).probabilities
+        net, evidence = wide_nb_case(np.random.default_rng(0), n_features, 4, 400)
+        expected = nb_posterior_logspace(net, "w0", evidence)
+        got = posterior_ve(net, "w0", evidence).probabilities
         assert np.abs(got - expected).max() <= 1e-10
 
     def test_posterior_normalizes(self, heart_net):
@@ -309,10 +329,10 @@ class TestClassifyRows:
 
     @pytest.mark.parametrize("n_features", [600, 1200])
     def test_wide_nb_does_not_underflow(self, n_features):
-        model, evidence = wide_nb_case(np.random.default_rng(0), n_features, 4, 400)
-        schema = tuple(model.net.variable(n) for n in model.net.dag.nodes)
+        net, evidence = wide_nb_case(np.random.default_rng(0), n_features, 4, 400)
+        schema = tuple(net.variable(n) for n in net.dag.nodes)
         table = DataTable(schema, [[evidence.get(v.name, 0) for v in schema]])
-        labels, probabilities = classify_rows(model.net, "w0", table)
-        expected = nb_posterior_logspace(model, evidence)
+        labels, probabilities = classify_rows(net, "w0", table)
+        expected = nb_posterior_logspace(net, "w0", evidence)
         assert labels[0] == np.argmax(expected)
         assert np.abs(probabilities[0] - expected).max() <= 1e-10

@@ -24,6 +24,7 @@ from heartbn import (
     hill_climb,
     hybrid_learn,
     learn_skeleton,
+    nb_fit,
     orient,
     score,
     split,
@@ -35,6 +36,7 @@ from heartbn.errors import (
     InsufficientDataError,
     SchemaMismatchError,
 )
+from heartbn.evaluation import fit_model
 
 import oracles
 from oracles import (
@@ -86,13 +88,13 @@ def independent_table(seed: int, n: int = 1000) -> DataTable:
 
 class TestCountTable:
     def test_total_equals_rows(self, heart_table):
-        ct = count_table(heart_table, "target", ("thal",))
-        assert ct.total == heart_table.n_rows
-        assert ct.counts.shape == (3, 2)
+        counts = count_table(heart_table, "target", ("thal",))
+        assert counts.sum() == heart_table.n_rows
+        assert counts.shape == (3, 2)
 
     def test_counts_nonnegative(self, heart_table):
-        ct = count_table(heart_table, "cp", ("target",))
-        assert (ct.counts >= 0).all()
+        counts = count_table(heart_table, "cp", ("target",))
+        assert (counts >= 0).all()
 
 
 class TestFitMle:
@@ -262,6 +264,51 @@ class TestHillClimb:
     def test_bdeu_with_zero_ess_is_rejected_not_empty(self, heart_table):
         with pytest.raises(ValueError):
             hill_climb(heart_table, kind="bdeu", ess=0.0)
+
+
+class TestRepeatedColumnNames:
+    """Columns (a, b, a) name one variable twice; no structure can hold it."""
+
+    @pytest.mark.parametrize("learner", [hill_climb, learn_skeleton, hybrid_learn])
+    def test_rejected_before_any_counting(self, learner, monkeypatch):
+        rng = np.random.default_rng(3)
+        data = DataTable(
+            (Variable("a", "01"), Variable("b", "01"), Variable("a", "01")),
+            rng.integers(0, 2, size=(100, 3)),
+        )
+
+        def no_counting(*args):
+            raise AssertionError("counted a table of a schema with a repeated name")
+
+        monkeypatch.setattr(learn, "_stacked_counts", no_counting)
+        with pytest.raises(SchemaMismatchError, match="distinct"):
+            learner(data)
+
+
+class TestPriorWeights:
+    """ess must be positive and finite, pseudo non-negative and finite, in every entry point."""
+
+    DATA = binary_table({"target": [0, 1, 1, 0, 1], "y": [1, 1, 0, 0, 1]})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("ess", lambda data, v: fit_bayesian(build_dag(("target",), ()), data, v)),
+            ("ess", lambda data, v: family_score(data, "target", ("y",), "bdeu", v)),
+            ("ess", lambda data, v: hill_climb(data, kind="bdeu", ess=v)),
+            ("ess", lambda data, v: fit_model(data, "nb", None, "mle", v, 0.05, "bic", 1.0)),
+            ("pseudo", lambda data, v: nb_fit(data, "target", v)),
+            ("pseudo", lambda data, v: fit_model(data, "nb", None, "mle", 10.0, 0.05, "bic", v)),
+        ],
+        ids=[
+            "fit_bayesian", "family_score", "hill_climb", "fit_model-ess", "nb_fit",
+            "fit_model-pseudo",
+        ],
+    )
+    def test_non_finite_rejected(self, name, call, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            call(self.DATA, value)
 
 
 class TestCiTest:
@@ -440,7 +487,7 @@ class TestKernel:
             batched = learn._family_scores(data, index, kind, 10.0)
             assert batched == [family_score(data, c, ps, kind, 10.0) for c, ps in families]
             empty_parents += sum(not ps for _, ps in families)
-            unseen += sum((count_table(data, c, ps).config_totals == 0).any() for c, ps in families)
+            unseen += sum((count_table(data, c, ps).sum(axis=1) == 0).any() for c, ps in families)
         assert empty_parents >= 20 and unseen >= 100
 
     def test_batched_ci_matches_per_stratum_oracle(self):

@@ -43,7 +43,7 @@ class TestModelRoundTrip:
 
     def test_nb_model_uses_same_format(self, heart_table, tmp_path):
         train, _ = split(heart_table, 0.8, seed=0)
-        star = nb_fit(train, "target").to_net()
+        star = nb_fit(train, "target")
         path = tmp_path / "nb.model"
         save_model(star, path)
         loaded = load_model(path)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from heartbn import DataTable, Variable, classify, nb_fit, nb_predict, split
+from heartbn import (
+    DataTable, Variable, build_dag, classify, fit_mle, nb_fit, nb_predict, split,
+)
 from heartbn.errors import SchemaMismatchError, UnknownNodeError, ZeroEvidenceError
 
 from oracles import nb_posterior_logspace, random_net, sample_rows, wide_nb_case
@@ -15,21 +17,21 @@ def small_table() -> DataTable:
 
 class TestNbFit:
     def test_unsmoothed_frequencies(self):
-        model = nb_fit(small_table(), "c", pseudo=0.0)
-        assert model.prior[1] == pytest.approx(0.5)
-        assert model.conditionals["x"][1, 1] == pytest.approx(0.5)
-        assert model.conditionals["x"][0, 1] == 0.0
+        net = nb_fit(small_table(), "c", pseudo=0.0)
+        assert net.cpts["c"].table[0, 1] == pytest.approx(0.5)
+        assert net.cpts["x"].table[1, 1] == pytest.approx(0.5)
+        assert net.cpts["x"].table[0, 1] == 0.0
 
     def test_additive_smoothing(self):
-        model = nb_fit(small_table(), "c", pseudo=1.0)
-        assert model.conditionals["x"][0, 1] == pytest.approx(0.25)
+        net = nb_fit(small_table(), "c", pseudo=1.0)
+        assert net.cpts["x"].table[0, 1] == pytest.approx(0.25)
 
     def test_columns_normalize_on_heart_training_split(self, heart_table):
         train, _ = split(heart_table, 0.8, seed=0)
-        model = nb_fit(train, "target")
-        assert model.prior.sum() == pytest.approx(1.0, abs=1e-9)
-        for table in model.conditionals.values():
-            assert np.allclose(table.sum(axis=1), 1.0, atol=1e-9)
+        net = nb_fit(train, "target")
+        assert net.cpts["target"].table.shape == (1, 2)
+        for cpt in net.cpts.values():
+            assert np.allclose(cpt.table.sum(axis=1), 1.0, atol=1e-9)
 
     def test_missing_class_column(self):
         with pytest.raises(SchemaMismatchError):
@@ -42,34 +44,50 @@ class TestNbFit:
 
 class TestNbPredict:
     def test_zero_likelihood_vetoes_class(self):
-        model = nb_fit(small_table(), "c", pseudo=0.0)
-        label, posterior = nb_predict(model, {"x": 1})
+        net = nb_fit(small_table(), "c", pseudo=0.0)
+        label, posterior = nb_predict(net, {"x": 1})
         assert label == 1
         assert np.allclose(posterior.probabilities, [0.0, 1.0])
 
     def test_empty_evidence_is_prior_argmax(self):
-        model = nb_fit(small_table(), "c", pseudo=0.0)
-        label, posterior = nb_predict(model, {})
+        net = nb_fit(small_table(), "c", pseudo=0.0)
+        label, posterior = nb_predict(net, {})
         assert label == 0  # tie at 0.5/0.5 breaks toward the lower index
-        assert np.allclose(posterior.probabilities, model.prior)
+        assert np.allclose(posterior.probabilities, net.cpts["c"].table[0])
 
     def test_class_variable_rejected_in_evidence(self):
-        model = nb_fit(small_table(), "c")
+        net = nb_fit(small_table(), "c")
         with pytest.raises(ValueError):
-            nb_predict(model, {"c": 1})
+            nb_predict(net, {"c": 1})
 
     def test_unknown_feature_rejected(self):
-        model = nb_fit(small_table(), "c")
+        net = nb_fit(small_table(), "c")
         with pytest.raises(UnknownNodeError):
-            nb_predict(model, {"zzz": 0})
+            nb_predict(net, {"zzz": 0})
 
     def test_zero_evidence(self):
         # state 2 of x never occurs, so both classes have zero likelihood
         schema = (Variable("c", "01"), Variable("x", "012"))
         rows = np.array([[0, 0], [1, 1]], dtype=np.int64)
-        model = nb_fit(DataTable(schema, rows), "c", pseudo=0.0)
+        net = nb_fit(DataTable(schema, rows), "c", pseudo=0.0)
         with pytest.raises(ZeroEvidenceError):
-            nb_predict(model, {"x": 2})
+            nb_predict(net, {"x": 2})
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [
+            (("c", "x", "y"), (("c", "x"), ("c", "y"), ("x", "y"))),
+            (("c", "x", "y"), (("c", "x"),)),
+            (("x", "c", "y"), (("c", "x"), ("c", "y"))),
+        ],
+        ids=["feature-feature-edge", "feature-without-class-edge", "class-not-first"],
+    )
+    def test_non_star_network_rejected(self, nodes, edges):
+        schema = (Variable("c", "01"), Variable("x", "01"), Variable("y", "01"))
+        data = DataTable(schema, [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        net = fit_mle(build_dag(nodes, edges), data)
+        with pytest.raises(ValueError, match="star"):
+            nb_predict(net, {"y": 1})
 
 
 class TestStarNetEquivalence:
@@ -88,10 +106,11 @@ class TestStarNetEquivalence:
             }
             cases.append((nb_fit(data, data.names[0], pseudo=1.0), evidence))
         cases.append(wide_nb_case(rng))
-        for model, evidence in cases:
-            nb_label, nb_post = nb_predict(model, evidence)
-            net_label, net_post = classify(model.to_net(), model.class_var.name, evidence)
-            reference = nb_posterior_logspace(model, evidence)
+        for net, evidence in cases:
+            class_var = net.dag.nodes[0]  # nb_fit puts the class node first
+            nb_label, nb_post = nb_predict(net, evidence)
+            net_label, net_post = classify(net, class_var, evidence)
+            reference = nb_posterior_logspace(net, class_var, evidence)
             assert np.abs(nb_post.probabilities - net_post.probabilities).max() <= 1e-10
             assert np.abs(nb_post.probabilities - reference).max() <= 1e-10
             margin = np.sort(reference)[-1] - np.sort(reference)[-2]
@@ -99,8 +118,8 @@ class TestStarNetEquivalence:
                 assert nb_label == net_label == int(np.argmax(reference))
 
     def test_star_net_shape(self):
-        model = nb_fit(small_table(), "c")
-        star = model.to_net()
+        star = nb_fit(small_table(), "c")
+        assert star.dag.nodes == ("c", "x")
         assert star.dag.parents("x") == ("c",)
         assert star.dag.parents("c") == ()
 
@@ -116,13 +135,13 @@ class TestProperties:
                 rng.integers(0, 2, size=100),
             ]
         ).astype(np.int64)
-        model = nb_fit(DataTable(schema, rows), "c")
+        net = nb_fit(DataTable(schema, rows), "c")
         extended = nb_fit(
             DataTable(schema + (Variable("x_copy", "012"),), np.column_stack([rows, rows[:, 1]])),
             "c",
         )
         evidence = {"x": 2, "y": 1}
-        base = nb_predict(model, evidence)
+        base = nb_predict(net, evidence)
         same = nb_predict(extended, evidence)
         assert np.abs(base[1].probabilities - same[1].probabilities).max() == 0.0
         # observing the duplicate shifts the posterior (double counting)
@@ -133,10 +152,8 @@ class TestProperties:
         table = small_table()
         previous = None
         for pseudo in (0.1, 1.0, 10.0, 100.0):
-            model = nb_fit(table, "c", pseudo=pseudo)
-            distance = max(
-                float(np.abs(t - 1.0 / t.shape[1]).max()) for t in model.conditionals.values()
-            )
+            net = nb_fit(table, "c", pseudo=pseudo)
+            distance = float(np.abs(net.cpts["x"].table - 0.5).max())
             if previous is not None:
                 assert distance <= previous + 1e-12
             previous = distance
