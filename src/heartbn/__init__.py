@@ -12,7 +12,6 @@ from .core import (
     Variable,
     build_dag,
     d_separated,
-    joint_probability,
     markov_blanket,
     topological_order,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "Variable",
     "build_dag",
     "d_separated",
-    "joint_probability",
     "markov_blanket",
     "topological_order",
     "CleanTable",

@@ -15,12 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CycleDetectedError,
-    DuplicateEdgeError,
-    IncompleteAssignmentError,
-    UnknownNodeError,
-)
+from .errors import CycleDetectedError, DuplicateEdgeError, UnknownNodeError
 
 ROW_SUM_TOL = 1e-9
 
@@ -97,15 +92,7 @@ class Dag:
 
     def descendants(self, name: str) -> set[str]:
         """All nodes reachable from ``name`` by directed paths (excluding itself)."""
-        self._check(name)
-        seen: set[str] = set()
-        stack = list(self._children[name])
-        while stack:
-            n = stack.pop()
-            if n not in seen:
-                seen.add(n)
-                stack.extend(self._children[n])
-        return seen
+        return _reachable(self._children, self.children(name))
 
 
 def build_dag(nodes: Iterable, edges: Iterable[tuple[str, str]]) -> Dag:
@@ -155,15 +142,19 @@ def topological_order(dag: Dag) -> list[str]:
     return order
 
 
-def _ancestral_set(dag: Dag, names: Iterable[str]) -> set[str]:
-    """``names`` together with every node that has a directed path into one of them."""
-    found = set(names)
+def _reachable(step: Mapping[str, Iterable[str]], starts: Iterable[str]) -> set[str]:
+    """``starts`` together with every node reached from them through ``step``.
+
+    With ``step`` mapping each node to its parents this is the ancestral set
+    of ``starts``; with children, their descendants.
+    """
+    found = set(starts)
     stack = list(found)
     while stack:
-        for p in dag._parents[stack.pop()]:
-            if p not in found:
-                found.add(p)
-                stack.append(p)
+        for n in step[stack.pop()]:
+            if n not in found:
+                found.add(n)
+                stack.append(n)
     return found
 
 
@@ -185,7 +176,7 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
         return True
 
     # Ancestors of z (including z): colliders in this set are unblocked.
-    anc = _ancestral_set(dag, zs)
+    anc = _reachable(dag._parents, zs)
 
     # Walk (node, direction): "up" = arrived from a child, "down" = from a parent.
     visited: set[tuple[str, str]] = set()
@@ -315,24 +306,8 @@ class DiscreteBayesNet:
             raise UnknownNodeError(f"unknown node {name!r}")
         return self.cpts[name].variable
 
-    def validate_assignment(self, assignment: Mapping[str, int], complete: bool = False) -> None:
+    def validate_assignment(self, assignment: Mapping[str, int]) -> None:
         for name, state in assignment.items():
             var = self.variable(name)
             if not 0 <= int(state) < var.cardinality:
                 raise ValueError(f"state {state} out of range for {name!r}")
-        if complete and set(assignment) != set(self.dag.nodes):
-            missing = set(self.dag.nodes) - set(assignment)
-            raise IncompleteAssignmentError(f"assignment misses {sorted(missing)}")
-
-
-def joint_probability(net: DiscreteBayesNet, assignment: Mapping[str, int]) -> float:
-    """Chain-rule probability of a complete assignment."""
-    net.validate_assignment(assignment, complete=True)
-    prob = 1.0
-    for name in net.dag.nodes:
-        cpt = net.cpts[name]
-        parent_states = [assignment[p.name] for p in cpt.parents]
-        prob *= cpt.prob(assignment[name], parent_states)
-        if prob == 0.0:
-            return 0.0
-    return prob

@@ -124,7 +124,10 @@ class CleanTable:
 
 @dataclass(frozen=True)
 class DataTable:
-    """Fully categorical table: a schema of Variables plus state-index rows."""
+    """Fully categorical table: a schema of Variables plus state-index rows.
+
+    ``rows`` is a read-only int64 array stored column by column.
+    """
 
     schema: tuple[Variable, ...]
     rows: np.ndarray
@@ -138,7 +141,8 @@ class DataTable:
         # reversed, so a repeated name keeps its first column, as tuple.index does
         index = {name: j for j, name in reversed(tuple(enumerate(self.names)))}
         object.__setattr__(self, "_index", index)
-        rows = np.array(self.rows, dtype=np.int64)
+        # column-major: the counting kernels gather whole columns
+        rows = np.array(self.rows, dtype=np.int64, order="F")
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise ValueError("rows must be a 2-D array with one column per variable")
         cards = np.array([v.cardinality for v in self.schema], dtype=np.int64)

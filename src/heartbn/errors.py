@@ -17,10 +17,6 @@ class DuplicateEdgeError(HeartBnError):
     """The same directed edge was declared twice."""
 
 
-class IncompleteAssignmentError(HeartBnError):
-    """A full joint probability was requested for a partial assignment."""
-
-
 class ZeroEvidenceError(HeartBnError):
     """The supplied evidence has probability exactly zero under the model."""
 

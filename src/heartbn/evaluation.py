@@ -12,7 +12,6 @@ plus aggregates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,9 +23,10 @@ from .errors import ZeroEvidenceError
 from .heart import heart_network
 from .inference import classify, classify_rows
 from .learn import (
-    SCORE_KINDS, fit_bayesian, fit_mle, hill_climb, hybrid_learn, learn_skeleton, orient,
+    SCORE_KINDS, _check_alpha, _check_ess, fit_bayesian, fit_mle, hill_climb, hybrid_learn,
+    learn_skeleton, orient,
 )
-from .naive_bayes import nb_fit
+from .naive_bayes import _check_pseudo, nb_fit
 
 MODEL_KINDS = ("bn-paper", "bn-learned", "nb")
 LEARNERS = ("hc", "pc", "hybrid")
@@ -147,12 +147,9 @@ def fit_model(
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
     if score_kind not in SCORE_KINDS:
         raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
-    if not 0.0 < ess < math.inf:
-        raise ValueError("ess must be positive and finite")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if not 0.0 <= pseudo < math.inf:
-        raise ValueError("pseudo must be non-negative and finite")
+    _check_ess(ess)
+    _check_alpha(alpha)
+    _check_pseudo(pseudo)
 
     if model_kind == "nb":
         return nb_fit(train, "target", pseudo)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Cpt, DiscreteBayesNet, Variable, _ancestral_set
+from .core import Cpt, DiscreteBayesNet, Variable, _reachable
 from .dataset import DataTable
 from .errors import SchemaMismatchError, ZeroEvidenceError
 
@@ -156,7 +156,7 @@ def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int])
     impossible evidence.
     """
     _check_query(net, query, evidence)
-    relevant = _ancestral_set(net.dag, (query, *evidence))
+    relevant = _reachable(net.dag._parents, (query, *evidence))
     factors = []
     for name in net.dag.nodes:
         if name not in relevant:

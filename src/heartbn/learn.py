@@ -16,15 +16,17 @@ DAG; :func:`hybrid_learn` restricts the hill climb to the learned skeleton.
 Counting: one kernel, :func:`_stacked_counts`, encodes many families (or CI
 tests) per row, each from its own offset, and counts them with one
 ``np.bincount``; a batch holds as many as fit :data:`_ROW_BUDGET` rows.  The
-fits count all their families in one call, :func:`hill_climb` the families
-a step lacks; a family's score terms are summed as one 1-D array, so a
-score is bitwise the same in any batch.  :func:`learn_skeleton` plans each
-level (every test the sequential order can reach from the neighborhoods at
-its start), counts the plan in size-sorted batches as the replay of that
-order first looks them up, and evaluates statistics, degrees of freedom and
-p-values as arrays.  :func:`count_table` (one family's (q, r) count
-array), :func:`family_score` and :func:`ci_test` are the batch-of-one case
-of the same code.
+fits count all their families in one call, :func:`score` all its families
+in one call and :func:`hill_climb`, per step, the add and delete scores its
+caches lack; every score goes through one ``kind``/``ess`` check and one
+scoring function, :func:`_scores`, which sums a family's terms as one 1-D
+array, so a score is bitwise the same in any batch.  :func:`learn_skeleton`
+plans each level (every test the sequential order can reach from the
+neighborhoods at its start), counts the plan in size-sorted batches as the
+replay of that order first looks them up, and evaluates statistics, degrees
+of freedom and p-values as arrays.  :func:`count_table` (one family's (q, r)
+count array), :func:`family_score` and :func:`ci_test` are the batch-of-one
+case of the same code.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cpt, Dag, DiscreteBayesNet, build_dag
+from .core import Cpt, Dag, DiscreteBayesNet, _reachable, build_dag
 from .dataset import DataTable
 from .errors import (
     ConflictingOrientationWarning,
@@ -60,10 +62,15 @@ MAX_MOVES = 200
 _Family = tuple[int, tuple[int, ...]]
 
 
-# Rows one stacked bincount may count.  A batch holds max(1, _ROW_BUDGET //
-# n_rows) families or CI tests: about 69 on a 237-row heart split, one at a
-# time on 20,000 rows, where stacking would only cost memory.
+# Rows one stacked bincount may count: a batch holds about 69 families or CI
+# tests on a 237-row heart split, one at a time on 20,000 rows, where
+# stacking would only cost memory.
 _ROW_BUDGET = 1 << 14
+
+
+def _batch_size(data: DataTable) -> int:
+    """Families or CI tests per stacked bincount."""
+    return max(1, _ROW_BUDGET // max(data.n_rows, 1))
 
 
 def _stacked_counts(
@@ -91,7 +98,7 @@ def _family_counts(data: DataTable, families: list[_Family]):
     child state.
     """
     cards = data.cards.tolist()
-    step = max(1, _ROW_BUDGET // max(data.n_rows, 1))
+    step = _batch_size(data)
     for batch in (families[start : start + step] for start in range(0, len(families), step)):
         width = 1 + max(len(parents) for _, parents in batch)
         columns, places, shapes = [], [], []
@@ -119,6 +126,11 @@ def _family_tables(data: DataTable, families: list[_Family]) -> list[np.ndarray]
     return tables
 
 
+def _families(dag: Dag, data: DataTable) -> list[_Family]:
+    """The dag's (child, parents) families in column-index form, in node order."""
+    return [(data.index(n), tuple(map(data.index, dag.parents(n)))) for n in dag.nodes]
+
+
 def count_table(data: DataTable, child: str, parents: tuple[str, ...] = ()) -> np.ndarray:
     """N(x, parent-config) as a (q, r) array: child states counted within each parent configuration.
 
@@ -144,9 +156,8 @@ def _require_unique_names(data: DataTable) -> None:
 def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
     """CPTs (N(x, pa) + a) / (N(pa) + a * r), a = cell_prior(q, r); zero-weight rows are uniform."""
     _require_nodes(dag, data)
-    families = [(data.index(n), tuple(map(data.index, dag.parents(n)))) for n in dag.nodes]
     cpts = {}
-    for node, counts in zip(dag.nodes, _family_tables(data, families)):
+    for node, counts in zip(dag.nodes, _family_tables(data, _families(dag, data))):
         q, r = counts.shape
         a = cell_prior(q, r)
         denominators = counts.sum(axis=1) + a * r
@@ -163,6 +174,11 @@ def fit_mle(dag: Dag, data: DataTable) -> DiscreteBayesNet:
     return _fit_dirichlet(dag, data, lambda q, r: 0.0)
 
 
+def _check_ess(ess: float) -> None:
+    if not 0.0 < ess < math.inf:
+        raise ValueError("ess must be positive and finite")
+
+
 def fit_bayesian(dag: Dag, data: DataTable, ess: float) -> DiscreteBayesNet:
     """Dirichlet-smoothed CPTs with equivalent sample size ``ess``.
 
@@ -170,8 +186,7 @@ def fit_bayesian(dag: Dag, data: DataTable, ess: float) -> DiscreteBayesNet:
     prior weight is spread uniformly over the whole table, so estimates
     shrink toward uniform and approach the MLE as ess -> 0.
     """
-    if not 0.0 < ess < math.inf:
-        raise ValueError("ess must be positive and finite")
+    _check_ess(ess)
     return _fit_dirichlet(dag, data, lambda q, r: ess / (r * q))
 
 
@@ -213,8 +228,18 @@ def _scores(
     ]
 
 
+def _check_score(kind: str, ess: float) -> None:
+    if kind not in SCORE_KINDS:
+        raise ValueError(f"kind must be one of {SCORE_KINDS}")
+    if kind == "bdeu":
+        _check_ess(ess)
+
+
 def _family_scores(data: DataTable, families: list[_Family], kind: str, ess: float) -> list[float]:
-    """Scores of (child, parents) column-index families, counted a batch per bincount."""
+    """Scores of (child, parents) column-index families, counted a batch per bincount.
+
+    Callers check ``kind`` and ``ess`` with :func:`_check_score` first.
+    """
     return [
         score
         for flat, shapes in _family_counts(data, families)
@@ -226,33 +251,16 @@ def family_score(
     data: DataTable, child: str, parents: tuple[str, ...], kind: str = "bic", ess: float = 10.0
 ) -> float:
     """Decomposable score contribution of one (child, parents) family."""
-    if kind not in SCORE_KINDS:
-        raise ValueError(f"kind must be one of {SCORE_KINDS}")
-    if kind == "bdeu" and not 0.0 < ess < math.inf:
-        raise ValueError("ess must be positive and finite")
+    _check_score(kind, ess)
     counts = count_table(data, child, parents)
     return _scores(counts.ravel(), [counts.shape], data.n_rows, kind, ess)[0]
 
 
 def score(dag: Dag, data: DataTable, kind: str = "bic", ess: float = 10.0) -> float:
-    """Total network score: the sum of its family scores."""
+    """Total network score: the sum of its family scores, counted together."""
     _require_nodes(dag, data)
-    return sum(family_score(data, node, dag.parents(node), kind, ess) for node in dag.nodes)
-
-
-def _creates_cycle(parent_sets: Mapping[str, Iterable[str]], parent: str, child: str) -> bool:
-    """Would adding parent -> child close a directed cycle?"""
-    stack = [parent]
-    seen = set()
-    while stack:
-        n = stack.pop()
-        if n == child:
-            return True
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(parent_sets[n])
-    return False
+    _check_score(kind, ess)
+    return sum(_family_scores(data, _families(dag, data), kind, ess))
 
 
 def _ancestors(parents: np.ndarray) -> np.ndarray:
@@ -296,10 +304,9 @@ def hill_climb(
     if allowed is not None:
         pairs_ok &= np.array([[frozenset((a, b)) in allowed for a in names] for b in names])
     parents = np.zeros((n, n), dtype=bool)  # parents[c, p]: edge p -> c
-    # every family scored so far, keyed by (child, sorted parents)
-    known = {(c, ()): family_score(data, name, (), kind, ess) for c, name in enumerate(names)}
-    current = sum(known.values())
-    now = np.array(list(known.values()))  # now[c]: score of c's family
+    start = [family_score(data, name, (), kind, ess) for name in names]  # checks kind and ess
+    current = sum(start)
+    now = np.array(start)  # now[c]: score of c's family
     # plus[c, p] / minus[c, p]: score of c's family with p added / removed; NaN until needed
     plus = np.full((n, n), np.nan)
     minus = np.full((n, n), np.nan)
@@ -315,15 +322,17 @@ def hill_climb(
         parent_sets: list[set[int]] = [set() for _ in names]
         for c, p in np.argwhere(parents).tolist():
             parent_sets[c].add(p)
-        wanted = []  # (cache, child, other, family): plus adds other, minus removes it
-        for cache, needed in ((plus, can_add | can_reverse.T), (minus, parents)):
-            for c, p in np.argwhere(needed & np.isnan(cache)).tolist():
-                wanted.append((cache, c, p, (c, tuple(sorted(parent_sets[c] ^ {p})))))
-        missing = [family for *_, family in wanted if family not in known]
-        families = [(columns[c], tuple(columns[p] for p in pa)) for c, pa in missing]
-        known.update(zip(missing, _family_scores(data, families, kind, ess)))
-        for cache, c, p, family in wanted:
-            cache[c, p] = known[family]
+        wanted = [  # (cache, child, other): plus adds other, minus removes it
+            (cache, c, p)
+            for cache, needed in ((plus, can_add | can_reverse.T), (minus, parents))
+            for c, p in np.argwhere(needed & np.isnan(cache)).tolist()
+        ]
+        families = [
+            (columns[c], tuple(columns[q] for q in sorted(parent_sets[c] ^ {p})))
+            for _, c, p in wanted
+        ]
+        for (cache, c, p), value in zip(wanted, _family_scores(data, families, kind, ess)):
+            cache[c, p] = value
 
         add = np.where(can_add, plus - now[:, None], -np.inf)
         delete = np.where(parents, minus - now[:, None], -np.inf)
@@ -473,7 +482,7 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
     _require_unique_names(data)
     names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
     columns = np.array([data.index(name) for name in names])
-    step = max(1, _ROW_BUDGET // max(data.n_rows, 1))
+    step = _batch_size(data)
     edges = set(itertools.combinations(range(len(names)), 2))
     neighbors = [set(range(len(names))) - {n} for n in range(len(names))]
     sepsets: dict[tuple[str, str], frozenset[str]] = {}
@@ -586,7 +595,7 @@ def orient(skeleton: Skeleton) -> Dag:
     parent_sets: dict[str, set[str]] = {n: set() for n in skeleton.nodes}
 
     def add_edge(parent: str, child: str, demanded: bool) -> None:
-        if _creates_cycle(parent_sets, parent, child):
+        if child in _reachable(parent_sets, (parent,)):  # child is an ancestor of parent
             if demanded:
                 warnings.warn(
                     f"orientation {parent} -> {child} would close a cycle; reversed",
@@ -614,5 +623,6 @@ def hybrid_learn(
     up to three variables); :func:`hill_climb` then searches over its edges,
     for at most :data:`MAX_MOVES` accepted moves.
     """
+    _check_score(kind, ess)
     allowed = {frozenset(pair) for pair in learn_skeleton(data, alpha).edges}
     return hill_climb(data, kind=kind, ess=ess, allowed=allowed)

@@ -22,6 +22,11 @@ from .inference import Posterior, classify
 from .learn import _fit_dirichlet
 
 
+def _check_pseudo(pseudo: float) -> None:
+    if not 0.0 <= pseudo < math.inf:
+        raise ValueError("pseudo must be non-negative and finite")
+
+
 def nb_fit(data: DataTable, class_var: str, pseudo: float = 1.0) -> DiscreteBayesNet:
     """The star network class -> each feature, its CPTs from (optionally smoothed) frequencies.
 
@@ -30,8 +35,7 @@ def nb_fit(data: DataTable, class_var: str, pseudo: float = 1.0) -> DiscreteBaye
     is the plain relative frequency, and a class never seen with pseudo = 0
     gets uniform conditionals.
     """
-    if not 0.0 <= pseudo < math.inf:
-        raise ValueError("pseudo must be non-negative and finite")
+    _check_pseudo(pseudo)
     features = tuple(name for name in data.names if name != class_var)
     dag = build_dag((class_var,) + features, tuple((class_var, f) for f in features))
     return _fit_dirichlet(dag, data, lambda q, r: pseudo)

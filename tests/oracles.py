@@ -4,7 +4,8 @@ The d-separation oracle enumerates every undirected simple path and applies
 the blocking rules literally, deliberately ignoring the library's
 reachability algorithm.  The Naive Bayes oracle accumulates the class
 posterior in log space straight from the model's tables, without the
-library's inference.  The chi-squared oracle tests one stratum at a time
+library's inference, and the joint oracle multiplies one CPT entry per node
+of a complete assignment.  The chi-squared oracle tests one stratum at a time
 and takes its p-value from ``scipy.stats``; the PC skeleton oracle calls it
 once per test, in the library's documented order, without batching, and
 the hill-climb oracle rescans and rescores every move at every step.  The
@@ -68,6 +69,19 @@ def d_separated_bruteforce(dag: Dag, x: set[str], y: set[str], z: set[str]) -> b
                 if not path_blocked(dag, path, z):
                     return False
     return True
+
+
+def joint_probability(net: DiscreteBayesNet, assignment: dict[str, int]) -> float:
+    """Chain-rule probability of a complete assignment, one CPT entry per node."""
+    net.validate_assignment(assignment)
+    missing = set(net.dag.nodes) - set(assignment)
+    if missing:
+        raise ValueError(f"assignment misses {sorted(missing)}")
+    prob = 1.0
+    for name in net.dag.nodes:
+        cpt = net.cpts[name]
+        prob *= cpt.prob(assignment[name], [assignment[p.name] for p in cpt.parents])
+    return prob
 
 
 def nb_posterior_logspace(

@@ -214,6 +214,27 @@ class TestDataTable:
             with pytest.raises(ValueError, match=f"column '{named}' has state indices"):
                 DataTable(schema, np.array(rows))
 
+    def test_rows_column_major_and_read_only(self, tmp_path):
+        # the counting kernels gather whole columns, so every way of making
+        # a table must store it column by column
+        schema = (Variable("a", "01"), Variable("b", "012"), Variable("c", "01"))
+        built = DataTable(schema, np.array([[0, 2, 1], [1, 0, 0], [1, 1, 1]]))
+        heart = discretize(clean(load_cleveland()))
+        write_table_csv(heart, tmp_path / "heart.csv")
+        tables = {
+            "constructor": built,
+            "take": heart.take([5, 0, 9]),
+            "split": split(heart, 0.8, 3)[0],
+            "discretize": heart,
+            "read_table_csv": read_table_csv(tmp_path / "heart.csv"),
+        }
+        for how, table in tables.items():
+            rows = table.rows
+            assert rows.flags.f_contiguous and not rows.flags.c_contiguous, how
+            assert not rows.flags.writeable, how
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, heart_table, tmp_path):

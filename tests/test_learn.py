@@ -285,6 +285,32 @@ class TestRepeatedColumnNames:
             learner(data)
 
 
+class TestScoreArgumentsCheckedFirst:
+    """A bad kind or BDeu ess is rejected before any table is counted."""
+
+    DATA = binary_table({"a": [0, 1, 1, 0], "b": [1, 1, 0, 0], "c": [0, 0, 1, 1]})
+
+    @pytest.mark.parametrize(
+        "kind, ess", [("aic", 10.0), ("bdeu", 0.0), ("bdeu", -1.0), ("bdeu", math.inf)]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda data, kind, ess: hill_climb(data, kind=kind, ess=ess),
+            lambda data, kind, ess: hybrid_learn(data, kind=kind, ess=ess),
+            lambda data, kind, ess: score(build_dag(data.names, ()), data, kind, ess),
+        ],
+        ids=["hill_climb", "hybrid_learn", "score"],
+    )
+    def test_rejected_before_any_counting(self, call, kind, ess, monkeypatch):
+        def no_counting(*args):
+            raise AssertionError("counted a table before checking kind and ess")
+
+        monkeypatch.setattr(learn, "_stacked_counts", no_counting)
+        with pytest.raises(ValueError, match="^(kind|ess) must be"):
+            call(self.DATA, kind, ess)
+
+
 class TestPriorWeights:
     """ess must be positive and finite, pseudo non-negative and finite, in every entry point."""
 
