@@ -13,20 +13,14 @@ or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
 by chi-squared independence tests and :func:`orient` turns the result into a
 DAG; :func:`hybrid_learn` restricts the hill climb to the learned skeleton.
 
-Counting: one kernel, :func:`_stacked_counts`, encodes many families (or CI
-tests) per row, each from its own offset, and counts them with one
-``np.bincount``; a batch holds as many as fit :data:`_ROW_BUDGET` rows.  The
-fits count all their families in one call, :func:`score` all its families
-in one call and :func:`hill_climb`, per step, the add and delete scores its
-caches lack; every score goes through one ``kind``/``ess`` check and one
-scoring function, :func:`_scores`, which sums a family's terms as one 1-D
-array, so a score is bitwise the same in any batch.  :func:`learn_skeleton`
-plans each level (every test the sequential order can reach from the
-neighborhoods at its start), counts the plan in size-sorted batches as the
-replay of that order first looks them up, and evaluates statistics, degrees
-of freedom and p-values as arrays.  :func:`count_table` (one family's (q, r)
-count array), :func:`family_score` and :func:`ci_test` are the batch-of-one
-case of the same code.
+Counting: one kernel, :func:`_stacked_counts`, codes a batch of families
+(or CI tests) with one exact float64 matrix product of the rows and their
+place values, each from its own offset, and counts them with one
+``np.bincount``.  Layouts are arrays, built from parent lists (fits,
+:func:`score`), parent masks (:func:`hill_climb`) or a skeleton level's
+tests.  :func:`_scores` sums each family's terms as one 1-D array, so a
+score is bitwise the same in any batch; :func:`count_table`,
+:func:`family_score` and :func:`ci_test` are batches of one.
 """
 
 from __future__ import annotations
@@ -58,10 +52,6 @@ MIN_IMPROVEMENT = 1e-9
 # Accepted moves after which hill_climb stops even short of a local optimum.
 MAX_MOVES = 200
 
-# A family in the column-index form the counting kernel takes: (child, parents).
-_Family = tuple[int, tuple[int, ...]]
-
-
 # Rows one stacked bincount may count: a batch holds about 69 families or CI
 # tests on a 237-row heart split, one at a time on 20,000 rows, where
 # stacking would only cost memory.
@@ -73,71 +63,83 @@ def _batch_size(data: DataTable) -> int:
     return max(1, _ROW_BUDGET // max(data.n_rows, 1))
 
 
-def _stacked_counts(
-    data: DataTable, columns: np.ndarray, places: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
+def _stacked_counts(data: DataTable, places: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Count many code layouts over the same rows with one ``np.bincount``.
 
-    Member i is row i of ``columns`` and ``places`` (members, width): a row's
-    code is the sum of those columns' values times their place values, and
-    member i's counts fill the next ``sizes[i]`` cells of the flat result.
+    Member i's place values are row i of ``places``, one per column of
+    ``data`` (0 for a column it does not read); a row's code is its dot
+    product with them, and member i's counts fill the next ``sizes[i]``
+    cells.  A batch's codes are one float64 matrix product, exact because
+    every code stays below 2**53 (a larger layout is refused).  A lone
+    member (a batch of one on many rows) adds up only the int64 columns it
+    reads, which at 20,000 rows takes half the time of a product over them.
     """
     ends = sizes.cumsum()
-    codes = (ends - sizes) + data.rows[:, columns[:, 0]] * places[:, 0]
-    for k in range(1, columns.shape[1]):
-        codes += data.rows[:, columns[:, k]] * places[:, k]
+    if ends[-1] > 2.0**53:
+        raise ValueError(f"{ends[-1]:.4g} cells exceed the 2**53 codes a float64 holds exactly")
+    if len(places) == 1:
+        codes = np.zeros(data.n_rows, dtype=np.intp)
+        for j in places[0].nonzero()[0].tolist():
+            codes += data.rows[:, j] * int(places[0, j])
+    else:
+        codes = (data.rows.astype(float) @ places.T + (ends - sizes)).astype(np.intp)
     return np.bincount(codes.ravel(), minlength=int(ends[-1]))
 
 
-def _family_counts(data: DataTable, families: list[_Family]):
-    """Yield, per batch of (child, parents) column-index families, the flat
-    stacked counts and each family's (q, r) shape.
+_Layout = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    A family's counts are a q-by-r table in row-major order: one row per
-    parent configuration (last parent varying fastest), one column per
-    child state.
+
+def _layout(data: DataTable, families: list[tuple[str, tuple[str, ...]]]) -> _Layout:
+    """Child columns, place values and sizes q * r of (child, parents) families.
+
+    The child has place value 1 and each parent the product of the cards of
+    the child and the parents after it: the last parent varies fastest.
     """
-    cards = data.cards.tolist()
+    places, sizes, cards = np.zeros((len(families), len(data.names))), [], data.cards.tolist()
+    children = [data.index(child) for child, _ in families]
+    for row, child, (_, parents) in zip(places, children, families):
+        row[child], size = 1.0, float(cards[child])
+        for p in map(data.index, reversed(parents)):
+            row[p] = size
+            size *= cards[p]
+        sizes.append(size)
+    return np.array(children, dtype=np.intp), places, np.array(sizes)
+
+
+def _family_counts(data: DataTable, layout: _Layout):
+    """Yield, per batch of families, the flat stacked counts and a (q, r) row per family."""
+    children, places, sizes = layout
     step = _batch_size(data)
-    for batch in (families[start : start + step] for start in range(0, len(families), step)):
-        width = 1 + max(len(parents) for _, parents in batch)
-        columns, places, shapes = [], [], []
-        for child, parents in batch:
-            # the child, then its parents from last to first; padding repeats
-            # the child at place value 0
-            place, member, values = cards[child], [child], [1]
-            for p in reversed(parents):
-                member.append(p)
-                values.append(place)
-                place *= cards[p]
-            columns.append(member + [child] * (width - len(member)))
-            places.append(values + [0] * (width - len(values)))
-            shapes.append((place // cards[child], cards[child]))
-        sizes = np.array([q * r for q, r in shapes])
-        yield _stacked_counts(data, np.array(columns), np.array(places), sizes), shapes
+    for batch in (slice(start, start + step) for start in range(0, len(children), step)):
+        flat = _stacked_counts(data, places[batch], sizes[batch])
+        r = data.cards[children[batch]]
+        yield flat, np.column_stack(((sizes[batch] // r).astype(int), r))
 
 
-def _family_tables(data: DataTable, families: list[_Family]) -> list[np.ndarray]:
-    """The (q, r) count table of each (child, parents) column-index family."""
+def _family_tables(data: DataTable, layout: _Layout) -> list[np.ndarray]:
+    """The (q, r) count table of each family of ``layout``."""
     tables = []
-    for flat, shapes in _family_counts(data, families):
-        pieces = np.split(flat, np.cumsum([q * r for q, r in shapes[:-1]]))
-        tables += [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
+    for flat, shapes in _family_counts(data, layout):
+        start = 0
+        for q, r in shapes.tolist():
+            tables.append(flat[start : start + q * r].reshape(q, r))
+            start += q * r
     return tables
 
 
-def _families(dag: Dag, data: DataTable) -> list[_Family]:
-    """The dag's (child, parents) families in column-index form, in node order."""
-    return [(data.index(n), tuple(map(data.index, dag.parents(n)))) for n in dag.nodes]
+def _require_distinct(*names: str) -> None:
+    if len(set(names)) < len(names):
+        raise ValueError(f"{names} names a variable more than once")
 
 
 def count_table(data: DataTable, child: str, parents: tuple[str, ...] = ()) -> np.ndarray:
     """N(x, parent-config) as a (q, r) array: child states counted within each parent configuration.
 
     One row per parent configuration (last declared parent varying fastest),
-    one column per child state.
+    one column per child state.  The child and its parents must be distinct.
     """
-    (counts,) = _family_tables(data, [(data.index(child), tuple(map(data.index, parents)))])
+    _require_distinct(child, *parents)
+    (counts,) = _family_tables(data, _layout(data, [(child, parents)]))
     return counts
 
 
@@ -157,7 +159,8 @@ def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
     """CPTs (N(x, pa) + a) / (N(pa) + a * r), a = cell_prior(q, r); zero-weight rows are uniform."""
     _require_nodes(dag, data)
     cpts = {}
-    for node, counts in zip(dag.nodes, _family_tables(data, _families(dag, data))):
+    layout = _layout(data, [(node, dag.parents(node)) for node in dag.nodes])
+    for node, counts in zip(dag.nodes, _family_tables(data, layout)):
         q, r = counts.shape
         a = cell_prior(q, r)
         denominators = counts.sum(axis=1) + a * r
@@ -190,28 +193,27 @@ def fit_bayesian(dag: Dag, data: DataTable, ess: float) -> DiscreteBayesNet:
     return _fit_dirichlet(dag, data, lambda q, r: ess / (r * q))
 
 
-def _scores(
-    flat: np.ndarray, shapes: list[tuple[int, int]], n_rows: int, kind: str, ess: float
-) -> list[float]:
-    """Scores of families whose (q, r) count tables lie end to end in ``flat``.
+def _scores(flat: np.ndarray, shapes: np.ndarray, n_rows: int, kind: str, ess: float) -> list:
+    """Scores of families whose count tables, (q, r) rows of ``shapes``, lie end to end in ``flat``.
 
     The terms are computed elementwise over all families at once, but each
     family's terms are summed as one contiguous 1-D array, so a score is
     bitwise the same in any batch.
     """
-    q, r = (np.array(dim) for dim in zip(*shapes))
-    widths = np.repeat(r, q)  # one entry per parent configuration
-    totals = np.add.reduceat(flat, np.cumsum(widths) - widths)
+    q, r = shapes.T
+    widths = r.repeat(q)  # one entry per parent configuration
+    totals = np.add.reduceat(flat, widths.cumsum() - widths)
     counts = flat.astype(float)
+    cell_ends = (q * r).cumsum()
     if kind == "bic":
         positive = flat > 0
-        cell_totals = np.repeat(totals, widths)[positive].astype(float)
-        terms = counts[positive] * np.log(counts[positive] / cell_totals)
-        ends = np.cumsum(positive)[np.cumsum(q * r) - 1].tolist()
+        cells = counts[positive]
+        terms = cells * np.log(cells / totals.repeat(widths)[positive].astype(float))
+        ends = positive.cumsum()[cell_ends - 1].tolist()
         log_n = math.log(n_rows) if n_rows > 0 else 0.0
         return [
-            float(terms[start:end].sum()) - 0.5 * log_n * q_ * (r_ - 1)
-            for start, end, (q_, r_) in zip([0, *ends], ends, shapes)
+            float(np.add.reduce(terms[start:end])) - 0.5 * log_n * q_ * (r_ - 1)
+            for start, end, (q_, r_) in zip([0, *ends], ends, shapes.tolist())
         ]
     from scipy.special import gammaln  # imported on first use: scipy more than doubles import time
 
@@ -219,12 +221,10 @@ def _scores(
     alpha_cell = np.repeat(ess / (q * r), q * r)
     row_terms = gammaln(alpha_row) - gammaln(alpha_row + totals.astype(float))
     cell_terms = gammaln(alpha_cell + counts) - gammaln(alpha_cell)
-    row_ends, cell_ends = np.cumsum(q).tolist(), np.cumsum(q * r).tolist()
+    row_ends, cell_ends = q.cumsum().tolist(), cell_ends.tolist()
     return [
-        float(row_terms[row_start:row_end].sum()) + float(cell_terms[cell_start:cell_end].sum())
-        for row_start, row_end, cell_start, cell_end in zip(
-            [0, *row_ends], row_ends, [0, *cell_ends], cell_ends
-        )
+        float(np.add.reduce(row_terms[a:b])) + float(np.add.reduce(cell_terms[c:d]))
+        for a, b, c, d in zip([0, *row_ends], row_ends, [0, *cell_ends], cell_ends)
     ]
 
 
@@ -235,14 +235,11 @@ def _check_score(kind: str, ess: float) -> None:
         _check_ess(ess)
 
 
-def _family_scores(data: DataTable, families: list[_Family], kind: str, ess: float) -> list[float]:
-    """Scores of (child, parents) column-index families, counted a batch per bincount.
-
-    Callers check ``kind`` and ``ess`` with :func:`_check_score` first.
-    """
+def _family_scores(data: DataTable, layout: _Layout, kind: str, ess: float) -> list[float]:
+    """Scores of the families of ``layout``; callers check ``kind`` and ``ess`` first."""
     return [
         score
-        for flat, shapes in _family_counts(data, families)
+        for flat, shapes in _family_counts(data, layout)
         for score in _scores(flat, shapes, data.n_rows, kind, ess)
     ]
 
@@ -253,14 +250,15 @@ def family_score(
     """Decomposable score contribution of one (child, parents) family."""
     _check_score(kind, ess)
     counts = count_table(data, child, parents)
-    return _scores(counts.ravel(), [counts.shape], data.n_rows, kind, ess)[0]
+    return _scores(counts.ravel(), np.array([counts.shape]), data.n_rows, kind, ess)[0]
 
 
 def score(dag: Dag, data: DataTable, kind: str = "bic", ess: float = 10.0) -> float:
     """Total network score: the sum of its family scores, counted together."""
     _require_nodes(dag, data)
     _check_score(kind, ess)
-    return sum(_family_scores(data, _families(dag, data), kind, ess))
+    layout = _layout(data, [(node, dag.parents(node)) for node in dag.nodes])
+    return sum(_family_scores(data, layout, kind, ess))
 
 
 def _ancestors(parents: np.ndarray) -> np.ndarray:
@@ -290,7 +288,7 @@ def hill_climb(
     The search is incremental.  Per child it caches the score of its family
     with each candidate parent added and with each parent removed; a move
     clears only the children it changes, and the families a step still
-    lacks are counted together by the stacked bincount kernel.  An ancestor
+    lacks are laid out from parent masks and counted together.  An ancestor
     matrix, rebuilt after each move, rules out cycles.  Ties go to the first
     move in the order add (parent-major), delete, reverse (child-major).
     """
@@ -299,17 +297,20 @@ def hill_climb(
     _require_unique_names(data)
     names = sorted(data.names)
     n = len(names)
-    columns = [data.index(name) for name in names]
+    columns = np.array([data.index(name) for name in names])
+    cards, rank_of_column = data.cards[columns].astype(float), np.argsort(columns)
     pairs_ok = ~np.eye(n, dtype=bool)
     if allowed is not None:
+        bad = sorted(sorted(pair) for pair in allowed if len(pair) != 2 or not pair <= set(names))
+        if bad:
+            raise SchemaMismatchError(f"allowed pairs must name two data columns, not {bad}")
         pairs_ok &= np.array([[frozenset((a, b)) in allowed for a in names] for b in names])
     parents = np.zeros((n, n), dtype=bool)  # parents[c, p]: edge p -> c
     start = [family_score(data, name, (), kind, ess) for name in names]  # checks kind and ess
     current = sum(start)
     now = np.array(start)  # now[c]: score of c's family
     # plus[c, p] / minus[c, p]: score of c's family with p added / removed; NaN until needed
-    plus = np.full((n, n), np.nan)
-    minus = np.full((n, n), np.nan)
+    plus, minus = cache = np.full((2, n, n), np.nan)
     if trace is not None:
         trace.append(current)
 
@@ -319,20 +320,16 @@ def hill_climb(
         can_add = pairs_ok & ~parents & ~parents.T & ~anc
         # reverse p -> c: p is not an ancestor of another parent of c
         can_reverse = parents & ~(parents @ anc.T)
-        parent_sets: list[set[int]] = [set() for _ in names]
-        for c, p in np.argwhere(parents).tolist():
-            parent_sets[c].add(p)
-        wanted = [  # (cache, child, other): plus adds other, minus removes it
-            (cache, c, p)
-            for cache, needed in ((plus, can_add | can_reverse.T), (minus, parents))
-            for c, p in np.argwhere(needed & np.isnan(cache)).tolist()
-        ]
-        families = [
-            (columns[c], tuple(columns[q] for q in sorted(parent_sets[c] ^ {p})))
-            for _, c, p in wanted
-        ]
-        for (cache, c, p), value in zip(wanted, _family_scores(data, families, kind, ess)):
-            cache[c, p] = value
+        # the plus (k = 0) and minus (k = 1) scores this step needs and lacks
+        k, c, p = np.nonzero(np.stack([can_add | can_reverse.T, parents]) & np.isnan(cache))
+        masks = parents[c]  # each family's parents in name order, the last varying fastest
+        masks[np.arange(len(c)), p] ^= True
+        factors = np.where(masks, cards, 1.0)
+        after = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]  # product of factors[:, j:]
+        places = masks * cards[c, None] * after / factors  # r times the cards of later parents
+        places[np.arange(len(c)), c] = 1.0
+        layout = (columns[c], places[:, rank_of_column], cards[c] * after[:, 0])
+        cache[k, c, p] = _family_scores(data, layout, kind, ess)
 
         add = np.where(can_add, plus - now[:, None], -np.inf)
         delete = np.where(parents, minus - now[:, None], -np.inf)
@@ -388,14 +385,17 @@ def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int, floa
     nx, ny = cards[:, :2].max(axis=0).tolist()
     # y varies fastest, then x, then z with its last variable fastest
     digits = [1, 0, *range(tests.shape[1] - 1, 1, -1)]
-    columns, dims = tests.take(digits, axis=1), cards.take(digits, axis=1)
+    columns, dims = tests.take(digits, axis=1), cards.take(digits, axis=1).astype(float)
     dims[:, :2] = ny, nx
     spans = dims.cumprod(axis=1)  # the last is a test's table size, padded to nx by ny
-    size = int(spans[:, -1].max())
-    flat = _stacked_counts(data, columns, spans // dims, np.full(len(tests), size))
-    tables = flat.reshape(len(tests), size // (nx * ny), nx, ny).astype(float)
-    x_margins, y_margins = tables.sum(axis=3), tables.sum(axis=2)
+    size = spans[:, -1].max()
+    places = np.zeros((len(tests), len(data.cards)))
+    places[np.arange(len(tests))[:, None], columns] = spans / dims
+    flat = _stacked_counts(data, places, np.full(len(tests), size))
+    counts = flat.reshape(len(tests), int(size) // (nx * ny), nx, ny)
+    x_margins, y_margins = counts.sum(axis=3), counts.sum(axis=2)  # integer sums: exact
     totals = x_margins.sum(axis=2)
+    tables = counts.astype(float)
     scale = np.where(totals > 0, totals, 1.0)[..., None, None]
     expected = x_margins[..., None] * y_margins[..., None, :] / scale
     deviations = (tables - expected) ** 2 / np.where(expected > 0, expected, 1.0)
@@ -417,9 +417,10 @@ def ci_test(
     Vectorized over strata: strata with zero counts are dropped, each kept
     one adds (r_x - 1)(r_y - 1) degrees of freedom, and the p-value is the
     chi-squared survival function (``scipy.special.chdtrc``).  Independence
-    is declared when the p-value exceeds ``alpha``.  This is a batch of one
-    for the kernel :func:`learn_skeleton` batches its tests through.
+    is declared when the p-value exceeds ``alpha``.  x, y and z must be
+    distinct.  This is a batch of one for :func:`learn_skeleton`'s kernel.
     """
+    _require_distinct(x, y, *z)
     test = np.array([[data.index(x), data.index(y), *map(data.index, z)]])
     _check_alpha(alpha)
     ((statistic, dof, p_value),) = _ci_batch(data, test)
@@ -471,12 +472,12 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
     Each level is planned, counted and replayed.  The plan holds every
     remaining pair's candidate subsets at the start of the level, and so
     every test the order above can reach, since neighborhoods only shrink.
-    Its tests are sorted by table size and cut into batches, and a batch is
-    counted when the replay first looks up one of its tests.  The replay
-    lists each pair's subsets again from the neighborhoods as they stand, a
-    subset of its plan, and looks their tests up in order.  A test without
-    degrees of freedom raises :class:`InsufficientDataError` when looked
-    up, so the result is exactly that of testing one at a time.
+    Its tests are sorted by table size and cut into batches.  The replay
+    lists each pair's subsets again from the neighborhoods as they stand and
+    looks their tests up in order, counting a batch when it first needs one
+    of its tests.  A test without degrees of freedom raises
+    :class:`InsufficientDataError` when looked up, so the result is exactly
+    that of testing one at a time.
     """
     _check_alpha(alpha)
     _require_unique_names(data)
@@ -493,6 +494,12 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
         y_side = itertools.combinations(sorted(neighbors[y] - {x}), level)
         return dict.fromkeys(itertools.chain(x_side, y_side))
 
+    def separate(x: int, y: int, z: tuple[int, ...]) -> None:
+        edges.discard((x, y))
+        neighbors[x].discard(y)
+        neighbors[y].discard(x)
+        sepsets[(names[x], names[y])] = frozenset(names[v] for v in z)
+
     for level in range(max_sepset + 1):
         pairs = sorted(edges)
         tests = [(x, y, *z) for x, y in pairs for z in candidates(x, y, level)]
@@ -500,28 +507,22 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
             break
         planned = columns[np.array(tests)]
         by_size = np.argsort(data.cards[planned].prod(axis=1), kind="stable")
-        slots = dict(zip(tests, np.argsort(by_size).tolist()))  # test -> place in size order
-        scored: list = [None] * len(tests)
-
-        def independent(test: tuple[int, ...]) -> bool:
-            i = slots[test]
-            if scored[i] is None:
-                start = i - i % step
-                batch = planned[by_size[start : start + step]]
-                scored[start : start + len(batch)] = _ci_batch(data, batch)
-            _, dof, p_value = scored[i]
-            if dof == 0:
-                z = tuple(names[v] for v in test[2:])
-                raise InsufficientDataError(f"every stratum of {z} is empty")
-            return p_value > alpha
-
+        place = dict(zip(tests, np.argsort(by_size).tolist()))  # test -> place in size order
+        scored: list = [None] * len(tests)  # (statistic, dof, p-value) once counted
         for x, y in pairs:
-            z = next((z for z in candidates(x, y, level) if independent((x, y, *z))), None)
-            if z is not None:
-                edges.discard((x, y))
-                neighbors[x].discard(y)
-                neighbors[y].discard(x)
-                sepsets[(names[x], names[y])] = frozenset(names[v] for v in z)
+            for z in candidates(x, y, level):
+                i = place[(x, y, *z)]
+                if scored[i] is None:  # count the size-order batch that holds the test
+                    start = i - i % step
+                    batch = planned[by_size[start : start + step]]
+                    scored[start : start + len(batch)] = _ci_batch(data, batch)
+                _, dof, p_value = scored[i]
+                if dof == 0:
+                    z = tuple(names[v] for v in z)
+                    raise InsufficientDataError(f"every stratum of {z} is empty")
+                if p_value > alpha:
+                    separate(x, y, z)
+                    break
     return Skeleton(tuple(data.names), frozenset((names[x], names[y]) for x, y in edges), sepsets)
 
 

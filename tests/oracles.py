@@ -9,9 +9,12 @@ of a complete assignment.  The chi-squared oracle tests one stratum at a time
 and takes its p-value from ``scipy.stats``; the PC skeleton oracle calls it
 once per test, in the library's documented order, without batching, and
 the hill-climb oracle rescans and rescores every move at every step.  The
-generators produce small random DAGs and networks for randomized
-comparisons, and two ancestral samplers draw rows from a network: one row
-at a time, or one node at a time for all rows.
+score oracles compute BIC as a row log-likelihood under the family's MLE
+and BDeu as a product of sequential predictive probabilities, without
+``gammaln``; the code counter counts the counting kernel's layouts one row
+at a time in Python integers.  The generators produce small random DAGs
+and networks for randomized comparisons, and two ancestral samplers draw
+rows from a network: one row at a time, or one node at a time for all rows.
 """
 
 from __future__ import annotations
@@ -134,6 +137,62 @@ def ci_test_per_stratum(
         raise InsufficientDataError(f"every stratum of {z} is empty")
     p_value = float(chi2.sf(statistic, dof))
     return CITestResult(statistic, dof, p_value, p_value > alpha)
+
+
+def _family_configs(data: DataTable, child: str, parents: tuple[str, ...]):
+    """Each row's (parent configuration, child state) as Python ints, and q, r."""
+    child_column = data.column(child).tolist()
+    parent_columns = [data.column(p).tolist() for p in parents]
+    configs = [0] * data.n_rows
+    for p, column in zip(parents, parent_columns):
+        card = data.variable(p).cardinality
+        configs = [j * card + v for j, v in zip(configs, column)]
+    q = math.prod(data.variable(p).cardinality for p in parents)
+    return list(zip(configs, child_column)), q, data.variable(child).cardinality
+
+
+def bic_row_loglik(data: DataTable, child: str, parents: tuple[str, ...]) -> float:
+    """BIC of one family: sum over rows of log P(child | parents) under the
+    family's MLE, minus 1/2 log N times q (r - 1) free parameters."""
+    rows, q, r = _family_configs(data, child, parents)
+    cells: dict[tuple[int, int], int] = {}
+    configs: dict[int, int] = {}
+    for j, k in rows:
+        cells[j, k] = cells.get((j, k), 0) + 1
+        configs[j] = configs.get(j, 0) + 1
+    loglik = sum(math.log(cells[j, k] / configs[j]) for j, k in rows)
+    log_n = math.log(data.n_rows) if data.n_rows else 0.0
+    return loglik - 0.5 * log_n * q * (r - 1)
+
+
+def bdeu_sequential(data: DataTable, child: str, parents: tuple[str, ...], ess: float) -> float:
+    """BDeu of one family as the log of a product of predictive probabilities:
+    each row in turn adds log((N_jk + a_jk) / (N_j + a_j)) from the counts of
+    the rows before it, with a_jk = ess / (q r) and a_j = ess / q."""
+    rows, q, r = _family_configs(data, child, parents)
+    a_cell, a_config = ess / (q * r), ess / q
+    cells: dict[tuple[int, int], int] = {}
+    configs: dict[int, int] = {}
+    total = 0.0
+    for j, k in rows:
+        total += math.log((cells.get((j, k), 0) + a_cell) / (configs.get(j, 0) + a_config))
+        cells[j, k] = cells.get((j, k), 0) + 1
+        configs[j] = configs.get(j, 0) + 1
+    return total
+
+
+def count_codes_per_row(rows: np.ndarray, places: np.ndarray, sizes: np.ndarray) -> list[int]:
+    """The counting kernel's flat result, one row and one member at a time:
+    member i's code for a row is the sum of each value times its place,
+    counted at its offset, the sum of the sizes before it."""
+    counts = [0] * int(sum(int(s) for s in sizes))
+    offset = 0
+    for place_row, size in zip(places.tolist(), sizes.tolist()):
+        place_row = [int(v) for v in place_row]
+        for row in rows.tolist():
+            counts[offset + sum(v * w for v, w in zip(row, place_row))] += 1
+        offset += int(size)
+    return counts
 
 
 def hill_climb_sequential(

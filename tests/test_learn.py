@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -40,7 +41,10 @@ from heartbn.evaluation import fit_model
 
 import oracles
 from oracles import (
+    bdeu_sequential,
+    bic_row_loglik,
     ci_test_per_stratum,
+    count_codes_per_row,
     hill_climb_sequential,
     pc_skeleton_sequential,
     random_net,
@@ -77,6 +81,10 @@ def orient_with_messages(skeleton) -> list[str]:
         warnings.simplefilter("always")
         lines = [repr(orient(skeleton).edges)]
     return lines + [str(w.message) for w in caught]
+
+
+def no_counting(*args):
+    raise AssertionError("counted a table")
 
 
 def independent_table(seed: int, n: int = 1000) -> DataTable:
@@ -265,6 +273,12 @@ class TestHillClimb:
         with pytest.raises(ValueError):
             hill_climb(heart_table, kind="bdeu", ess=0.0)
 
+    @pytest.mark.parametrize("pair", [("foo", "bar"), ("A", "foo"), ("A",), ()])
+    def test_allowed_pair_not_naming_two_columns_rejected(self, pair, monkeypatch):
+        monkeypatch.setattr(learn, "_stacked_counts", no_counting)
+        with pytest.raises(SchemaMismatchError, match=re.escape(str(sorted(pair)))):
+            hill_climb(xy_from_net(seed=3), allowed={frozenset(pair), frozenset(("A", "B"))})
+
 
 class TestRepeatedColumnNames:
     """Columns (a, b, a) name one variable twice; no structure can hold it."""
@@ -283,6 +297,34 @@ class TestRepeatedColumnNames:
         monkeypatch.setattr(learn, "_stacked_counts", no_counting)
         with pytest.raises(SchemaMismatchError, match="distinct"):
             learner(data)
+
+
+class TestRepeatedFamilyVariables:
+    """A family's child and parents, and a test's x, y and z, must be distinct variables."""
+
+    @pytest.mark.parametrize(
+        "child, parents", [("sex", ("cp", "cp")), ("sex", ("sex",)), ("sex", ("cp", "sex"))]
+    )
+    def test_family_rejected_before_any_counting(self, heart_table, child, parents, monkeypatch):
+        monkeypatch.setattr(learn, "_stacked_counts", no_counting)
+        with pytest.raises(ValueError, match="more than once"):
+            count_table(heart_table, child, parents)
+        with pytest.raises(ValueError, match="more than once"):
+            family_score(heart_table, child, parents)
+
+    @pytest.mark.parametrize(
+        "x, y, z",
+        [
+            ("sex", "sex", ()),
+            ("sex", "cp", ("sex",)),
+            ("sex", "cp", ("cp",)),
+            ("sex", "cp", ("fbs", "fbs")),
+        ],
+    )
+    def test_ci_test_rejected_before_any_counting(self, heart_table, x, y, z, monkeypatch):
+        monkeypatch.setattr(learn, "_stacked_counts", no_counting)
+        with pytest.raises(ValueError, match="more than once"):
+            ci_test(heart_table, x, y, z)
 
 
 class TestScoreArgumentsCheckedFirst:
@@ -497,7 +539,45 @@ def random_table(rng: np.random.Generator, n_columns: int, n_rows: int) -> DataT
 
 
 class TestKernel:
-    """The stacked-bincount kernel against the one-family, one-test paths."""
+    """The stacked-bincount kernel against a per-row counter and the one-family, one-test paths."""
+
+    @pytest.mark.parametrize("n_rows", [0, 237, 20_000])
+    def test_stacked_counts_match_per_row_counter(self, n_rows):
+        # Random layouts over columns of up to 10 states: each member reads a
+        # random subset of columns in random order (none at all for a member
+        # that is all padding, every place 0), and some sizes run past the
+        # member's last code, as a padded CI test's do.
+        rng = np.random.default_rng(n_rows)
+        cards = rng.integers(2, 11, size=6)
+        schema = tuple(Variable(f"v{i}", tuple(map(str, range(c)))) for i, c in enumerate(cards))
+        data = DataTable(schema, rng.integers(0, cards, size=(n_rows, 6)))
+        padding = lone = 0
+        for _ in range(3 if n_rows == 20_000 else 40):
+            places = np.zeros((int(rng.integers(1, 3 if n_rows == 20_000 else 5)), 6))
+            sizes = []
+            for row in places:
+                size = 1
+                for j in rng.permutation(6)[: int(rng.integers(0, 5))]:
+                    row[j] = size
+                    size *= int(cards[j])
+                sizes.append(size * int(rng.integers(1, 3)))
+                padding += not row.any()
+            lone += len(places) == 1
+            sizes = np.array(sizes, dtype=float)
+            counted = learn._stacked_counts(data, places, sizes)
+            assert counted.tolist() == count_codes_per_row(data.rows, places, sizes)
+        assert n_rows == 20_000 or (padding >= 3 and lone >= 3)
+
+    def test_layout_past_exact_float_codes_refused(self, monkeypatch):
+        # 2**54 cells: codes past 2**53 are no longer exact float64 integers
+        schema = tuple(Variable(f"v{i}", "01") for i in range(54))
+        data = DataTable(schema, np.zeros((3, 54), dtype=np.int64))
+        monkeypatch.setattr(np, "bincount", no_counting)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            count_table(data, "v0", tuple(f"v{i}" for i in range(1, 54)))
+        places = np.zeros((2, 54))
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            learn._stacked_counts(data, places, np.array([2.0**52, 2.0**52 + 2]))
 
     @pytest.mark.parametrize("kind", ["bic", "bdeu"])
     def test_batched_family_scores_equal_family_score(self, kind):
@@ -509,8 +589,7 @@ class TestKernel:
             for _ in range(60):
                 child, *parents = rng.permutation(data.names)[: 1 + int(rng.integers(0, 4))]
                 families.append((str(child), tuple(str(p) for p in parents)))
-            index = [(data.index(c), tuple(map(data.index, ps))) for c, ps in families]
-            batched = learn._family_scores(data, index, kind, 10.0)
+            batched = learn._family_scores(data, learn._layout(data, families), kind, 10.0)
             assert batched == [family_score(data, c, ps, kind, 10.0) for c, ps in families]
             empty_parents += sum(not ps for _, ps in families)
             unseen += sum((count_table(data, c, ps).sum(axis=1) == 0).any() for c, ps in families)
@@ -572,6 +651,26 @@ class TestKernel:
                 assert learn_skeleton(data) == reference, chosen
         with pytest.raises(InsufficientDataError):
             learn_skeleton(data.take([]))
+
+
+class TestScoreOracles:
+    """family_score against BIC as a row log-likelihood and BDeu as a
+    product of sequential predictive probabilities."""
+
+    def test_random_heart_families(self, heart_table):
+        rng = np.random.default_rng(300)
+        no_parents = 0
+        for case in range(300):
+            data = split(heart_table, 0.8, case % 20)[0] if case % 2 else heart_table
+            child, *parents = map(str, rng.permutation(data.names)[: 1 + int(rng.integers(0, 4))])
+            parents = tuple(parents)
+            ess = float(rng.uniform(0.5, 20.0))
+            bic = family_score(data, child, parents, "bic")
+            assert abs(bic - bic_row_loglik(data, child, parents)) <= 1e-13 * abs(bic)
+            bdeu = family_score(data, child, parents, "bdeu", ess)
+            assert abs(bdeu - bdeu_sequential(data, child, parents, ess)) <= 1e-13 * abs(bdeu)
+            no_parents += not parents
+        assert no_parents >= 50
 
 
 def chain_data(seed: int, n: int = 2000) -> DataTable:
