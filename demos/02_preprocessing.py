@@ -11,11 +11,11 @@ import numpy as np
 from heartbn import DEFAULT_CUTPOINTS, clean, discretize, load_cleveland
 
 raw = load_cleveland()
-print(f"raw rows: {raw.n_rows}")
-print("first row:", ",".join(raw.rows[0]))
+print(f"raw rows: {len(raw)}")
+print("first row:", ",".join(raw[0]))
 
 cleaned = clean(raw)
-print(f"\nafter dropping rows with '?': {cleaned.n_rows}")
+print(f"\nafter dropping rows with '?': {len(cleaned)}")
 
 print("\ndefault cutpoints:")
 for attr in ("age", "trestbps", "chol", "thalach", "oldpeak"):

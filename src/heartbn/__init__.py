@@ -16,11 +16,9 @@ from .core import (
     topological_order,
 )
 from .dataset import (
-    CleanTable,
     CutpointConfig,
     DataTable,
     DEFAULT_CUTPOINTS,
-    RawTable,
     clean,
     cleveland_path,
     discretize,
@@ -29,7 +27,7 @@ from .dataset import (
     load_raw,
     split,
 )
-from .evaluation import ConfusionMatrix, Metrics, confusion, metrics, run_experiment
+from .evaluation import confusion, metrics, run_experiment
 from .heart import heart_network
 from .inference import (
     Posterior,
@@ -64,11 +62,9 @@ __all__ = [
     "d_separated",
     "markov_blanket",
     "topological_order",
-    "CleanTable",
     "CutpointConfig",
     "DataTable",
     "DEFAULT_CUTPOINTS",
-    "RawTable",
     "clean",
     "cleveland_path",
     "discretize",
@@ -76,8 +72,6 @@ __all__ = [
     "load_cleveland",
     "load_raw",
     "split",
-    "ConfusionMatrix",
-    "Metrics",
     "confusion",
     "metrics",
     "run_experiment",

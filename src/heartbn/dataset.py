@@ -2,10 +2,13 @@
 
 The pipeline is ``load_raw`` -> ``clean`` -> ``discretize`` -> ``split``:
 
-* ``load_raw`` reads the comma-separated table ("?" marks a missing cell).
+* ``load_raw`` reads the comma-separated table as a tuple of rows of 14
+  string cells ("?" marks a missing cell).
 * ``clean`` drops rows with missing cells, binarizes the diagnosis and
-  recodes every categorical attribute to contiguous 0-based indices.
-* ``discretize`` bins the five continuous attributes into categories.
+  recodes every categorical attribute to contiguous 0-based indices; it
+  returns a read-only (n, 14) float array in ``RAW_COLUMNS`` order.
+* ``discretize`` bins the five continuous columns of that array into
+  categories, giving the :class:`DataTable` every later stage reads.
 * ``split`` produces a seeded train/test partition.
 
 The five continuous attributes are binned with fixed thresholds
@@ -21,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -83,43 +87,6 @@ def heart_schema() -> tuple[Variable, ...]:
 def cleveland_path() -> Path:
     """Path of the bundled copy of the 303-row Cleveland table."""
     return Path(str(resources.files("heartbn").joinpath("data/processed.cleveland.data")))
-
-
-@dataclass(frozen=True)
-class RawTable:
-    """Rows of raw string cells, 14 fields each; "?" marks a missing value."""
-
-    rows: tuple[tuple[str, ...], ...]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class CleanTable:
-    """Intermediate table: categoricals recoded, continuous columns still raw.
-
-    ``values`` is float64 with one column per entry of ``columns``; the
-    columns named in ``continuous`` hold raw measurements, all others hold
-    small integer state indices.
-    """
-
-    columns: tuple[str, ...]
-    values: np.ndarray
-    continuous: frozenset[str]
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
 
 
 @dataclass(frozen=True)
@@ -188,8 +155,9 @@ class CutpointConfig:
 
     A value v falls in the first bin i with v <= thresholds[i], else in the
     last bin.  Bin counts are fixed by the discretized schema: age 3,
-    trestbps 3, chol 3, thalach 2, oldpeak 2.  The ``thalach`` thresholds
-    apply to the age-adjusted value ``thalach + age``, not to the raw rate.
+    trestbps 3, chol 3, thalach 2, oldpeak 2.  Every threshold must be a
+    finite real number.  The ``thalach`` thresholds apply to the
+    age-adjusted value ``thalach + age``, not to the raw rate.
     """
 
     age: tuple[float, float] = (45.0, 64.0)
@@ -199,14 +167,16 @@ class CutpointConfig:
     oldpeak: tuple[float] = (2.0,)
 
     def __post_init__(self):
-        for attr, n_bins in (("age", 3), ("trestbps", 3), ("chol", 3),
-                             ("thalach", 2), ("oldpeak", 2)):
-            cuts = tuple(float(c) for c in getattr(self, attr))
+        for attr in CONTINUOUS:
+            cuts = tuple(getattr(self, attr))
+            if not all(isinstance(c, Real) and not isinstance(c, bool) and math.isfinite(c)
+                       for c in cuts):
+                raise NonMonotoneCutpointsError(f"{attr} thresholds must be finite numbers, got {cuts}")
+            cuts = tuple(float(c) for c in cuts)
             object.__setattr__(self, attr, cuts)
-            if len(cuts) != n_bins - 1:
-                raise NonMonotoneCutpointsError(
-                    f"{attr} needs {n_bins - 1} thresholds, got {len(cuts)}"
-                )
+            n_cuts = _CARDINALITY[DISCRETIZED_NAME[attr]] - 1
+            if len(cuts) != n_cuts:
+                raise NonMonotoneCutpointsError(f"{attr} needs {n_cuts} thresholds, got {len(cuts)}")
             if any(b <= a for a, b in zip(cuts, cuts[1:])):
                 raise NonMonotoneCutpointsError(f"{attr} thresholds must strictly increase")
 
@@ -217,8 +187,8 @@ class CutpointConfig:
 DEFAULT_CUTPOINTS = CutpointConfig()
 
 
-def load_raw(path) -> RawTable:
-    """Read a comma-separated table, validating 14 fields per line.
+def load_raw(path) -> tuple[tuple[str, ...], ...]:
+    """Read a comma-separated table as rows of 14 string cells.
 
     Blank lines are skipped; an empty file yields zero rows.  Raises
     :class:`MalformedRowError` with the 1-based line number otherwise.
@@ -233,26 +203,29 @@ def load_raw(path) -> RawTable:
             if len(fields) != N_FIELDS:
                 raise MalformedRowError(lineno, f"expected {N_FIELDS} fields, got {len(fields)}")
             rows.append(fields)
-    return RawTable(tuple(rows))
+    return tuple(rows)
 
 
-def load_cleveland() -> RawTable:
+def load_cleveland() -> tuple[tuple[str, ...], ...]:
     """The bundled 303-row Cleveland table."""
     return load_raw(cleveland_path())
 
 
-def clean(raw: RawTable | CleanTable) -> CleanTable:
+def clean(raw: Sequence[Sequence[str]] | np.ndarray) -> np.ndarray:
     """Drop rows with missing cells, binarize the diagnosis and recode categoricals.
 
-    Diagnosis grades 1-4 all map to 1 (disease present).  Categorical codes
-    are recoded to contiguous 0-based indices in ascending order of raw code.
-    Passing an already clean table returns it unchanged, so the operation is
-    idempotent.
+    Returns a read-only (n, 14) float64 array in ``RAW_COLUMNS`` order: the
+    continuous columns hold raw measurements, all others small integer state
+    indices.  Diagnosis grades 1-4 all map to 1 (disease present).
+    Categorical codes are recoded to contiguous 0-based indices in ascending
+    order of raw code.  A cell that is not a finite number raises
+    :class:`UnknownCategoryError` naming its row and column.  Passing an
+    already clean array returns it unchanged, so the operation is idempotent.
     """
-    if isinstance(raw, CleanTable):
+    if isinstance(raw, np.ndarray):
         return raw
     kept: list[list[float]] = []
-    for rownum, fields in enumerate(raw.rows, start=1):
+    for rownum, fields in enumerate(raw, start=1):
         if MISSING in fields:
             continue
         out: list[float] = []
@@ -260,9 +233,11 @@ def clean(raw: RawTable | CleanTable) -> CleanTable:
             try:
                 value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise UnknownCategoryError(
-                    f"row {rownum}: cannot parse {cell!r} in column {col!r}"
-                ) from None
+                    f"row {rownum}: {cell!r} in column {col!r} is not a finite number"
+                )
             if col in CONTINUOUS:
                 out.append(value)
                 continue
@@ -275,7 +250,8 @@ def clean(raw: RawTable | CleanTable) -> CleanTable:
             out.append(float(mapping[code]))
         kept.append(out)
     values = np.array(kept, dtype=float).reshape(len(kept), N_FIELDS)
-    return CleanTable(RAW_COLUMNS, values, frozenset(CONTINUOUS))
+    values.setflags(write=False)
+    return values
 
 
 def _bin(values: np.ndarray, cuts: Sequence[float]) -> np.ndarray:
@@ -285,31 +261,25 @@ def _bin(values: np.ndarray, cuts: Sequence[float]) -> np.ndarray:
     return out
 
 
-def discretize(table: CleanTable, cutpoints: CutpointConfig | None = None) -> DataTable:
-    """Bin the continuous columns, yielding a fully categorical table.
+def discretize(table: np.ndarray, cutpoints: CutpointConfig | None = None) -> DataTable:
+    """Bin the continuous columns of :func:`clean`'s array, yielding the heart table.
 
     Row count and row order are preserved; continuous columns are renamed
     (age -> ageC, ...).  ``thalach`` is binned on ``thalach + age``.
+    Anything but a 2-D array with 14 columns raises ``TypeError``.
     """
     cfg = cutpoints if cutpoints is not None else DEFAULT_CUTPOINTS
-    if not isinstance(table, CleanTable):
-        raise TypeError("discretize expects the cleaned table, before binning")
-    if not table.continuous:
-        raise SchemaMismatchError("table has no continuous columns left to discretize")
-    schema: list[Variable] = []
+    if not isinstance(table, np.ndarray) or table.ndim != 2 or table.shape[1] != N_FIELDS:
+        raise TypeError(f"discretize expects the cleaned (n, {N_FIELDS}) array, before binning")
+    columns = dict(zip(RAW_COLUMNS, table.T))
     cols: list[np.ndarray] = []
-    age_raw = table.column("age")
-    for name in table.columns:
-        raw_col = table.column(name)
-        if name in table.continuous:
-            new_name = DISCRETIZED_NAME[name]
-            value = raw_col + age_raw if name == "thalach" else raw_col
+    for name, raw_col in columns.items():
+        if name in CONTINUOUS:
+            value = raw_col + columns["age"] if name == "thalach" else raw_col
             cols.append(_bin(value, cfg.thresholds(name)))
-            schema.append(Variable(new_name, _states(_CARDINALITY[new_name])))
         else:
             cols.append(raw_col.astype(np.int64))
-            schema.append(Variable(name, _states(_CARDINALITY[name])))
-    return DataTable(tuple(schema), np.column_stack(cols))
+    return DataTable(heart_schema(), np.column_stack(cols))
 
 
 def split(table: DataTable, ratio: float, seed: int) -> tuple[DataTable, DataTable]:
@@ -374,8 +344,9 @@ def save_cutpoints(cfg: CutpointConfig, path) -> None:
 def load_cutpoints(path) -> CutpointConfig:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not all(isinstance(cuts, list) for cuts in doc.values()):
+        raise NonMonotoneCutpointsError("a cutpoint file holds a JSON object of threshold lists")
     unknown = set(doc) - set(CONTINUOUS)
     if unknown:
         raise NonMonotoneCutpointsError(f"unknown attributes in cutpoint file: {sorted(unknown)}")
-    kwargs = {attr: tuple(doc[attr]) for attr in doc}
-    return CutpointConfig(**kwargs)
+    return CutpointConfig(**doc)

@@ -1,18 +1,19 @@
-"""Model fitting, confusion matrix, classification metrics and the repeated-split harness.
+"""Model fitting, confusion counts, classification metrics and the repeated-split harness.
 
 The positive class is state 1 (disease present).  :func:`fit_model` is the
 one dispatch from a model description to a fitted network, Naive Bayes
-included.  ``run_experiment`` repeats a seeded train/test split, fits the
-requested model on the training rows, classifies all test rows at once with
+included.  :func:`confusion` and :func:`metrics` return plain dicts, keyed
+in the order the report prints them.  ``run_experiment`` repeats a seeded
+train/test split, fits the requested model on the training rows,
+classifies all test rows at once with
 :func:`~heartbn.inference.classify_rows` using all non-target columns as
 evidence, sends only the rows whose evidence is impossible through a
-per-row fallback, and reports one confusion matrix and metric set per seed
+per-row fallback, and reports one confusion dict and metric dict per seed
 plus aggregates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,30 +40,8 @@ METHODS = {
 }
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Binary confusion counts; rows of the underlying table are the actual labels."""
-
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass(frozen=True)
-class Metrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-
-
-def confusion(predicted: Sequence[int], actual: Sequence[int]) -> ConfusionMatrix:
-    """Count TP/FP/FN/TN for binary labels (positive class = 1)."""
+def confusion(predicted: Sequence[int], actual: Sequence[int]) -> dict[str, int]:
+    """Count ``{"tp", "fp", "fn", "tn"}`` for binary labels (positive class = 1)."""
     if len(predicted) != len(actual):
         raise ValueError("predicted and actual must have equal length")
     tp = fp = fn = tn = 0
@@ -79,32 +58,34 @@ def confusion(predicted: Sequence[int], actual: Sequence[int]) -> ConfusionMatri
                 fp += 1
             else:
                 tn += 1
-    return ConfusionMatrix(tp, fp, fn, tn)
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
 
 
-def metrics(cm: ConfusionMatrix) -> Metrics:
-    """Accuracy, precision, recall and F1; degenerate ratios default to 0."""
-    if cm.total == 0:
+def metrics(cm: dict[str, int]) -> dict[str, float]:
+    """``{"accuracy", "precision", "recall", "f1"}`` of a :func:`confusion` dict;
+    degenerate ratios default to 0."""
+    tp, fp, fn, tn = cm["tp"], cm["fp"], cm["fn"], cm["tn"]
+    total = tp + fp + fn + tn
+    if total == 0:
         raise ValueError("empty confusion matrix")
-    accuracy = (cm.tp + cm.tn) / cm.total
-    precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp > 0 else 0.0
-    recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn > 0 else 0.0
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = (
         2.0 * precision * recall / (precision + recall)
         if precision + recall > 0
         else 0.0
     )
-    return Metrics(accuracy, precision, recall, f1)
+    return {"accuracy": (tp + tn) / total, "precision": precision, "recall": recall, "f1": f1}
 
 
-def degenerate_fields(cm: ConfusionMatrix) -> list[str]:
+def degenerate_fields(cm: dict[str, int]) -> list[str]:
     """Metric names whose denominator was zero (reported as 0 by convention)."""
     out = []
-    if cm.tp + cm.fp == 0:
+    if cm["tp"] + cm["fp"] == 0:
         out.append("precision")
-    if cm.tp + cm.fn == 0:
+    if cm["tp"] + cm["fn"] == 0:
         out.append("recall")
-    if cm.tp == 0:  # precision and recall are both 0
+    if cm["tp"] == 0:  # precision and recall are both 0
         out.append("f1")
     return out
 
@@ -200,17 +181,11 @@ def run_experiment(
         for i in impossible:
             predicted[i] = _fallback_classify(net, test.row_assignment(i, exclude=("target",)))
         cm = confusion(predicted.tolist(), [int(v) for v in test.column("target")])
-        m = metrics(cm)
         per_seed.append(
             {
                 "seed": seed,
-                "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},
-                "metrics": {
-                    "accuracy": m.accuracy,
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                },
+                "confusion": cm,
+                "metrics": metrics(cm),
                 "degenerate_metrics": degenerate_fields(cm),
                 "zero_evidence_rows": len(impossible),
             }

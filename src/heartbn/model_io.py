@@ -47,9 +47,25 @@ def save_model(net: DiscreteBayesNet, path) -> None:
 
 
 def model_from_document(doc: dict) -> DiscreteBayesNet:
+    """The network of a model document; ``ValueError`` if the document has the wrong shape."""
+    if not isinstance(doc, dict):
+        raise ValueError("a model document is a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
+    if not isinstance(doc.get("nodes"), list):
+        raise ValueError("a model document's nodes are a list")
+    for i, node in enumerate(doc["nodes"]):
+        if not (
+            isinstance(node, dict)
+            and isinstance(node.get("name"), str)
+            and all(isinstance(node.get(key), list) for key in ("states", "parents", "cpt"))
+            and all(isinstance(parent, str) for parent in node["parents"])
+            and all(isinstance(cell, (str, int, float)) for cell in node["cpt"])
+        ):
+            raise ValueError(
+                f"model node {i} needs a string name and lists of states, parent names and cpt cells"
+            )
     variables: dict[str, Variable] = {}
     for node in doc["nodes"]:
         variables[node["name"]] = Variable(node["name"], tuple(node["states"]))

@@ -12,7 +12,9 @@ the hill-climb oracle rescans and rescores every move at every step.  The
 score oracles compute BIC as a row log-likelihood under the family's MLE
 and BDeu as a product of sequential predictive probabilities, without
 ``gammaln``; the code counter counts the counting kernel's layouts one row
-at a time in Python integers.  The generators produce small random DAGs
+at a time in Python integers.  The DAG enumerator lists every DAG on a few
+nodes, and ``markov_class`` keys each by its skeleton and v-structures,
+which identify its Markov equivalence class.  The generators produce small random DAGs
 and networks for randomized comparisons, and two ancestral samplers draw
 rows from a network: one row at a time, or one node at a time for all rows.
 """
@@ -28,7 +30,7 @@ from scipy.stats import chi2
 from heartbn import (
     CITestResult, Cpt, Dag, DataTable, DiscreteBayesNet, Skeleton, Variable, build_dag, nb_fit,
 )
-from heartbn.errors import InsufficientDataError, ZeroEvidenceError
+from heartbn.errors import CycleDetectedError, InsufficientDataError, ZeroEvidenceError
 
 
 def undirected_paths(dag: Dag, start: str, end: str):
@@ -306,6 +308,38 @@ def wide_nb_case(
     schema = tuple(Variable(f"w{i}", states) for i in range(n_features + 1))
     net = nb_fit(DataTable(schema, rng.integers(0, n_states, size=(n_rows, len(schema)))), "w0")
     return net, {v.name: int(rng.integers(n_states)) for v in schema[1:]}
+
+
+def all_dags(names: tuple[str, ...]) -> list[Dag]:
+    """Every DAG on ``names``: each pair is absent or oriented either way,
+    and assignments with a cycle are dropped (543 DAGs on 4 nodes)."""
+    pairs = list(itertools.combinations(names, 2))
+    dags = []
+    for choice in itertools.product(("none", "forward", "backward"), repeat=len(pairs)):
+        edges = [
+            (a, b) if how == "forward" else (b, a)
+            for (a, b), how in zip(pairs, choice)
+            if how != "none"
+        ]
+        try:
+            dags.append(build_dag(names, edges))
+        except CycleDetectedError:
+            continue
+    return dags
+
+
+def markov_class(dag: Dag) -> tuple[frozenset, frozenset]:
+    """The skeleton and the v-structures (a -> c <- b, a and b not adjacent):
+    two DAGs are Markov equivalent exactly when these agree (Verma & Pearl
+    1990)."""
+    skeleton = frozenset(frozenset(edge) for edge in dag.edges)
+    v_structures = frozenset(
+        (frozenset((a, b)), c)
+        for c in dag.nodes
+        for a, b in itertools.combinations(dag.parents(c), 2)
+        if frozenset((a, b)) not in skeleton
+    )
+    return skeleton, v_structures
 
 
 def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4) -> Dag:

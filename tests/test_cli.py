@@ -20,7 +20,7 @@ from heartbn import (
     save_model,
 )
 from heartbn.cli import main
-from heartbn.dataset import read_table_csv
+from heartbn.dataset import RAW_COLUMNS, read_table_csv
 
 STRUCTURES = {
     "paper": lambda table: heart_network(),
@@ -61,6 +61,36 @@ class TestPreprocess:
         assert code == 0
         table = read_table_csv(out)
         assert table.n_rows == 297
+
+    @pytest.mark.parametrize("col, cell", [("cp", "inf"), ("cp", "nan"), ("age", "nan")])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, col, cell):
+        # inf in a categorical column used to escape as an OverflowError
+        # traceback, and a NaN age was silently binned
+        rows = cleveland_path().read_text().splitlines()[:2]
+        fields = rows[1].split(",")
+        fields[RAW_COLUMNS.index(col)] = cell
+        raw = tmp_path / "raw.data"
+        raw.write_text(rows[0] + "\n" + ",".join(fields) + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["preprocess", "--input", str(raw), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"heartbn preprocess: row 2: {cell!r} in column {col!r} is not a finite number\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text", ['{"age": 50}', "5", '{"age": [null, 3]}', '{"age": [NaN, 60]}']
+    )
+    def test_malformed_cutpoints_file_is_data_error(self, tmp_path, capsys, text):
+        cuts = tmp_path / "cuts.json"
+        cuts.write_text(text)
+        code = main([
+            "preprocess", "--input", str(cleveland_path()),
+            "--output", str(tmp_path / "out.csv"), "--cutpoints", str(cuts),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("heartbn preprocess: ") and err.count("\n") == 1
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code = main([
@@ -184,6 +214,28 @@ class TestDsep:
         ])
         assert code == 0
         assert capsys.readouterr().out.strip() == "false"
+
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[]",
+            '{"format_version": 1, "nodes": 5}',
+            '{"format_version": 1, "nodes": ["x"]}',
+            '{"format_version": 1, "nodes": [{"name": "a", "states": ["0", "1"],'
+            ' "parents": [], "cpt": [null, null]}]}',
+            '{"format_version": 1, "nodes": [{"name": ["a"], "states": ["0", "1"],'
+            ' "parents": [], "cpt": ["0.5", "0.5"]}]}',
+        ],
+    )
+    def test_malformed_model_file_is_data_error(self, tmp_path, capsys, doc):
+        # each of these used to end in an AttributeError or TypeError traceback
+        model = tmp_path / "bad.model"
+        model.write_text(doc)
+        assert main(["dsep", "--model", str(model), "--x", "a", "--y", "b"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("heartbn dsep: ") and captured.err.count("\n") == 1
 
 
 class TestExportDot:

@@ -44,9 +44,14 @@ def make_row(**overrides) -> tuple[str, ...]:
     return tuple(base[c] for c in RAW_COLUMNS)
 
 
+def column(cleaned: np.ndarray, name: str) -> np.ndarray:
+    """One column of a cleaned array, by raw column name."""
+    return cleaned[:, RAW_COLUMNS.index(name)]
+
+
 class TestLoadRaw:
     def test_bundled_file_has_303_rows(self):
-        assert load_cleveland().n_rows == 303
+        assert len(load_cleveland()) == 303
 
     def test_short_row_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "bad.data"
@@ -58,7 +63,7 @@ class TestLoadRaw:
     def test_empty_file_gives_zero_rows(self, tmp_path):
         path = tmp_path / "empty.data"
         path.write_text("")
-        assert load_raw(path).n_rows == 0
+        assert len(load_raw(path)) == 0
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -69,9 +74,9 @@ class TestClean:
     def test_drops_rows_with_missing_cells(self):
         raw = load_cleveland()
         # independent count of the rows the cleaner should drop
-        with_missing = sum(1 for row in raw.rows if "?" in row)
+        with_missing = sum(1 for row in raw if "?" in row)
         assert with_missing == 6
-        assert clean(raw).n_rows == raw.n_rows - with_missing == 297
+        assert len(clean(raw)) == len(raw) - with_missing == 297
 
     def test_idempotent(self):
         table = clean(load_cleveland())
@@ -79,44 +84,51 @@ class TestClean:
 
     @pytest.mark.parametrize("grade", [1, 2, 3, 4])
     def test_diagnosis_grades_collapse_to_one(self, grade):
-        from heartbn.dataset import RawTable
-
-        table = clean(RawTable((make_row(target=grade),)))
-        assert table.column("target")[0] == 1.0
+        table = clean((make_row(target=grade),))
+        assert column(table, "target")[0] == 1.0
 
     def test_recoding(self):
-        from heartbn.dataset import RawTable
-
-        table = clean(RawTable((make_row(cp="1.0", slope="3.0", thal="6.0", ca="2.0"),)))
-        assert table.column("cp")[0] == 0.0
-        assert table.column("slope")[0] == 2.0
-        assert table.column("thal")[0] == 1.0
-        assert table.column("ca")[0] == 2.0
+        table = clean((make_row(cp="1.0", slope="3.0", thal="6.0", ca="2.0"),))
+        assert column(table, "cp")[0] == 0.0
+        assert column(table, "slope")[0] == 2.0
+        assert column(table, "thal")[0] == 1.0
+        assert column(table, "ca")[0] == 2.0
 
     def test_unknown_category_rejected(self):
-        from heartbn.dataset import RawTable
-
         with pytest.raises(UnknownCategoryError):
-            clean(RawTable((make_row(cp="7.0"),)))
+            clean((make_row(cp="7.0"),))
 
     def test_fractional_category_code_rejected(self):
-        from heartbn.dataset import RawTable
-
         with pytest.raises(UnknownCategoryError):
-            clean(RawTable((make_row(cp="1.5"),)))
+            clean((make_row(cp="1.5"),))
 
     def test_unparseable_cell_rejected(self):
-        from heartbn.dataset import RawTable
-
         with pytest.raises(UnknownCategoryError):
-            clean(RawTable((make_row(thal="abc"),)))
+            clean((make_row(thal="abc"),))
+
+    @pytest.mark.parametrize(
+        "col, cell",
+        [("cp", "inf"), ("cp", "nan"), ("thal", "-inf"), ("age", "nan"), ("age", "inf"),
+         ("thalach", "nan"), ("oldpeak", "-Infinity")],
+    )
+    def test_non_finite_cell_names_row_and_column(self, col, cell):
+        # categorical infinities used to overflow int(), NaN gave a bare
+        # ValueError, and a non-finite measurement was silently binned
+        with pytest.raises(UnknownCategoryError, match=f"row 2: '{cell}' in column '{col}'"):
+            clean((make_row(), make_row(**{col: cell})))
+
+    def test_returns_read_only_array_in_raw_column_order(self):
+        table = clean((make_row(), make_row(age="41.0", cp="2.0", target="3")))
+        assert table.dtype == np.float64 and table.shape == (2, len(RAW_COLUMNS))
+        assert not table.flags.writeable
+        assert table[1].tolist() == [
+            41.0, 1.0, 1.0, 130.0, 250.0, 0.0, 2.0, 160.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0,
+        ]
 
 
 class TestDiscretize:
     def test_value_below_first_threshold(self):
-        from heartbn.dataset import RawTable
-
-        table = discretize(clean(RawTable((make_row(chol="150.0"),))))
+        table = discretize(clean((make_row(chol="150.0"),)))
         assert table.column("cholC")[0] == 0
 
     def test_bundled_bin_counts(self, heart_table):
@@ -127,27 +139,23 @@ class TestDiscretize:
         assert np.bincount(heart_table.column("trestbpsC")).tolist() == [97, 134, 66]
 
     def test_thalach_bins_on_age_adjusted_value(self):
-        from heartbn.dataset import RawTable
-
         rows = (make_row(age="50.0", thalach="150.0"), make_row(age="50.0", thalach="151.0"))
-        table = discretize(clean(RawTable(rows)))
+        table = discretize(clean(rows))
         assert table.column("thalachC").tolist() == [0, 1]
 
     def test_preserves_row_count_and_order(self, heart_table):
         raw = load_cleveland()
         cleaned = clean(raw)
-        assert heart_table.n_rows == cleaned.n_rows
-        assert np.array_equal(heart_table.column("sex"), cleaned.column("sex").astype(int))
+        assert heart_table.n_rows == len(cleaned)
+        assert np.array_equal(heart_table.column("sex"), column(cleaned, "sex").astype(int))
 
     def test_cardinalities_match_published_tables(self, heart_table):
         for var in heart_table.schema:
             assert var.cardinality == EXPECTED_CARDINALITIES[var.name]
 
     def test_custom_cutpoints(self):
-        from heartbn.dataset import RawTable
-
         cfg = CutpointConfig(chol=(100.0, 251.0))
-        table = discretize(clean(RawTable((make_row(chol="250.0"),))), cfg)
+        table = discretize(clean((make_row(chol="250.0"),)), cfg)
         assert table.column("cholC")[0] == 1
 
     def test_non_monotone_rejected(self):
@@ -157,6 +165,28 @@ class TestDiscretize:
     def test_wrong_threshold_count_rejected(self):
         with pytest.raises(NonMonotoneCutpointsError):
             CutpointConfig(oldpeak=(1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "cuts",
+        [{"age": (float("nan"), 60.0)}, {"chol": (200.0, float("inf"))},
+         {"oldpeak": (float("-inf"),)}, {"age": (None, 3.0)}, {"age": ("45", 60.0)},
+         {"thalach": (True,)}],
+        ids=repr,
+    )
+    def test_non_finite_or_non_numeric_threshold_rejected(self, cuts):
+        # NaN compares false, so (nan, 60) used to pass the increasing check
+        with pytest.raises(NonMonotoneCutpointsError, match="finite numbers"):
+            CutpointConfig(**cuts)
+
+    @pytest.mark.parametrize(
+        "table",
+        [np.zeros((3, 13)), np.zeros(14), np.zeros((2, 14, 1)), [[0.0] * 14], "heart"],
+        ids=["13 columns", "1-D", "3-D", "list", "DataTable"],
+    )
+    def test_anything_but_a_14_column_array_rejected(self, table, heart_table):
+        # a 13-column array would otherwise be cut short by zip(RAW_COLUMNS, ...)
+        with pytest.raises(TypeError, match="cleaned"):
+            discretize(heart_table if isinstance(table, str) else table)
 
 
 class TestSplit:
@@ -265,6 +295,15 @@ class TestCutpointsFile:
     def test_unknown_attribute_rejected(self, tmp_path):
         path = tmp_path / "cuts.json"
         path.write_text('{"bogus": [1.0]}')
+        with pytest.raises(NonMonotoneCutpointsError):
+            load_cutpoints(path)
+
+    @pytest.mark.parametrize(
+        "text", ['{"age": 50}', "5", "[]", '{"age": [null, 3]}', '{"age": [NaN, 60]}']
+    )
+    def test_malformed_document_rejected(self, tmp_path, text):
+        path = tmp_path / "cuts.json"
+        path.write_text(text)
         with pytest.raises(NonMonotoneCutpointsError):
             load_cutpoints(path)
 

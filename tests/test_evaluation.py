@@ -4,19 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from heartbn import ConfusionMatrix, DataTable, Variable, confusion, metrics, run_experiment
+from heartbn import DataTable, Variable, confusion, metrics, run_experiment
 from heartbn import evaluation
 
 
 class TestConfusion:
     def test_perfect_three(self):
         cm = confusion([1, 0, 1], [1, 0, 1])
-        assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 0, 0)
+        assert (cm["tp"], cm["tn"], cm["fp"], cm["fn"]) == (2, 1, 0, 0)
 
     def test_all_false_positives(self):
         cm = confusion([1] * 5, [0] * 5)
-        assert cm.fp == 5
-        assert cm.total == 5
+        assert cm["fp"] == 5
+        assert sum(cm.values()) == 5
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -27,47 +27,53 @@ class TestConfusion:
             confusion([2], [0])
 
     def test_51_of_60_gives_085(self):
-        cm = ConfusionMatrix(tp=30, fp=4, fn=5, tn=21)
-        assert cm.total == 60
-        assert metrics(cm).accuracy == pytest.approx(0.85)
+        cm = dict(tp=30, fp=4, fn=5, tn=21)
+        assert sum(cm.values()) == 60
+        assert metrics(cm)["accuracy"] == pytest.approx(0.85)
 
 
 class TestMetrics:
     def test_worked_example(self):
-        m = metrics(ConfusionMatrix(tp=20, fp=5, fn=4, tn=31))
-        assert m.accuracy == pytest.approx(0.85)
-        assert m.precision == pytest.approx(0.8)
-        assert m.recall == pytest.approx(0.833333, abs=1e-6)
-        assert m.f1 == pytest.approx(0.816327, abs=1e-6)
+        m = metrics(dict(tp=20, fp=5, fn=4, tn=31))
+        assert m["accuracy"] == pytest.approx(0.85)
+        assert m["precision"] == pytest.approx(0.8)
+        assert m["recall"] == pytest.approx(0.833333, abs=1e-6)
+        assert m["f1"] == pytest.approx(0.816327, abs=1e-6)
 
     def test_perfect_prediction(self):
-        m = metrics(ConfusionMatrix(tp=10, fp=0, fn=0, tn=10))
-        assert (m.accuracy, m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0, 1.0)
+        m = metrics(dict(tp=10, fp=0, fn=0, tn=10))
+        assert (m["accuracy"], m["precision"], m["recall"], m["f1"]) == (1.0, 1.0, 1.0, 1.0)
 
     def test_degenerate_precision_is_zero(self):
-        m = metrics(ConfusionMatrix(tp=0, fp=0, fn=3, tn=7))
-        assert m.precision == 0.0
-        assert m.f1 == 0.0
+        m = metrics(dict(tp=0, fp=0, fn=3, tn=7))
+        assert m["precision"] == 0.0
+        assert m["f1"] == 0.0
 
     @pytest.mark.parametrize("tp", range(4))
     def test_degenerate_fields_name_the_zero_denominators(self, tp):
         # every nonempty confusion with cells 0-3; F1 is degenerate exactly
         # when precision + recall is zero
         for fp, fn, tn in itertools.product(range(4), repeat=3):
-            cm = ConfusionMatrix(tp, fp, fn, tn)
-            if cm.total == 0:
+            cm = dict(tp=tp, fp=fp, fn=fn, tn=tn)
+            if tp + fp + fn + tn == 0:
                 continue
             m = metrics(cm)
             zero = {
                 "precision": tp + fp == 0,
                 "recall": tp + fn == 0,
-                "f1": m.precision + m.recall == 0,
+                "f1": m["precision"] + m["recall"] == 0,
             }
             assert evaluation.degenerate_fields(cm) == [k for k, v in zero.items() if v], cm
 
+    def test_dicts_keyed_in_report_order(self):
+        cm = confusion([1, 0, 0, 1], [1, 1, 0, 0])
+        assert cm == {"tp": 1, "fp": 1, "fn": 1, "tn": 1}
+        assert list(cm) == ["tp", "fp", "fn", "tn"]
+        assert list(metrics(cm)) == ["accuracy", "precision", "recall", "f1"]
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            metrics(ConfusionMatrix(0, 0, 0, 0))
+            metrics(dict(tp=0, fp=0, fn=0, tn=0))
 
     def test_accuracy_equals_agreement_fraction(self):
         rng = np.random.default_rng(13)
@@ -77,7 +83,7 @@ class TestMetrics:
             actual = rng.integers(0, 2, size=n).tolist()
             m = metrics(confusion(predicted, actual))
             agree = sum(p == a for p, a in zip(predicted, actual)) / n
-            assert m.accuracy == agree
+            assert m["accuracy"] == agree
 
 
 class TestRunExperiment:

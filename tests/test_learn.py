@@ -34,6 +34,7 @@ from heartbn import (
 from heartbn import learn
 from heartbn.errors import (
     ConflictingOrientationWarning,
+    CycleDetectedError,
     InsufficientDataError,
     SchemaMismatchError,
 )
@@ -41,11 +42,13 @@ from heartbn.evaluation import fit_model
 
 import oracles
 from oracles import (
+    all_dags,
     bdeu_sequential,
     bic_row_loglik,
     ci_test_per_stratum,
     count_codes_per_row,
     hill_climb_sequential,
+    markov_class,
     pc_skeleton_sequential,
     random_net,
     sample_rows,
@@ -671,6 +674,73 @@ class TestScoreOracles:
             assert abs(bdeu - bdeu_sequential(data, child, parents, ess)) <= 1e-13 * abs(bdeu)
             no_parents += not parents
         assert no_parents >= 50
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scores_constant_within_markov_classes(self, seed):
+        # BIC and BDeu are score equivalent: all 543 DAGs on four nodes fall
+        # into 185 equivalence classes, and every DAG of a class scores the same
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, 4, max_card=4, edge_prob=0.6)
+        data = sample_table(net, 200, seed)
+        dags = all_dags(tuple(data.names))
+        classes: dict[tuple, list] = {}
+        for dag in dags:
+            classes.setdefault(markov_class(dag), []).append(dag)
+        assert (len(dags), len(classes)) == (543, 185)
+        for kind, ess in (("bic", 10.0), ("bdeu", 1.0), ("bdeu", 10.0)):
+            for key, members in classes.items():
+                values = [score(dag, data, kind, ess) for dag in members]
+                spread = max(values) - min(values)
+                assert spread <= 1e-12 * abs(values[0]), (kind, ess, sorted(key[0]), values)
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["all pairs", "allowed"])
+    @pytest.mark.parametrize("kind", ["bic", "bdeu"])
+    def test_hill_climb_result_is_a_local_optimum(self, kind, restricted):
+        # every acyclic single-edge add, delete or reverse of the result,
+        # rescored with the oracle scores, gains at most MIN_IMPROVEMENT
+        rng = np.random.default_rng(31 + restricted)
+        for n_nodes in (3, 4, 5, 6, 7, 8) * 2:
+            net = random_net(rng, n_nodes, max_card=3, edge_prob=0.5)
+            data = sample_table(net, int(rng.integers(100, 800)), int(rng.integers(1 << 30)))
+            ess = float(rng.uniform(0.5, 20.0))
+            names = data.names
+            allowed = (
+                {frozenset(p) for p in itertools.combinations(names, 2) if rng.random() < 0.5}
+                if restricted else None
+            )
+            dag = hill_climb(data, kind, ess, allowed=allowed)
+            edges = set(dag.edges)
+            assert allowed is None or {frozenset(e) for e in edges} <= allowed
+            cache = {}
+
+            def family(child, parents):
+                key = (child, tuple(sorted(parents)))
+                if key not in cache:
+                    cache[key] = (
+                        bic_row_loglik(data, *key) if kind == "bic"
+                        else bdeu_sequential(data, *key, ess)
+                    )
+                return cache[key]
+
+            def total(edge_set):
+                return sum(family(c, [p for p, ch in edge_set if ch == c]) for c in names)
+
+            here = total(edges)
+            neighbours = [edges - {e} for e in edges]
+            neighbours += [edges - {(a, b)} | {(b, a)} for a, b in edges]
+            neighbours += [
+                edges | {(a, b)}
+                for a, b in itertools.permutations(names, 2)
+                if (a, b) not in edges and (b, a) not in edges
+                and (allowed is None or frozenset((a, b)) in allowed)
+            ]
+            for neighbour in neighbours:
+                try:
+                    build_dag(names, sorted(neighbour))
+                except CycleDetectedError:
+                    continue
+                gain = total(neighbour) - here
+                assert gain <= learn.MIN_IMPROVEMENT, (n_nodes, sorted(neighbour), gain)
 
 
 def chain_data(seed: int, n: int = 2000) -> DataTable:

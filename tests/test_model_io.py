@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heartbn import load_model, nb_fit, save_model, split, to_dot
-from heartbn.model_io import model_document
+from heartbn.model_io import model_document, model_from_document
 
 
 class TestModelRoundTrip:
@@ -40,6 +40,27 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"format_version": 1},
+            {"format_version": 1, "nodes": 5},
+            {"format_version": 1, "nodes": ["x"]},
+            {"format_version": 1, "nodes": [{"name": "a", "states": ["0", "1"], "parents": []}]},
+            {"format_version": 1,
+             "nodes": [{"name": "a", "states": ["0", "1"], "parents": [], "cpt": [None, None]}]},
+            {"format_version": 1,
+             "nodes": [{"name": ["a"], "states": ["0", "1"], "parents": [], "cpt": ["1", "0"]}]},
+            {"format_version": 1,
+             "nodes": [{"name": "a", "states": ["0", "1"], "parents": [["b"]], "cpt": []}]},
+        ],
+        ids=repr,
+    )
+    def test_wrong_shape_rejected(self, doc):
+        with pytest.raises(ValueError):
+            model_from_document(doc)
 
     def test_nb_model_uses_same_format(self, heart_table, tmp_path):
         train, _ = split(heart_table, 0.8, seed=0)
