@@ -308,15 +308,36 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
     """Read a table written by :func:`write_table_csv`.
 
     Without an explicit schema, the heart schema is used when the header
-    matches it; otherwise each column's states are inferred as 0..max.
+    matches it; otherwise each column's states are inferred as 0..max.  A
+    data row with a cell too few or too many, or a cell that is not an
+    integer, raises :class:`MalformedRowError` naming the file, line and
+    column.
     """
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
             raise SchemaMismatchError(f"{path}: empty table file")
         names = tuple(header.split(","))
-        rows = [[int(cell) for cell in line.strip().split(",")]
-                for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != len(names):
+                column = min(len(cells), len(names)) + 1
+                raise MalformedRowError(
+                    lineno, f"{path}, column {column}: {len(cells)} cells for {len(names)} columns"
+                )
+            row = []
+            for column, cell in enumerate(cells, start=1):
+                try:
+                    row.append(int(cell))
+                except ValueError:
+                    raise MalformedRowError(
+                        lineno, f"{path}, column {column}: {cell!r} is not an integer"
+                    ) from None
+            rows.append(row)
     data = np.array(rows, dtype=np.int64).reshape(len(rows), len(names))
     if schema is None:
         by_name = {v.name: v for v in heart_schema()}

@@ -30,7 +30,7 @@ class InsufficientDataError(HeartBnError):
 
 
 class MalformedRowError(HeartBnError):
-    """A raw data row does not have the expected number of fields."""
+    """A data row has the wrong number of cells, or a cell that cannot be read."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")

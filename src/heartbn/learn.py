@@ -18,9 +18,11 @@ Counting: one kernel, :func:`_stacked_counts`, codes a batch of families
 place values, each from its own offset, and counts them with one
 ``np.bincount``.  Layouts are arrays, built from parent lists (fits,
 :func:`score`), parent masks (:func:`hill_climb`) or a skeleton level's
-tests.  :func:`_scores` sums each family's terms as one 1-D array, so a
-score is bitwise the same in any batch; :func:`count_table`,
-:func:`family_score` and :func:`ci_test` are batches of one.
+tests, and every member fills exactly its own cells: a CI test's q * r_x *
+r_y, with no padding to its batch's largest.  :func:`_scores` sums each
+family's terms as one 1-D array, so a score is bitwise the same in any
+batch; :func:`count_table`, :func:`family_score` and :func:`ci_test` are
+batches of one.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ MIN_IMPROVEMENT = 1e-9
 # Accepted moves after which hill_climb stops even short of a local optimum.
 MAX_MOVES = 200
 
-# Rows one stacked bincount may count: a batch holds about 69 families or CI
-# tests on a 237-row heart split, one at a time on 20,000 rows, where
-# stacking would only cost memory.
-_ROW_BUDGET = 1 << 14
+# Rows one stacked bincount may count: a batch holds 138 families or CI tests
+# on a 237-row heart split, one at a time from 16,385 rows up (so on 20,000),
+# where stacking would only cost memory.
+_ROW_BUDGET = 1 << 15
 
 
 def _batch_size(data: DataTable) -> int:
@@ -289,8 +291,10 @@ def hill_climb(
     with each candidate parent added and with each parent removed; a move
     clears only the children it changes, and the families a step still
     lacks are laid out from parent masks and counted together.  An ancestor
-    matrix, rebuilt after each move, rules out cycles.  Ties go to the first
-    move in the order add (parent-major), delete, reverse (child-major).
+    matrix rules out cycles: an added edge p -> c ORs in one outer product
+    (p and its ancestors now precede c and its descendants), and only a
+    delete or a reverse rebuilds it.  Ties go to the first move in the
+    order add (parent-major), delete, reverse (child-major).
     """
     if len(data.names) < 2:
         raise SchemaMismatchError("structure search needs at least two columns")
@@ -314,8 +318,8 @@ def hill_climb(
     if trace is not None:
         trace.append(current)
 
+    anc = np.zeros((n, n), dtype=bool)  # anc[i, j]: i is a proper ancestor of j
     for _ in range(MAX_MOVES):
-        anc = _ancestors(parents)
         # add p -> c: no edge either way, and c is not an ancestor of p
         can_add = pairs_ok & ~parents & ~parents.T & ~anc
         # reverse p -> c: p is not an ancestor of another parent of c
@@ -345,12 +349,17 @@ def hill_climb(
         if move == "add":  # (parent, child)
             parents[j, i] = True
             changed = {j: plus[j, i]}
+            # i and its ancestors now precede j and its descendants
+            up, down = anc[:, i].copy(), anc[j].copy()
+            up[i] = down[j] = True
+            anc |= np.outer(up, down)
         else:  # (child, parent)
             parents[i, j] = False
             changed = {i: minus[i, j]}
             if move == "reverse":
                 parents[j, i] = True
                 changed[j] = plus[j, i]
+            anc = _ancestors(parents)
         for c, value in changed.items():
             now[c] = value
             plus[c] = minus[c] = np.nan
@@ -375,32 +384,42 @@ class CITestResult:
 def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int, float]]:
     """(statistic, dof, p-value) of each column-index test (x, y, *z), one per row.
 
-    One stacked bincount counts them into an array of shape (tests, strata,
-    x states, y states), padded to the batch's largest sizes; padded cells
-    count nothing, so they add to neither figure.
+    One stacked bincount lays each test's q * r_x * r_y cells end to end,
+    y fastest, then x, then the strata: no cell is padded.  x margins and
+    stratum totals are sums of consecutive runs (``np.add.reduceat``), y
+    margins a weighted ``np.bincount``; all are sums of integer counts, so
+    exact.  Expected counts are gathered per cell, and each test's
+    deviations are summed as one run, so a test's figures are bitwise the
+    same in any batch.
     """
     from scipy.special import chdtrc  # imported on first use, as gammaln is
 
     cards = data.cards[tests]
-    nx, ny = cards[:, :2].max(axis=0).tolist()
+    r_x, r_y = cards[:, 0], cards[:, 1]
     # y varies fastest, then x, then z with its last variable fastest
     digits = [1, 0, *range(tests.shape[1] - 1, 1, -1)]
-    columns, dims = tests.take(digits, axis=1), cards.take(digits, axis=1).astype(float)
-    dims[:, :2] = ny, nx
-    spans = dims.cumprod(axis=1)  # the last is a test's table size, padded to nx by ny
-    size = spans[:, -1].max()
+    dims = cards.take(digits, axis=1).astype(float)
+    spans = dims.cumprod(axis=1)  # the last is a test's table size
     places = np.zeros((len(tests), len(data.cards)))
-    places[np.arange(len(tests))[:, None], columns] = spans / dims
-    flat = _stacked_counts(data, places, np.full(len(tests), size))
-    counts = flat.reshape(len(tests), int(size) // (nx * ny), nx, ny)
-    x_margins, y_margins = counts.sum(axis=3), counts.sum(axis=2)  # integer sums: exact
-    totals = x_margins.sum(axis=2)
-    tables = counts.astype(float)
-    scale = np.where(totals > 0, totals, 1.0)[..., None, None]
-    expected = x_margins[..., None] * y_margins[..., None, :] / scale
-    deviations = (tables - expected) ** 2 / np.where(expected > 0, expected, 1.0)
-    statistic = deviations.sum(axis=(1, 2, 3))
-    dof = (totals > 0).sum(axis=1) * (cards[:, 0] - 1) * (cards[:, 1] - 1)
+    places[np.arange(len(tests))[:, None], tests.take(digits, axis=1)] = spans / dims
+    flat = _stacked_counts(data, places, spans[:, -1])
+    strata = (spans[:, -1] // spans[:, 1]).astype(np.intp)  # q per test
+    x_runs, y_runs = r_x.repeat(strata), r_y.repeat(strata)  # x and y states per stratum
+    widths = y_runs.repeat(x_runs)  # cells of each (stratum, x state) row
+    row_starts = widths.cumsum() - widths
+    x_margins = np.add.reduceat(flat, row_starts)
+    totals = np.add.reduceat(x_margins, x_runs.cumsum() - x_runs)
+    # a cell's y margin sits at its stratum's first y margin plus its y state
+    y_starts = (y_runs.cumsum() - y_runs).repeat(x_runs)
+    y_index = np.arange(len(flat)) + (y_starts - row_starts).repeat(widths)
+    y_margins = np.bincount(y_index, weights=flat)
+    scale = np.where(totals > 0, totals, 1.0).repeat(x_runs)
+    expected = x_margins.repeat(widths) * y_margins[y_index] / scale.repeat(widths)
+    deviations = (flat - expected) ** 2 / np.where(expected > 0, expected, 1.0)
+    sizes = strata * r_x * r_y
+    statistic = np.add.reduceat(deviations, sizes.cumsum() - sizes)
+    nonempty = np.add.reduceat((totals > 0).astype(np.intp), strata.cumsum() - strata)
+    dof = nonempty * (r_x - 1) * (r_y - 1)
     return list(zip(statistic.tolist(), dof.tolist(), chdtrc(dof, statistic).tolist()))
 
 
@@ -472,10 +491,11 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
     Each level is planned, counted and replayed.  The plan holds every
     remaining pair's candidate subsets at the start of the level, and so
     every test the order above can reach, since neighborhoods only shrink.
-    Its tests are sorted by table size and cut into batches.  The replay
-    lists each pair's subsets again from the neighborhoods as they stand and
-    looks their tests up in order, counting a batch when it first needs one
-    of its tests.  A test without degrees of freedom raises
+    The replay lists each pair's subsets again from the neighborhoods as
+    they stand and looks their tests up in order.  When it first needs a
+    test not yet counted, it counts a batch in plan order from that test:
+    the uncounted ones among it and the tests after it, as many as one
+    stacked bincount holds.  A test without degrees of freedom raises
     :class:`InsufficientDataError` when looked up, so the result is exactly
     that of testing one at a time.
     """
@@ -506,16 +526,15 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) ->
         if not tests:
             break
         planned = columns[np.array(tests)]
-        by_size = np.argsort(data.cards[planned].prod(axis=1), kind="stable")
-        place = dict(zip(tests, np.argsort(by_size).tolist()))  # test -> place in size order
+        place = {test: i for i, test in enumerate(tests)}
         scored: list = [None] * len(tests)  # (statistic, dof, p-value) once counted
         for x, y in pairs:
             for z in candidates(x, y, level):
                 i = place[(x, y, *z)]
-                if scored[i] is None:  # count the size-order batch that holds the test
-                    start = i - i % step
-                    batch = planned[by_size[start : start + step]]
-                    scored[start : start + len(batch)] = _ci_batch(data, batch)
+                if scored[i] is None:  # count the plan's uncounted tests among the next step
+                    batch = [j for j in range(i, min(i + step, len(tests))) if scored[j] is None]
+                    for j, result in zip(batch, _ci_batch(data, planned[batch])):
+                        scored[j] = result
                 _, dof, p_value = scored[i]
                 if dof == 0:
                     z = tuple(names[v] for v in z)

@@ -145,6 +145,16 @@ class TestLearn:
         save_model(net, expected)
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("bad_line", ["0,1", "0,1,1,0", "0,x,1"])
+    def test_malformed_data_row_is_data_error(self, tmp_path, capsys, bad_line):
+        data = tmp_path / "table.csv"
+        data.write_text(f"a,b,c\n1,0,1\n\n{bad_line}\n")
+        out = tmp_path / "x.model"
+        assert main(["learn", "--data", str(data), "--method", "nb", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"heartbn learn: line 4: {data}, column ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_method_is_usage_error(self, pipeline, tmp_path):
         code = main([
             "learn", "--data", str(pipeline["table"]),

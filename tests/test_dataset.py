@@ -283,6 +283,24 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaMismatchError):
             read_table_csv(path, schema=(Variable("x", "01"),))
 
+    @pytest.mark.parametrize(
+        "bad_line, line_number, message",
+        [
+            ("0,1", 3, "column 3: 2 cells for 3 columns"),
+            ("0,1,1,0", 3, "column 4: 4 cells for 3 columns"),
+            ("0,x,1", 3, "column 2: 'x' is not an integer"),
+        ],
+    )
+    def test_malformed_row_names_file_line_and_column(self, tmp_path, bad_line, line_number, message):
+        # these used to raise NumPy's "inhomogeneous shape" error or a bare
+        # int() error that named neither line nor column
+        path = tmp_path / "table.csv"
+        path.write_text(f"a,b,c\n1,0,1\n{bad_line}\n0,0,0\n")
+        with pytest.raises(MalformedRowError) as err:
+            read_table_csv(path)
+        assert err.value.line_number == line_number
+        assert str(err.value) == f"line {line_number}: {path}, {message}"
+
 
 class TestCutpointsFile:
     def test_round_trip(self, tmp_path):

@@ -251,22 +251,41 @@ class TestHillClimb:
             assert len(trace) - 1 <= n * (n - 1)  # far below the MAX_MOVES cap
 
     @pytest.mark.parametrize("kind", ["bic", "bdeu"])
-    def test_matches_sequential_reference(self, kind):
+    def test_matches_sequential_reference(self, kind, monkeypatch):
         # cached deltas and the ancestor matrix against rescoring and
-        # walking the graph for every move at every step
-        rng = np.random.default_rng(61)
-        for case in range(40):
-            net = random_net(rng, int(rng.integers(3, 9)), max_card=3, edge_prob=0.6)
-            rows = sample_rows(net, rng, int(rng.integers(30, 300)))
-            data = DataTable(tuple(net.variables[n] for n in net.dag.nodes), rows)
-            allowed = None
-            if case % 3 == 2:
-                pairs = itertools.combinations(data.names, 2)
-                allowed = {frozenset(p) for p in pairs if rng.random() < 0.6}
-            mine, reference = [], []
-            dag = hill_climb(data, kind, 10.0, allowed, trace=mine)
-            assert dag == hill_climb_sequential(data, kind, 10.0, allowed, trace=reference)
-            assert mine == reference
+        # walking the graph for every move at every step.  The first 40
+        # cases mix state counts up to 3 on 3-8 nodes and 30-300 rows.  An
+        # add updates the matrix in place; a delete or reverse rebuilds it,
+        # and the second 40 cases, binary networks with some zero
+        # probabilities on 50-400 rows, make enough of those to check that
+        # path as well.
+        rebuilds = []
+        real_ancestors = learn._ancestors
+
+        def counting(parents):
+            rebuilds.append(1)
+            return real_ancestors(parents)
+
+        monkeypatch.setattr(learn, "_ancestors", counting)
+        case_sets = [
+            (np.random.default_rng(61), (3, 9), (30, 300), {"max_card": 3}),
+            (np.random.default_rng(0), (4, 9), (50, 400), {"allow_zeros": True}),
+        ]
+        for rng, node_range, row_range, net_options in case_sets:
+            for case in range(40):
+                n_nodes = int(rng.integers(*node_range))
+                net = random_net(rng, n_nodes, edge_prob=0.6, **net_options)
+                rows = sample_rows(net, rng, int(rng.integers(*row_range)))
+                data = DataTable(tuple(net.variables[n] for n in net.dag.nodes), rows)
+                allowed = None
+                if case % 3 == 2:
+                    pairs = itertools.combinations(data.names, 2)
+                    allowed = {frozenset(p) for p in pairs if rng.random() < 0.6}
+                mine, reference = [], []
+                dag = hill_climb(data, kind, 10.0, allowed, trace=mine)
+                assert dag == hill_climb_sequential(data, kind, 10.0, allowed, trace=reference)
+                assert mine == reference
+        assert len(rebuilds) >= 10
 
     def test_single_column_rejected(self):
         with pytest.raises(SchemaMismatchError):
@@ -600,21 +619,39 @@ class TestKernel:
 
     def test_batched_ci_matches_per_stratum_oracle(self):
         # one batch per conditioning-set size, mixing state counts, so the
-        # padded strata and state axes differ from test to test
+        # strata and state axes differ from test to test, and one batch
+        # mixing x and y states 2-5 on too few rows to fill the strata.
+        # Each test's figures are bitwise those of a batch of one.
         rng = np.random.default_rng(12)
+        batches = []
         for n_rows in (5, 60, 400):
             data = random_table(rng, 7, n_rows)
             for size in range(4):
                 draws = (rng.permutation(data.names)[: 2 + size] for _ in range(20))
-                named = [tuple(map(str, test)) for test in draws]
-                tests = np.array([[data.index(v) for v in test] for test in named])
-                scored = learn._ci_batch(data, tests)
-                for (x, y, *z), (statistic, dof, p_value) in zip(named, scored):
-                    reference = ci_test_per_stratum(data, x, y, tuple(z))
-                    assert dof == reference.dof
-                    assert (p_value > 0.05) == reference.independent
-                    assert abs(statistic - reference.statistic) <= 1e-12 * reference.statistic
-                    assert abs(p_value - reference.p_value) <= 1e-12 * reference.p_value
+                batches.append((data, [tuple(map(str, test)) for test in draws]))
+        cards = {"a": 2, "b": 3, "c": 4, "d": 5, "e": 3, "f": 5}
+        columns = {name: rng.integers(0, card, size=12).tolist() for name, card in cards.items()}
+        mixed = [
+            ("a", "d", "b", "c"), ("d", "c", "e", "f"), ("b", "e", "a", "f"),
+            ("f", "a", "c", "d"), ("c", "b", "d", "a"), ("e", "d", "f", "c"),
+        ]
+        batches.append((binary_table(columns, cards), mixed))
+        empty_strata = 0
+        for data, named in batches:
+            tests = np.array([[data.index(v) for v in test] for test in named])
+            scored = learn._ci_batch(data, tests)
+            assert scored == [learn._ci_batch(data, test[None])[0] for test in tests]
+            for (x, y, *z), (statistic, dof, p_value) in zip(named, scored):
+                reference = ci_test_per_stratum(data, x, y, tuple(z))
+                assert dof == reference.dof
+                assert (p_value > 0.05) == reference.independent
+                assert abs(statistic - reference.statistic) <= 1e-12 * reference.statistic
+                assert abs(p_value - reference.p_value) <= 1e-12 * reference.p_value
+                if named is mixed:
+                    strata = math.prod(cards[v] for v in z)
+                    empty_strata += strata - dof // ((cards[x] - 1) * (cards[y] - 1))
+        assert {cards[t[0]] for t in mixed} == {cards[t[1]] for t in mixed} == {2, 3, 4, 5}
+        assert empty_strata >= 20
 
     def test_test_without_dof_raises_only_when_reached(self, monkeypatch):
         # A table gives a test no degrees of freedom only when it has no
@@ -822,12 +859,40 @@ class TestSkeleton:
             assert set(z) <= x_side or set(z) <= y_side
         assert {len(z) for _, _, *z in counted} == {0, 1, 2, 3}
 
+    def test_ci_batches_count_no_padded_cell(self, heart_table, monkeypatch):
+        # each test's table is laid out at its own q * r_x * r_y cells, in a
+        # batch of tests whose sizes differ, and no test is counted twice
+        train, _ = split(heart_table, 0.8, 0)
+        real_batch, real_counts = learn._ci_batch, learn._stacked_counts
+        batches, mixed = [], 0
+
+        def recording_batch(data, tests):
+            batches.append(tests)
+            return real_batch(data, tests)
+
+        def checking_counts(data, places, sizes):
+            nonlocal mixed
+            assert sizes.tolist() == data.cards[batches[-1]].prod(axis=1).tolist()
+            mixed += len(set(sizes.tolist())) > 1
+            return real_counts(data, places, sizes)
+
+        monkeypatch.setattr(learn, "_ci_batch", recording_batch)
+        monkeypatch.setattr(learn, "_stacked_counts", checking_counts)
+        assert learn_skeleton(train) == pc_skeleton_sequential(train)
+        assert len(batches) >= 5 and mixed >= 5
+        counted = [tuple(test) for tests in batches for test in tests.tolist()]
+        assert len(set(counted)) == len(counted)
+
     def test_matches_sequential_reference_across_batch_sizes(self):
-        # 237, 4,000 and 9,000 rows put 69, 4 and 1 tests in a batch.  The
-        # first case of each size was found by seeded search: there a pair
-        # whose endpoint lost a neighbor earlier in the level must list its
-        # subsets again, and reusing the level's plan changes the skeleton.
-        cases = [(8, 237, 2), (8, 237, 0), (7, 4000, 2), (7, 4000, 0), (7, 9000, 1), (6, 9000, 0)]
+        # 237, 4,000, 9,000 and 16,385 rows put 138, 8, 3 and 1 tests in a
+        # batch.  The first case of each of the first three sizes was found
+        # by seeded search: there a pair whose endpoint lost a neighbor
+        # earlier in the level must list its subsets again, and reusing the
+        # level's plan changes the skeleton.
+        cases = [
+            (8, 237, 2), (8, 237, 0), (7, 4000, 2), (7, 4000, 0), (7, 9000, 1), (6, 9000, 0),
+            (6, 16_385, 0),
+        ]
         for n_nodes, n_rows, seed in cases:
             net = random_net(np.random.default_rng(seed), n_nodes, max_card=3, edge_prob=0.5)
             data = sample_table(net, n_rows, seed)
