@@ -254,13 +254,6 @@ def clean(raw: Sequence[Sequence[str]] | np.ndarray) -> np.ndarray:
     return values
 
 
-def _bin(values: np.ndarray, cuts: Sequence[float]) -> np.ndarray:
-    out = np.full(values.shape, len(cuts), dtype=np.int64)
-    for i in range(len(cuts) - 1, -1, -1):
-        out[values <= cuts[i]] = i
-    return out
-
-
 def discretize(table: np.ndarray, cutpoints: CutpointConfig | None = None) -> DataTable:
     """Bin the continuous columns of :func:`clean`'s array, yielding the heart table.
 
@@ -276,7 +269,8 @@ def discretize(table: np.ndarray, cutpoints: CutpointConfig | None = None) -> Da
     for name, raw_col in columns.items():
         if name in CONTINUOUS:
             value = raw_col + columns["age"] if name == "thalach" else raw_col
-            cols.append(_bin(value, cfg.thresholds(name)))
+            # the first bin i with value <= thresholds[i], else the last
+            cols.append(np.searchsorted(cfg.thresholds(name), value))
         else:
             cols.append(raw_col.astype(np.int64))
     return DataTable(heart_schema(), np.column_stack(cols))
@@ -309,9 +303,10 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
 
     Without an explicit schema, the heart schema is used when the header
     matches it; otherwise each column's states are inferred as 0..max.  A
-    data row with a cell too few or too many, or a cell that is not an
-    integer, raises :class:`MalformedRowError` naming the file, line and
-    column.
+    cell is a state index written in ASCII digits 0-9 only (no sign, space
+    or digit separator).  A data row with a cell too few or too many, or
+    any other cell, raises :class:`MalformedRowError` naming the file, line
+    and column.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -329,15 +324,12 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
                 raise MalformedRowError(
                     lineno, f"{path}, column {column}: {len(cells)} cells for {len(names)} columns"
                 )
-            row = []
             for column, cell in enumerate(cells, start=1):
-                try:
-                    row.append(int(cell))
-                except ValueError:
+                if not (cell.isascii() and cell.isdigit()):
                     raise MalformedRowError(
-                        lineno, f"{path}, column {column}: {cell!r} is not an integer"
-                    ) from None
-            rows.append(row)
+                        lineno, f"{path}, column {column}: {cell!r} is not a state index (digits 0-9)"
+                    )
+            rows.append([int(cell) for cell in cells])
     data = np.array(rows, dtype=np.int64).reshape(len(rows), len(names))
     if schema is None:
         by_name = {v.name: v for v in heart_schema()}

@@ -13,16 +13,18 @@ or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
 by chi-squared independence tests and :func:`orient` turns the result into a
 DAG; :func:`hybrid_learn` restricts the hill climb to the learned skeleton.
 
-Counting: one kernel, :func:`_stacked_counts`, codes a batch of families
-(or CI tests) with one exact float64 matrix product of the rows and their
-place values, each from its own offset, and counts them with one
-``np.bincount``.  Layouts are arrays, built from parent lists (fits,
-:func:`score`), parent masks (:func:`hill_climb`) or a skeleton level's
-tests, and every member fills exactly its own cells: a CI test's q * r_x *
-r_y, with no padding to its batch's largest.  :func:`_scores` sums each
-family's terms as one 1-D array, so a score is bitwise the same in any
-batch; :func:`count_table`, :func:`family_score` and :func:`ci_test` are
-batches of one.
+Counting: one kernel, :func:`_stacked_counts`, counts a batch of families
+(or CI tests) with one ``np.bincount``.  A layout is the list of columns it
+reads, slowest first, the last varying fastest and -1 marking an unused
+slot: a family's parents then its child (from parent lists for the fits
+and :func:`score`, from parent masks in :func:`hill_climb`), a CI test's
+conditioning set, then x, then y.  The kernel alone turns layouts into
+place values and sizes; it codes the batch with one exact float64 matrix
+product, each member from its own offset, and every member fills exactly
+its own cells: a CI test's q * r_x * r_y, with no padding to its batch's
+largest.  :func:`_scores` sums each family's terms as one 1-D array, so a
+score is bitwise the same in any batch; :func:`count_table`,
+:func:`family_score` and :func:`ci_test` are batches of one.
 """
 
 from __future__ import annotations
@@ -65,63 +67,62 @@ def _batch_size(data: DataTable) -> int:
     return max(1, _ROW_BUDGET // max(data.n_rows, 1))
 
 
-def _stacked_counts(data: DataTable, places: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _stacked_counts(data: DataTable, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count many code layouts over the same rows with one ``np.bincount``.
 
-    Member i's place values are row i of ``places``, one per column of
-    ``data`` (0 for a column it does not read); a row's code is its dot
-    product with them, and member i's counts fill the next ``sizes[i]``
-    cells.  A batch's codes are one float64 matrix product, exact because
-    every code stays below 2**53 (a larger layout is refused).  A lone
-    member (a batch of one on many rows) adds up only the int64 columns it
-    reads, which at 20,000 rows takes half the time of a product over them.
+    Row i of ``orders`` is member i's layout: the data columns it reads,
+    slowest first, the last varying fastest, with -1 marking an unused
+    slot.  A column's place value is the product of the cards of the used
+    slots after it, and member i's counts fill the next ``sizes[i]`` cells,
+    the product of all its cards.  Returns ``(counts, sizes)``.  A batch's
+    codes are one float64 matrix product, exact because every code stays
+    below 2**53 (a larger layout is refused).  A lone member (a batch of one
+    on many rows) adds up only the int64 columns it reads, which at 20,000
+    rows takes half the time of a product over them.
     """
-    ends = sizes.cumsum()
+    dims = np.where(orders < 0, 1.0, data.cards[orders])
+    spans = np.multiply.accumulate(dims[:, ::-1], axis=1)[:, ::-1]  # product of dims[:, j:]
+    sizes = spans[:, 0]
+    ends = np.add.accumulate(sizes)
     if ends[-1] > 2.0**53:
         raise ValueError(f"{ends[-1]:.4g} cells exceed the 2**53 codes a float64 holds exactly")
-    if len(places) == 1:
+    places = spans / dims
+    if len(orders) == 1:
         codes = np.zeros(data.n_rows, dtype=np.intp)
-        for j in places[0].nonzero()[0].tolist():
-            codes += data.rows[:, j] * int(places[0, j])
+        for j, place in zip(orders[0].tolist(), places[0].tolist()):
+            if j >= 0:
+                codes += data.rows[:, j] * int(place)
     else:
-        codes = (data.rows.astype(float) @ places.T + (ends - sizes)).astype(np.intp)
-    return np.bincount(codes.ravel(), minlength=int(ends[-1]))
+        # place values by data column, plus a last column the unused slots fill
+        by_column = np.zeros((len(orders), len(data.cards) + 1))
+        by_column[np.arange(len(orders))[:, None], orders] = places
+        codes = (data.rows.astype(float) @ by_column[:, :-1].T + (ends - sizes)).astype(np.intp)
+    return np.bincount(codes.ravel(), minlength=int(ends[-1])), sizes.astype(np.int64)
 
 
-_Layout = tuple[np.ndarray, np.ndarray, np.ndarray]
+def _orders(data: DataTable, families: list[tuple[str, tuple[str, ...]]]) -> np.ndarray:
+    """Layouts of (child, parents) families: the parents in declared order, then the child."""
+    width = 1 + max((len(parents) for _, parents in families), default=0)
+    rows = [
+        [-1] * (width - 1 - len(parents)) + [*map(data.index, parents), data.index(child)]
+        for child, parents in families
+    ]
+    return np.array(rows, dtype=np.intp).reshape(len(families), width)
 
 
-def _layout(data: DataTable, families: list[tuple[str, tuple[str, ...]]]) -> _Layout:
-    """Child columns, place values and sizes q * r of (child, parents) families.
-
-    The child has place value 1 and each parent the product of the cards of
-    the child and the parents after it: the last parent varies fastest.
-    """
-    places, sizes, cards = np.zeros((len(families), len(data.names))), [], data.cards.tolist()
-    children = [data.index(child) for child, _ in families]
-    for row, child, (_, parents) in zip(places, children, families):
-        row[child], size = 1.0, float(cards[child])
-        for p in map(data.index, reversed(parents)):
-            row[p] = size
-            size *= cards[p]
-        sizes.append(size)
-    return np.array(children, dtype=np.intp), places, np.array(sizes)
-
-
-def _family_counts(data: DataTable, layout: _Layout):
+def _family_counts(data: DataTable, orders: np.ndarray):
     """Yield, per batch of families, the flat stacked counts and a (q, r) row per family."""
-    children, places, sizes = layout
     step = _batch_size(data)
-    for batch in (slice(start, start + step) for start in range(0, len(children), step)):
-        flat = _stacked_counts(data, places[batch], sizes[batch])
-        r = data.cards[children[batch]]
-        yield flat, np.column_stack(((sizes[batch] // r).astype(int), r))
+    for batch in (orders[start : start + step] for start in range(0, len(orders), step)):
+        flat, sizes = _stacked_counts(data, batch)
+        r = data.cards[batch[:, -1]]
+        yield flat, np.column_stack((sizes // r, r))
 
 
-def _family_tables(data: DataTable, layout: _Layout) -> list[np.ndarray]:
-    """The (q, r) count table of each family of ``layout``."""
+def _family_tables(data: DataTable, orders: np.ndarray) -> list[np.ndarray]:
+    """The (q, r) count table of each family of ``orders``."""
     tables = []
-    for flat, shapes in _family_counts(data, layout):
+    for flat, shapes in _family_counts(data, orders):
         start = 0
         for q, r in shapes.tolist():
             tables.append(flat[start : start + q * r].reshape(q, r))
@@ -141,7 +142,7 @@ def count_table(data: DataTable, child: str, parents: tuple[str, ...] = ()) -> n
     one column per child state.  The child and its parents must be distinct.
     """
     _require_distinct(child, *parents)
-    (counts,) = _family_tables(data, _layout(data, [(child, parents)]))
+    (counts,) = _family_tables(data, _orders(data, [(child, parents)]))
     return counts
 
 
@@ -161,8 +162,8 @@ def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
     """CPTs (N(x, pa) + a) / (N(pa) + a * r), a = cell_prior(q, r); zero-weight rows are uniform."""
     _require_nodes(dag, data)
     cpts = {}
-    layout = _layout(data, [(node, dag.parents(node)) for node in dag.nodes])
-    for node, counts in zip(dag.nodes, _family_tables(data, layout)):
+    orders = _orders(data, [(node, dag.parents(node)) for node in dag.nodes])
+    for node, counts in zip(dag.nodes, _family_tables(data, orders)):
         q, r = counts.shape
         a = cell_prior(q, r)
         denominators = counts.sum(axis=1) + a * r
@@ -237,11 +238,11 @@ def _check_score(kind: str, ess: float) -> None:
         _check_ess(ess)
 
 
-def _family_scores(data: DataTable, layout: _Layout, kind: str, ess: float) -> list[float]:
-    """Scores of the families of ``layout``; callers check ``kind`` and ``ess`` first."""
+def _family_scores(data: DataTable, orders: np.ndarray, kind: str, ess: float) -> list[float]:
+    """Scores of the families of ``orders``; callers check ``kind`` and ``ess`` first."""
     return [
         score
-        for flat, shapes in _family_counts(data, layout)
+        for flat, shapes in _family_counts(data, orders)
         for score in _scores(flat, shapes, data.n_rows, kind, ess)
     ]
 
@@ -259,8 +260,8 @@ def score(dag: Dag, data: DataTable, kind: str = "bic", ess: float = 10.0) -> fl
     """Total network score: the sum of its family scores, counted together."""
     _require_nodes(dag, data)
     _check_score(kind, ess)
-    layout = _layout(data, [(node, dag.parents(node)) for node in dag.nodes])
-    return sum(_family_scores(data, layout, kind, ess))
+    orders = _orders(data, [(node, dag.parents(node)) for node in dag.nodes])
+    return sum(_family_scores(data, orders, kind, ess))
 
 
 def _ancestors(parents: np.ndarray) -> np.ndarray:
@@ -302,7 +303,6 @@ def hill_climb(
     names = sorted(data.names)
     n = len(names)
     columns = np.array([data.index(name) for name in names])
-    cards, rank_of_column = data.cards[columns].astype(float), np.argsort(columns)
     pairs_ok = ~np.eye(n, dtype=bool)
     if allowed is not None:
         bad = sorted(sorted(pair) for pair in allowed if len(pair) != 2 or not pair <= set(names))
@@ -326,14 +326,11 @@ def hill_climb(
         can_reverse = parents & ~(parents @ anc.T)
         # the plus (k = 0) and minus (k = 1) scores this step needs and lacks
         k, c, p = np.nonzero(np.stack([can_add | can_reverse.T, parents]) & np.isnan(cache))
-        masks = parents[c]  # each family's parents in name order, the last varying fastest
+        masks = parents[c]
         masks[np.arange(len(c)), p] ^= True
-        factors = np.where(masks, cards, 1.0)
-        after = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]  # product of factors[:, j:]
-        places = masks * cards[c, None] * after / factors  # r times the cards of later parents
-        places[np.arange(len(c)), c] = 1.0
-        layout = (columns[c], places[:, rank_of_column], cards[c] * after[:, 0])
-        cache[k, c, p] = _family_scores(data, layout, kind, ess)
+        # each family's parents in name order, then its child
+        orders = np.column_stack((np.where(masks, columns, -1), columns[c]))
+        cache[k, c, p] = _family_scores(data, orders, kind, ess)
 
         add = np.where(can_add, plus - now[:, None], -np.inf)
         delete = np.where(parents, minus - now[:, None], -np.inf)
@@ -384,8 +381,9 @@ class CITestResult:
 def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int, float]]:
     """(statistic, dof, p-value) of each column-index test (x, y, *z), one per row.
 
-    One stacked bincount lays each test's q * r_x * r_y cells end to end,
-    y fastest, then x, then the strata: no cell is padded.  x margins and
+    One stacked bincount lays each test's q * r_x * r_y cells end to end in
+    the layout (*z, x, y): y fastest, then x, then the strata, so a test's
+    q is its size over r_x * r_y and no cell is padded.  x margins and
     stratum totals are sums of consecutive runs (``np.add.reduceat``), y
     margins a weighted ``np.bincount``; all are sums of integer counts, so
     exact.  Expected counts are gathered per cell, and each test's
@@ -394,16 +392,10 @@ def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int, floa
     """
     from scipy.special import chdtrc  # imported on first use, as gammaln is
 
-    cards = data.cards[tests]
-    r_x, r_y = cards[:, 0], cards[:, 1]
-    # y varies fastest, then x, then z with its last variable fastest
-    digits = [1, 0, *range(tests.shape[1] - 1, 1, -1)]
-    dims = cards.take(digits, axis=1).astype(float)
-    spans = dims.cumprod(axis=1)  # the last is a test's table size
-    places = np.zeros((len(tests), len(data.cards)))
-    places[np.arange(len(tests))[:, None], tests.take(digits, axis=1)] = spans / dims
-    flat = _stacked_counts(data, places, spans[:, -1])
-    strata = (spans[:, -1] // spans[:, 1]).astype(np.intp)  # q per test
+    r_x, r_y = data.cards[tests[:, 0]], data.cards[tests[:, 1]]
+    # z with its last variable fastest, then x, then y fastest of all
+    flat, sizes = _stacked_counts(data, tests[:, [*range(2, tests.shape[1]), 0, 1]])
+    strata = sizes // (r_x * r_y)  # q per test
     x_runs, y_runs = r_x.repeat(strata), r_y.repeat(strata)  # x and y states per stratum
     widths = y_runs.repeat(x_runs)  # cells of each (stratum, x state) row
     row_starts = widths.cumsum() - widths
@@ -416,7 +408,6 @@ def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int, floa
     scale = np.where(totals > 0, totals, 1.0).repeat(x_runs)
     expected = x_margins.repeat(widths) * y_margins[y_index] / scale.repeat(widths)
     deviations = (flat - expected) ** 2 / np.where(expected > 0, expected, 1.0)
-    sizes = strata * r_x * r_y
     statistic = np.add.reduceat(deviations, sizes.cumsum() - sizes)
     nonempty = np.add.reduceat((totals > 0).astype(np.intp), strata.cumsum() - strata)
     dof = nonempty * (r_x - 1) * (r_y - 1)

@@ -11,12 +11,15 @@ once per test, in the library's documented order, without batching, and
 the hill-climb oracle rescans and rescores every move at every step.  The
 score oracles compute BIC as a row log-likelihood under the family's MLE
 and BDeu as a product of sequential predictive probabilities, without
-``gammaln``; the code counter counts the counting kernel's layouts one row
-at a time in Python integers.  The DAG enumerator lists every DAG on a few
-nodes, and ``markov_class`` keys each by its skeleton and v-structures,
-which identify its Markov equivalence class.  The generators produce small random DAGs
-and networks for randomized comparisons, and two ancestral samplers draw
-rows from a network: one row at a time, or one node at a time for all rows.
+``gammaln``; the code counter counts one row at a time in Python integers,
+from per-column place values that a test derives itself from the kernel's
+column orders.  The DAG enumerator lists every DAG on a few nodes, and
+``markov_class`` keys each by its skeleton and v-structures, which identify
+its Markov equivalence class; with the d-separation oracle it also checks
+structure learning run on a CI test that d-separation answers.  The
+generators produce small random DAGs and networks for randomized
+comparisons, and two ancestral samplers draw rows from a network: one row
+at a time, or one node at a time for all rows.
 """
 
 from __future__ import annotations

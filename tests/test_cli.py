@@ -145,7 +145,9 @@ class TestLearn:
         save_model(net, expected)
         assert out.read_bytes() == expected.read_bytes()
 
-    @pytest.mark.parametrize("bad_line", ["0,1", "0,1,1,0", "0,x,1"])
+    @pytest.mark.parametrize(
+        "bad_line", ["0,1", "0,1,1,0", "0,x,1", "0,1_0,1", "0,-1,1", "+1,0,1", "0,\u0661,1"]
+    )
     def test_malformed_data_row_is_data_error(self, tmp_path, capsys, bad_line):
         data = tmp_path / "table.csv"
         data.write_text(f"a,b,c\n1,0,1\n\n{bad_line}\n")

@@ -288,12 +288,19 @@ class TestCsvRoundTrip:
         [
             ("0,1", 3, "column 3: 2 cells for 3 columns"),
             ("0,1,1,0", 3, "column 4: 4 cells for 3 columns"),
-            ("0,x,1", 3, "column 2: 'x' is not an integer"),
+            ("0,x,1", 3, "column 2: 'x' is not a state index (digits 0-9)"),
+            ("0,1_0,1", 3, "column 2: '1_0' is not a state index (digits 0-9)"),
+            ("0,1,-1", 3, "column 3: '-1' is not a state index (digits 0-9)"),
+            ("+1,0,1", 3, "column 1: '+1' is not a state index (digits 0-9)"),
+            ("0,\u0661,1", 3, "column 2: '\u0661' is not a state index (digits 0-9)"),
+            ("0, 1,1", 3, "column 2: ' 1' is not a state index (digits 0-9)"),
         ],
     )
     def test_malformed_row_names_file_line_and_column(self, tmp_path, bad_line, line_number, message):
         # these used to raise NumPy's "inhomogeneous shape" error or a bare
-        # int() error that named neither line nor column
+        # int() error that named neither line nor column; int() also read
+        # '1_0' as state 10, '+1', ' 1' and the Arabic-Indic digit one as
+        # state 1, and '-1' failed later in DataTable without a line
         path = tmp_path / "table.csv"
         path.write_text(f"a,b,c\n1,0,1\n{bad_line}\n0,0,0\n")
         with pytest.raises(MalformedRowError) as err:

@@ -18,6 +18,7 @@ from heartbn import (
     build_dag,
     ci_test,
     count_table,
+    d_separated,
     family_score,
     fit_bayesian,
     fit_mle,
@@ -47,6 +48,7 @@ from oracles import (
     bic_row_loglik,
     ci_test_per_stratum,
     count_codes_per_row,
+    d_separated_bruteforce,
     hill_climb_sequential,
     markov_class,
     pc_skeleton_sequential,
@@ -565,30 +567,37 @@ class TestKernel:
 
     @pytest.mark.parametrize("n_rows", [0, 237, 20_000])
     def test_stacked_counts_match_per_row_counter(self, n_rows):
-        # Random layouts over columns of up to 10 states: each member reads a
-        # random subset of columns in random order (none at all for a member
-        # that is all padding, every place 0), and some sizes run past the
-        # member's last code, as a padded CI test's do.
+        # Random orders over columns of up to 10 states: each member reads a
+        # random subset of columns in random order, in random slots of its
+        # row, with -1 in the others (in every slot of the first draw's
+        # first member, which reads no column at all).  The per-row
+        # counter's place values are derived here: a read column's is the
+        # product of the cards of the columns read after it.
         rng = np.random.default_rng(n_rows)
         cards = rng.integers(2, 11, size=6)
         schema = tuple(Variable(f"v{i}", tuple(map(str, range(c)))) for i, c in enumerate(cards))
         data = DataTable(schema, rng.integers(0, cards, size=(n_rows, 6)))
-        padding = lone = 0
-        for _ in range(3 if n_rows == 20_000 else 40):
-            places = np.zeros((int(rng.integers(1, 3 if n_rows == 20_000 else 5)), 6))
-            sizes = []
-            for row in places:
+        unused = lone = last_beside_unused = 0
+        for draw in range(3 if n_rows == 20_000 else 40):
+            width = int(rng.integers(1, 7))
+            orders = np.full((int(rng.integers(1, 3 if n_rows == 20_000 else 5)), width), -1)
+            places, sizes = np.zeros((len(orders), 6)), []
+            for i, (order, place) in enumerate(zip(orders, places)):
+                n_read = 0 if draw == i == 0 else int(rng.integers(0, min(width, 4) + 1))
+                read = rng.permutation(6)[:n_read]
+                order[np.sort(rng.permutation(width)[:n_read])] = read
                 size = 1
-                for j in rng.permutation(6)[: int(rng.integers(0, 5))]:
-                    row[j] = size
+                for j in reversed(read.tolist()):
+                    place[j] = size
                     size *= int(cards[j])
-                sizes.append(size * int(rng.integers(1, 3)))
-                padding += not row.any()
-            lone += len(places) == 1
-            sizes = np.array(sizes, dtype=float)
-            counted = learn._stacked_counts(data, places, sizes)
-            assert counted.tolist() == count_codes_per_row(data.rows, places, sizes)
-        assert n_rows == 20_000 or (padding >= 3 and lone >= 3)
+                sizes.append(size)
+                unused += n_read == 0
+                last_beside_unused += 5 in read and n_read < width
+            lone += len(orders) == 1
+            counted, counted_sizes = learn._stacked_counts(data, orders)
+            assert counted_sizes.tolist() == sizes
+            assert counted.tolist() == count_codes_per_row(data.rows, places, np.array(sizes))
+        assert n_rows == 20_000 or (unused >= 3 and lone >= 3 and last_beside_unused >= 3)
 
     def test_layout_past_exact_float_codes_refused(self, monkeypatch):
         # 2**54 cells: codes past 2**53 are no longer exact float64 integers
@@ -597,9 +606,12 @@ class TestKernel:
         monkeypatch.setattr(np, "bincount", no_counting)
         with pytest.raises(ValueError, match=r"2\*\*53"):
             count_table(data, "v0", tuple(f"v{i}" for i in range(1, 54)))
-        places = np.zeros((2, 54))
+        # 2**52 + 2**52 + 2 cells over a batch of 54-column orders
+        orders = np.full((3, 54), -1)
+        orders[:2, 2:] = np.arange(2, 54)
+        orders[2, -1] = 0
         with pytest.raises(ValueError, match=r"2\*\*53"):
-            learn._stacked_counts(data, places, np.array([2.0**52, 2.0**52 + 2]))
+            learn._stacked_counts(data, orders)
 
     @pytest.mark.parametrize("kind", ["bic", "bdeu"])
     def test_batched_family_scores_equal_family_score(self, kind):
@@ -611,7 +623,7 @@ class TestKernel:
             for _ in range(60):
                 child, *parents = rng.permutation(data.names)[: 1 + int(rng.integers(0, 4))]
                 families.append((str(child), tuple(str(p) for p in parents)))
-            batched = learn._family_scores(data, learn._layout(data, families), kind, 10.0)
+            batched = learn._family_scores(data, learn._orders(data, families), kind, 10.0)
             assert batched == [family_score(data, c, ps, kind, 10.0) for c, ps in families]
             empty_parents += sum(not ps for _, ps in families)
             unseen += sum((count_table(data, c, ps).sum(axis=1) == 0).any() for c, ps in families)
@@ -870,11 +882,15 @@ class TestSkeleton:
             batches.append(tests)
             return real_batch(data, tests)
 
-        def checking_counts(data, places, sizes):
+        def checking_counts(data, orders):
             nonlocal mixed
-            assert sizes.tolist() == data.cards[batches[-1]].prod(axis=1).tolist()
+            tests = batches[-1]
+            assert orders.tolist() == np.column_stack((tests[:, 2:], tests[:, :2])).tolist()
+            counts, sizes = real_counts(data, orders)
+            assert sizes.tolist() == data.cards[tests].prod(axis=1).tolist()
+            assert len(counts) == sizes.sum()
             mixed += len(set(sizes.tolist())) > 1
-            return real_counts(data, places, sizes)
+            return counts, sizes
 
         monkeypatch.setattr(learn, "_ci_batch", recording_batch)
         monkeypatch.setattr(learn, "_stacked_counts", checking_counts)
@@ -910,6 +926,53 @@ class TestSkeleton:
         skeleton = learn_skeleton(chain_data(seed=44))
         pairs = {tuple(sorted(p)) for p in itertools.combinations(skeleton.nodes, 2)}
         assert set(skeleton.sepsets) == pairs - set(skeleton.edges)
+
+
+class TestAgainstDSeparationOracle:
+    """learn_skeleton and orient with the CI test answered by d-separation in a known DAG."""
+
+    def test_true_skeleton_sepsets_and_v_structures(self, monkeypatch):
+        # Each DAG has 3-8 nodes and at most 3 parents per node, so a node's
+        # parents (always among its neighbours) separate it from every
+        # non-adjacent non-descendant within max_sepset = 3.  The Markov
+        # class is not compared: orient's remaining defects (no Meek rule 3,
+        # a lexicographic fallback) orient some undirected edges wrongly.
+        rng = np.random.default_rng(15)
+        truth = {}
+
+        def answered_by_d_separation(data, tests):
+            # p = 1 for a d-separated pair, else 0, with one degree of freedom
+            name = data.names
+            separated = (
+                d_separated(truth["dag"], {name[x]}, {name[y]}, {name[v] for v in z})
+                for x, y, *z in tests.tolist()
+            )
+            return [(0.0, 1, float(p)) for p in separated]
+
+        monkeypatch.setattr(learn, "_ci_batch", answered_by_d_separation)
+        n_sepsets = n_v_structures = 0
+        for _ in range(300):
+            names = [f"n{i}" for i in range(int(rng.integers(3, 9)))]
+            order = rng.permutation(names).tolist()
+            edges = [
+                (parent, child)
+                for i, child in enumerate(order)
+                for parent in rng.permutation(order[:i])[: int(rng.integers(0, min(i, 3) + 1))]
+            ]
+            dag = truth["dag"] = build_dag(names, edges)
+            data = DataTable(tuple(Variable(n, "01") for n in names), np.zeros((10, len(names))))
+            skeleton = learn_skeleton(data)
+            true_skeleton, v_structures = markov_class(dag)
+            assert {frozenset(edge) for edge in skeleton.edges} == true_skeleton
+            for (a, b), sepset in skeleton.sepsets.items():
+                assert d_separated_bruteforce(dag, {a}, {b}, set(sepset)), (edges, a, b, sepset)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ConflictingOrientationWarning)
+                learned = orient(skeleton)
+            assert v_structures <= markov_class(learned)[1], edges
+            n_sepsets += sum(len(s) > 0 for s in skeleton.sepsets.values())
+            n_v_structures += len(v_structures)
+        assert n_sepsets >= 800 and n_v_structures >= 400
 
 
 class TestOrient:
