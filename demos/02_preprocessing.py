@@ -20,7 +20,7 @@ print(f"\nafter dropping rows with '?': {len(cleaned)}")
 print("\ndefault cutpoints:")
 for attr in ("age", "trestbps", "chol", "thalach", "oldpeak"):
     note = "  (applies to thalach + age)" if attr == "thalach" else ""
-    print(f"  {attr:9s} {DEFAULT_CUTPOINTS.thresholds(attr)}{note}")
+    print(f"  {attr:9s} {getattr(DEFAULT_CUTPOINTS, attr)}{note}")
 
 table = discretize(cleaned)
 print("\ndiscretized schema:")

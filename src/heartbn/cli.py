@@ -131,7 +131,7 @@ def _names(spec: str) -> set[str]:
 
 
 def _cmd_preprocess(args) -> int:
-    cutpoints = ds.load_cutpoints(args.cutpoints) if args.cutpoints else None
+    cutpoints = ds.load_cutpoints(args.cutpoints) if args.cutpoints else ds.DEFAULT_CUTPOINTS
     table = ds.discretize(ds.clean(ds.load_raw(args.input)), cutpoints)
     ds.write_table_csv(table, args.output)
     return 0

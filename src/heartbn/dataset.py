@@ -38,21 +38,17 @@ from .errors import (
     UnknownCategoryError,
 )
 
-N_FIELDS = 14
 MISSING = "?"
 
 RAW_COLUMNS = (
     "age", "sex", "cp", "trestbps", "chol", "fbs", "restecg",
     "thalach", "exang", "oldpeak", "slope", "ca", "thal", "target",
 )
-CONTINUOUS = ("age", "trestbps", "chol", "thalach", "oldpeak")
-DISCRETIZED_NAME = {
-    "age": "ageC", "trestbps": "trestbpsC", "chol": "cholC",
-    "thalach": "thalachC", "oldpeak": "oldpeakC",
-}
+N_FIELDS = len(RAW_COLUMNS)
 
 # Raw category codes accepted per column, mapped to 0-based indices in
 # ascending order of raw code (thal 3/6/7 -> 0/1/2, cp 1..4 -> 0..3, ...).
+# A column's states are its distinct indices.
 _RECODE = {
     "sex": {0: 0, 1: 1},
     "cp": {1: 0, 2: 1, 3: 2, 4: 3},
@@ -65,11 +61,14 @@ _RECODE = {
     "target": {0: 0, 1: 1, 2: 1, 3: 1, 4: 1},
 }
 
-_CARDINALITY = {
-    "ageC": 3, "sex": 2, "cp": 4, "trestbpsC": 3, "cholC": 3, "fbs": 2,
-    "restecg": 3, "thalachC": 2, "exang": 2, "oldpeakC": 2, "slope": 3,
-    "ca": 4, "thal": 3, "target": 2,
-}
+# Bins per continuous column; a binned column is renamed name + "C".
+_BINS = {"age": 3, "trestbps": 3, "chol": 3, "thalach": 2, "oldpeak": 2}
+CONTINUOUS = tuple(_BINS)
+DISCRETIZED_NAME = {name: name + "C" for name in CONTINUOUS}
+
+# Bound on a state index in a table file: read_table_csv refuses a cell at
+# or above it, so one large cell cannot infer a huge column.
+MAX_STATES = 1000
 
 
 def _states(n: int) -> tuple[str, ...]:
@@ -79,7 +78,8 @@ def _states(n: int) -> tuple[str, ...]:
 def heart_schema() -> tuple[Variable, ...]:
     """Variables of the fully discretized table, in column order."""
     return tuple(
-        Variable(DISCRETIZED_NAME.get(c, c), _states(_CARDINALITY[DISCRETIZED_NAME.get(c, c)]))
+        Variable(DISCRETIZED_NAME[c], _states(_BINS[c])) if c in _BINS
+        else Variable(c, _states(len(set(_RECODE[c].values()))))
         for c in RAW_COLUMNS
     )
 
@@ -93,7 +93,8 @@ def cleveland_path() -> Path:
 class DataTable:
     """Fully categorical table: a schema of Variables plus state-index rows.
 
-    ``rows`` is a read-only int64 array stored column by column.
+    ``rows`` is a read-only int64 array stored column by column.  Column
+    names must be distinct: a repeated one raises :class:`SchemaMismatchError`.
     """
 
     schema: tuple[Variable, ...]
@@ -105,8 +106,10 @@ class DataTable:
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "names", tuple(v.name for v in self.schema))
-        # reversed, so a repeated name keeps its first column, as tuple.index does
-        index = {name: j for j, name in reversed(tuple(enumerate(self.names)))}
+        index = {name: j for j, name in enumerate(self.names)}
+        if len(index) < len(self.names):
+            repeated = sorted({name for name in self.names if self.names.count(name) > 1})
+            raise SchemaMismatchError(f"column names must be distinct, not {repeated}")
         object.__setattr__(self, "_index", index)
         # column-major: the counting kernels gather whole columns
         rows = np.array(self.rows, dtype=np.int64, order="F")
@@ -174,14 +177,11 @@ class CutpointConfig:
                 raise NonMonotoneCutpointsError(f"{attr} thresholds must be finite numbers, got {cuts}")
             cuts = tuple(float(c) for c in cuts)
             object.__setattr__(self, attr, cuts)
-            n_cuts = _CARDINALITY[DISCRETIZED_NAME[attr]] - 1
+            n_cuts = _BINS[attr] - 1
             if len(cuts) != n_cuts:
                 raise NonMonotoneCutpointsError(f"{attr} needs {n_cuts} thresholds, got {len(cuts)}")
             if any(b <= a for a, b in zip(cuts, cuts[1:])):
                 raise NonMonotoneCutpointsError(f"{attr} thresholds must strictly increase")
-
-    def thresholds(self, attr: str) -> tuple[float, ...]:
-        return getattr(self, attr)
 
 
 DEFAULT_CUTPOINTS = CutpointConfig()
@@ -254,14 +254,13 @@ def clean(raw: Sequence[Sequence[str]] | np.ndarray) -> np.ndarray:
     return values
 
 
-def discretize(table: np.ndarray, cutpoints: CutpointConfig | None = None) -> DataTable:
+def discretize(table: np.ndarray, cutpoints: CutpointConfig = DEFAULT_CUTPOINTS) -> DataTable:
     """Bin the continuous columns of :func:`clean`'s array, yielding the heart table.
 
     Row count and row order are preserved; continuous columns are renamed
     (age -> ageC, ...).  ``thalach`` is binned on ``thalach + age``.
     Anything but a 2-D array with 14 columns raises ``TypeError``.
     """
-    cfg = cutpoints if cutpoints is not None else DEFAULT_CUTPOINTS
     if not isinstance(table, np.ndarray) or table.ndim != 2 or table.shape[1] != N_FIELDS:
         raise TypeError(f"discretize expects the cleaned (n, {N_FIELDS}) array, before binning")
     columns = dict(zip(RAW_COLUMNS, table.T))
@@ -270,7 +269,7 @@ def discretize(table: np.ndarray, cutpoints: CutpointConfig | None = None) -> Da
         if name in CONTINUOUS:
             value = raw_col + columns["age"] if name == "thalach" else raw_col
             # the first bin i with value <= thresholds[i], else the last
-            cols.append(np.searchsorted(cfg.thresholds(name), value))
+            cols.append(np.searchsorted(getattr(cutpoints, name), value))
         else:
             cols.append(raw_col.astype(np.int64))
     return DataTable(heart_schema(), np.column_stack(cols))
@@ -303,10 +302,10 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
 
     Without an explicit schema, the heart schema is used when the header
     matches it; otherwise each column's states are inferred as 0..max.  A
-    cell is a state index written in ASCII digits 0-9 only (no sign, space
-    or digit separator).  A data row with a cell too few or too many, or
-    any other cell, raises :class:`MalformedRowError` naming the file, line
-    and column.
+    cell is a state index below :data:`MAX_STATES` written in ASCII digits
+    0-9 only (no sign, space or digit separator).  A data row with a cell
+    too few or too many, or any other cell, raises :class:`MalformedRowError`
+    naming the file, line and column.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -324,12 +323,18 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
                 raise MalformedRowError(
                     lineno, f"{path}, column {column}: {len(cells)} cells for {len(names)} columns"
                 )
+            row = []
             for column, cell in enumerate(cells, start=1):
                 if not (cell.isascii() and cell.isdigit()):
                     raise MalformedRowError(
                         lineno, f"{path}, column {column}: {cell!r} is not a state index (digits 0-9)"
                     )
-            rows.append([int(cell) for cell in cells])
+                row.append(int(cell))
+                if row[-1] >= MAX_STATES:
+                    raise MalformedRowError(
+                        lineno, f"{path}, column {column}: state index {cell} is not below {MAX_STATES}"
+                    )
+            rows.append(row)
     data = np.array(rows, dtype=np.int64).reshape(len(rows), len(names))
     if schema is None:
         by_name = {v.name: v for v in heart_schema()}
@@ -348,7 +353,7 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
 
 
 def save_cutpoints(cfg: CutpointConfig, path) -> None:
-    doc = {attr: list(cfg.thresholds(attr)) for attr in CONTINUOUS}
+    doc = {attr: list(getattr(cfg, attr)) for attr in CONTINUOUS}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -10,24 +10,10 @@ sex is a root with one child.
 from __future__ import annotations
 
 from .core import Dag, build_dag
+from .dataset import heart_schema
 
 # Discretized attribute names, in the column order of the processed table.
-HEART_NODES = (
-    "ageC",
-    "sex",
-    "cp",
-    "trestbpsC",
-    "cholC",
-    "fbs",
-    "restecg",
-    "thalachC",
-    "exang",
-    "oldpeakC",
-    "slope",
-    "ca",
-    "thal",
-    "target",
-)
+HEART_NODES = tuple(v.name for v in heart_schema())
 
 # Edge declaration order fixes CPT parent order: thalachC is conditioned on
 # (slope, exang) and oldpeakC on (slope, target), in that order.

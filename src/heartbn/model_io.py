@@ -90,9 +90,9 @@ def load_model(path) -> DiscreteBayesNet:
         return model_from_document(json.load(fh))
 
 
-def to_dot(dag: Dag, name: str = "G") -> str:
-    """Plain DOT digraph: one statement per node, one edge line per edge."""
-    lines = [f"digraph {name} {{"]
+def to_dot(dag: Dag) -> str:
+    """Plain DOT digraph named G: one statement per node, one edge line per edge."""
+    lines = ["digraph G {"]
     for node in dag.nodes:
         lines.append(f'  "{node}";')
     for parent, child in dag.edges:
@@ -101,6 +101,6 @@ def to_dot(dag: Dag, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(dag: Dag, path, name: str = "G") -> None:
+def export_dot(dag: Dag, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_dot(dag, name))
+        fh.write(to_dot(dag))

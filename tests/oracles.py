@@ -208,15 +208,21 @@ def hill_climb_sequential(
     Every step scans all moves in the library's documented order (adds by
     parent then child, then deletes and reverses by child then parent),
     tests each for a cycle by walking up the parent sets, and keeps the
-    first move with the largest gain above ``MIN_IMPROVEMENT``.
+    first move with the largest gain above ``MIN_IMPROVEMENT``.  Each
+    family's ``family_score`` is computed once and memoized by (child,
+    sorted parents).
     """
     from heartbn.learn import MAX_MOVES, MIN_IMPROVEMENT, family_score
 
     names = sorted(data.names)
     parent_sets = {n: frozenset() for n in names}
+    cache: dict[tuple[str, tuple[str, ...]], float] = {}
 
     def fam(child, parents):
-        return family_score(data, child, tuple(sorted(parents)), kind, ess)
+        key = (child, tuple(sorted(parents)))
+        if key not in cache:
+            cache[key] = family_score(data, *key, kind, ess)
+        return cache[key]
 
     def closes_cycle(sets, parent, child):
         stack, seen = [parent], set()

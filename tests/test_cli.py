@@ -146,7 +146,8 @@ class TestLearn:
         assert out.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize(
-        "bad_line", ["0,1", "0,1,1,0", "0,x,1", "0,1_0,1", "0,-1,1", "+1,0,1", "0,\u0661,1"]
+        "bad_line",
+        ["0,1", "0,1,1,0", "0,x,1", "0,1_0,1", "0,-1,1", "+1,0,1", "0,\u0661,1", "0,100000,1"],
     )
     def test_malformed_data_row_is_data_error(self, tmp_path, capsys, bad_line):
         data = tmp_path / "table.csv"
@@ -155,6 +156,20 @@ class TestLearn:
         assert main(["learn", "--data", str(data), "--method", "nb", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"heartbn learn: line 4: {data}, column ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["paper", "nb", "hc"])
+    def test_repeated_column_is_data_error(self, pipeline, tmp_path, capsys, method):
+        # the heart table with its thal column repeated at the end
+        thal = RAW_COLUMNS.index("thal")
+        lines = pipeline["table"].read_text().splitlines()
+        data = tmp_path / "table.csv"
+        data.write_text("".join(f"{line},{line.split(',')[thal]}\n" for line in lines))
+        out = tmp_path / "x.model"
+        assert main(["learn", "--data", str(data), "--method", method, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "heartbn learn: column names must be distinct, not ['thal']\n"
+        )
         assert not out.exists()
 
     def test_bad_method_is_usage_error(self, pipeline, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from heartbn import (
     split,
 )
 from heartbn.dataset import (
+    MAX_STATES,
     RAW_COLUMNS,
     load_cutpoints,
     read_table_csv,
@@ -221,12 +224,18 @@ class TestSplit:
 
 
 class TestDataTable:
-    def test_duplicated_name_resolves_to_first_column(self):
-        schema = (Variable("a", "01"), Variable("b", "012"), Variable("a", "012"))
-        table = DataTable(schema, np.array([[0, 2, 1], [1, 0, 2]]))
-        assert table.index("a") == 0
-        assert table.variable("a") is schema[0]
-        assert table.column("a").tolist() == [0, 1]
+    @pytest.mark.parametrize(
+        "names, repeated", [("aba", "['a']"), ("abcba", "['a', 'b']"), ("aa", "['a']")]
+    )
+    def test_repeated_names_rejected(self, names, repeated):
+        schema = tuple(Variable(name, "01") for name in names)
+        with pytest.raises(SchemaMismatchError) as err:
+            DataTable(schema, np.zeros((2, len(names)), dtype=np.int64))
+        assert str(err.value) == f"column names must be distinct, not {repeated}"
+
+    def test_unknown_name_rejected(self):
+        table = DataTable((Variable("a", "01"), Variable("b", "012")), np.array([[0, 2], [1, 0]]))
+        assert table.index("b") == 1
         with pytest.raises(SchemaMismatchError):
             table.index("c")
 
@@ -277,6 +286,20 @@ class TestCsvRoundTrip:
             v.cardinality for v in heart_table.schema
         ]
 
+    @pytest.mark.parametrize("header, repeated", [("a,b,a", "['a']"), ("thal,cp,thal", "['thal']")])
+    def test_repeated_header_name_rejected(self, tmp_path, header, repeated):
+        # a header of heart names reads through the heart schema, any other
+        # infers its states; both reach the one distinct-names rule
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n1,0,1\n")
+        with pytest.raises(SchemaMismatchError, match=re.escape(f"distinct, not {repeated}")):
+            read_table_csv(path)
+
+    def test_inferred_states_stop_below_the_bound(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(f"a,b\n0,{MAX_STATES - 1}\n1,0\n")
+        assert [v.cardinality for v in read_table_csv(path).schema] == [2, MAX_STATES]
+
     def test_explicit_schema_mismatch(self, heart_table, tmp_path):
         path = tmp_path / "table.csv"
         write_table_csv(heart_table, path)
@@ -294,6 +317,9 @@ class TestCsvRoundTrip:
             ("+1,0,1", 3, "column 1: '+1' is not a state index (digits 0-9)"),
             ("0,\u0661,1", 3, "column 2: '\u0661' is not a state index (digits 0-9)"),
             ("0, 1,1", 3, "column 2: ' 1' is not a state index (digits 0-9)"),
+            ("0,100000,1", 3, "column 2: state index 100000 is not below 1000"),
+            ("0,1,1000", 3, "column 3: state index 1000 is not below 1000"),
+            ("0001000,0,1", 3, "column 1: state index 0001000 is not below 1000"),
         ],
     )
     def test_malformed_row_names_file_line_and_column(self, tmp_path, bad_line, line_number, message):
