@@ -303,9 +303,11 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
     Without an explicit schema, the heart schema is used when the header
     matches it; otherwise each column's states are inferred as 0..max.  A
     cell is a state index below :data:`MAX_STATES` written in ASCII digits
-    0-9 only (no sign, space or digit separator).  A data row with a cell
-    too few or too many, or any other cell, raises :class:`MalformedRowError`
-    naming the file, line and column.
+    0-9 only (no sign, space or digit separator).  A header name with
+    leading or trailing space, a data row with a cell too few or too many,
+    or any other cell, raises :class:`MalformedRowError` naming the file,
+    line and column; a file without data rows raises
+    :class:`SchemaMismatchError`.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -313,6 +315,11 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
         if not header:
             raise SchemaMismatchError(f"{path}: empty table file")
         names = tuple(header.split(","))
+        for column, name in enumerate(names, start=1):
+            if name != name.strip():
+                raise MalformedRowError(
+                    1, f"{path}, column {column}: header name {name!r} has surrounding space"
+                )
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -335,6 +342,8 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
                         lineno, f"{path}, column {column}: state index {cell} is not below {MAX_STATES}"
                     )
             rows.append(row)
+    if not rows:
+        raise SchemaMismatchError(f"{path}: a header and no data rows")
     data = np.array(rows, dtype=np.int64).reshape(len(rows), len(names))
     if schema is None:
         by_name = {v.name: v for v in heart_schema()}
@@ -342,8 +351,7 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
             schema = tuple(by_name[n] for n in names)
         else:
             schema = tuple(
-                Variable(n, _states(max(2, int(data[:, j].max()) + 1 if len(data) else 2)))
-                for j, n in enumerate(names)
+                Variable(n, _states(max(2, int(data[:, j].max()) + 1))) for j, n in enumerate(names)
             )
     else:
         schema = tuple(schema)

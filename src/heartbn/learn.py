@@ -6,7 +6,8 @@ q parent configurations, where the per-cell prior ``a`` sets the method.
 :func:`fit_mle` uses a = 0 (relative frequencies), :func:`fit_bayesian` uses
 a = ess / (r * q) (a uniform prior of total weight ``ess`` spread over each
 CPT), and Naive Bayes uses a = pseudo.  A parent configuration with no
-weight at all becomes a uniform row.
+weight at all becomes a uniform row.  A fit estimates each count batch in
+one elementwise pass, entry for entry bitwise as one family at a time.
 
 Structure: :func:`hill_climb` greedily optimizes a decomposable score (BIC
 or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
@@ -32,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,17 +122,6 @@ def _family_counts(data: DataTable, orders: np.ndarray):
         yield flat, np.column_stack((sizes // r, r))
 
 
-def _family_tables(data: DataTable, orders: np.ndarray) -> list[np.ndarray]:
-    """The (q, r) count table of each family of ``orders``."""
-    tables = []
-    for flat, shapes in _family_counts(data, orders):
-        start = 0
-        for q, r in shapes.tolist():
-            tables.append(flat[start : start + q * r].reshape(q, r))
-            start += q * r
-    return tables
-
-
 def _require_distinct(*names: str) -> None:
     if len(set(names)) < len(names):
         raise ValueError(f"{names} names a variable more than once")
@@ -145,8 +134,8 @@ def count_table(data: DataTable, child: str, parents: tuple[str, ...] = ()) -> n
     one column per child state.  The child and its parents must be distinct.
     """
     _require_distinct(child, *parents)
-    (counts,) = _family_tables(data, _orders(data, [(child, parents)]))
-    return counts
+    ((counts, shapes),) = _family_counts(data, _orders(data, [(child, parents)]))
+    return counts.reshape(shapes[0])
 
 
 def _require_nodes(dag: Dag, data: DataTable) -> None:
@@ -158,17 +147,23 @@ def _require_nodes(dag: Dag, data: DataTable) -> None:
 def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
     """CPTs (N(x, pa) + a) / (N(pa) + a * r), a = cell_prior(q, r); zero-weight rows are uniform."""
     _require_nodes(dag, data)
-    cpts = {}
+    tables = []
     orders = _orders(data, [(node, dag.parents(node)) for node in dag.nodes])
-    for node, counts in zip(dag.nodes, _family_tables(data, orders)):
-        q, r = counts.shape
-        a = cell_prior(q, r)
-        denominators = counts.sum(axis=1) + a * r
-        table = np.full((q, r), 1.0 / r)
-        seen = denominators > 0
-        table[seen] = (counts[seen] + a) / denominators[seen, None]
-        parents = tuple(map(data.variable, dag.parents(node)))
-        cpts[node] = Cpt(data.variable(node), parents, table)
+    for flat, shapes in _family_counts(data, orders):
+        q, r = shapes.T
+        a = np.full(len(shapes), cell_prior(q, r), dtype=float)  # one per family, then per cell
+        widths = r.repeat(q)  # one entry per parent configuration
+        totals = np.add.reduceat(flat, widths.cumsum() - widths)  # N(pa)
+        denominators = (totals + (a * r).repeat(q)).repeat(widths)  # over each row's cells
+        uniform = (1.0 / widths).repeat(widths)
+        numerators = flat + a.repeat(q * r)
+        estimates = np.divide(numerators, denominators, out=uniform, where=denominators > 0)
+        ends = (q * r).cumsum().tolist()
+        tables += (estimates[i:j].reshape(-1, k) for i, j, k in zip([0, *ends], ends, r.tolist()))
+    cpts = {
+        node: Cpt(data.variable(node), tuple(map(data.variable, dag.parents(node))), table)
+        for node, table in zip(dag.nodes, tables)
+    }
     return DiscreteBayesNet(dag, cpts)
 
 
@@ -480,16 +475,16 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
     subsets are visited in lexicographic order, so the result is
     deterministic and independent of data row order.
 
-    Each level is planned, counted and replayed.  The plan holds every
-    remaining pair's candidate subsets at the start of the level, and so
-    every test the order above can reach, since neighborhoods only shrink.
-    The replay lists each pair's subsets again from the neighborhoods as
-    they stand and looks their tests up in order.  When it first needs a
-    test not yet counted, it counts a batch in plan order from that test:
-    the uncounted ones among it and the tests after it, as many as one
-    stacked bincount holds.  A test without degrees of freedom raises
-    :class:`InsufficientDataError` when looked up, so the result is exactly
-    that of testing one at a time.
+    Each level is planned, counted and replayed.  The plan lists each
+    remaining pair's subsets once, x's side then y's, at the level's start
+    and numbers the distinct tests in that order; neighborhoods only
+    shrink, so it holds every test the order above can reach.  The replay
+    keeps an x-side subset within x's current neighborhood and a y-side
+    one within y's but not x's: a fresh listing's candidates, in order.
+    The first lookup of an uncounted test counts a batch in plan order
+    from it, the uncounted tests among as many as one bincount holds.
+    A test without degrees of freedom raises :class:`InsufficientDataError`
+    when looked up, so the result is exactly that of testing one at a time.
     """
     _check_alpha(alpha)
     names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
@@ -499,12 +494,6 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
     neighbors = [set(range(len(names))) - {n} for n in range(len(names))]
     sepsets: dict[tuple[str, str], frozenset[str]] = {}
 
-    def candidates(x: int, y: int, level: int) -> Iterable[tuple[int, ...]]:
-        # subsets of either neighborhood, each once, x's side first
-        x_side = itertools.combinations(sorted(neighbors[x] - {y}), level)
-        y_side = itertools.combinations(sorted(neighbors[y] - {x}), level)
-        return dict.fromkeys(itertools.chain(x_side, y_side))
-
     def separate(x: int, y: int, z: tuple[int, ...]) -> None:
         edges.discard((x, y))
         neighbors[x].discard(y)
@@ -512,18 +501,29 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
         sepsets[(names[x], names[y])] = frozenset(names[v] for v in z)
 
     for level in range(MAX_SEPSET + 1):
-        pairs = sorted(edges)
-        tests = [(x, y, *z) for x, y in pairs for z in candidates(x, y, level)]
-        if not tests:
-            break
-        planned = columns[np.array(tests)]
-        place = {test: i for i, test in enumerate(tests)}
-        scored: list = [None] * len(tests)  # (statistic, dof, p-value) once counted
+        # per remaining pair: its subsets on x's side and on y's, and each distinct one's test
+        pairs, plan = sorted(edges), []
+        subsets: list[tuple[int, ...]] = []  # the tests' conditioning sets, in test order
         for x, y in pairs:
-            for z in candidates(x, y, level):
-                i = place[(x, y, *z)]
+            x_side = list(itertools.combinations(sorted(neighbors[x] - {y}), level))
+            y_side = list(itertools.combinations(sorted(neighbors[y] - {x}), level))
+            number = dict(zip(dict.fromkeys(x_side + y_side), itertools.count(len(subsets))))
+            subsets += number
+            plan.append((x_side, y_side, number))
+        if not subsets:
+            break
+        xy = np.repeat(pairs, [len(number) for *_, number in plan], axis=0)  # per test
+        flat_z = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, len(subsets) * level)
+        planned = columns[np.column_stack((xy, flat_z.reshape(len(subsets), level)))]
+        scored: list = [None] * len(subsets)  # (statistic, dof, p-value) once counted
+        for (x, y), (x_side, y_side, number) in zip(pairs, plan):
+            # the subsets of either neighborhood as they stand, x's side first
+            x_now, y_now = neighbors[x], neighbors[y]
+            y_only = itertools.filterfalse(x_now.issuperset, filter(y_now.issuperset, y_side))
+            for z in itertools.chain(filter(x_now.issuperset, x_side), y_only):
+                i = number[z]
                 if scored[i] is None:  # count the plan's uncounted tests among the next step
-                    batch = [j for j in range(i, min(i + step, len(tests))) if scored[j] is None]
+                    batch = [j for j in range(i, min(i + step, len(subsets))) if scored[j] is None]
                     for j, result in zip(batch, _ci_batch(data, planned[batch])):
                         scored[j] = result
                 _, dof, p_value = scored[i]

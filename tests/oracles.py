@@ -11,15 +11,16 @@ once per test, in the library's documented order, without batching, and
 the hill-climb oracle rescans and rescores every move at every step.  The
 score oracles compute BIC as a row log-likelihood under the family's MLE
 and BDeu as a product of sequential predictive probabilities, without
-``gammaln``; the code counter counts one row at a time in Python integers,
-from per-column place values that a test derives itself from the kernel's
-column orders.  The DAG enumerator lists every DAG on a few nodes, and
-``markov_class`` keys each by its skeleton and v-structures, which identify
-its Markov equivalence class; with the d-separation oracle it also checks
-structure learning run on a CI test that d-separation answers.  The
-generators produce small random DAGs and networks for randomized
-comparisons, and two ancestral samplers draw rows from a network: one row
-at a time, or one node at a time for all rows.
+``gammaln``; the Dirichlet fit oracle estimates one node's table at a
+time from its ``count_table``; the code counter counts one row at a time
+in Python integers, from per-column place values that a test derives
+itself from the kernel's column orders.  The DAG enumerator lists every
+DAG on a few nodes, and ``markov_class`` keys each by its skeleton and
+v-structures, which identify its Markov equivalence class; with the
+d-separation oracle it also checks structure learning run on a CI test
+that d-separation answers.  The generators produce small random DAGs and
+networks for randomized comparisons, and two ancestral samplers draw rows
+from a network: one row at a time, or one node at a time for all rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from scipy.stats import chi2
 
 from heartbn import (
-    CITestResult, Cpt, Dag, DataTable, DiscreteBayesNet, Skeleton, Variable, build_dag, nb_fit,
+    CITestResult, Cpt, Dag, DataTable, DiscreteBayesNet, Skeleton, Variable, build_dag,
+    count_table, nb_fit,
 )
 from heartbn.errors import CycleDetectedError, InsufficientDataError, ZeroEvidenceError
 
@@ -184,6 +186,27 @@ def bdeu_sequential(data: DataTable, child: str, parents: tuple[str, ...], ess: 
         cells[j, k] = cells.get((j, k), 0) + 1
         configs[j] = configs.get(j, 0) + 1
     return total
+
+
+def fit_dirichlet_per_node(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
+    """CPTs (N(x, pa) + a) / (N(pa) + a * r), a = cell_prior(q, r) from Python ints,
+    one node at a time; a parent configuration without weight is a uniform row.
+
+    The library's fits estimate a batch of families elementwise and must give
+    these tables bit for bit.
+    """
+    cpts = {}
+    for node in dag.nodes:
+        counts = count_table(data, node, dag.parents(node))
+        q, r = counts.shape
+        a = cell_prior(q, r)
+        denominators = counts.sum(axis=1) + a * r
+        table = np.full((q, r), 1.0 / r)
+        seen = denominators > 0
+        table[seen] = (counts[seen] + a) / denominators[seen, None]
+        parents = tuple(map(data.variable, dag.parents(node)))
+        cpts[node] = Cpt(data.variable(node), parents, table)
+    return DiscreteBayesNet(dag, cpts)
 
 
 def count_codes_per_row(rows: np.ndarray, places: np.ndarray, sizes: np.ndarray) -> list[int]:

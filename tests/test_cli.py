@@ -158,6 +158,23 @@ class TestLearn:
         assert err.startswith(f"heartbn learn: line 4: {data}, column ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a, b\n1,0\n", "line 1: {data}, column 2: header name ' b' has surrounding space"),
+            ("a,b\n", "{data}: a header and no data rows"),
+        ],
+    )
+    def test_unusable_header_is_data_error(self, tmp_path, capsys, text, message):
+        # both files used to learn a model: one with a node " b" that
+        # "--evidence b=1" cannot name, one of uniform CPTs fit to no rows
+        data = tmp_path / "table.csv"
+        data.write_text(text)
+        out = tmp_path / "x.model"
+        assert main(["learn", "--data", str(data), "--method", "hc", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"heartbn learn: {message.format(data=data)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["paper", "nb", "hc"])
     def test_repeated_column_is_data_error(self, pipeline, tmp_path, capsys, method):
         # the heart table with its thal column repeated at the end

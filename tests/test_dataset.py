@@ -295,6 +295,28 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaMismatchError, match=re.escape(f"distinct, not {repeated}")):
             read_table_csv(path)
 
+    @pytest.mark.parametrize("header, column, name", [("a, b", 2, "' b'"), ("a ,b", 1, "'a '")])
+    def test_header_name_with_surrounding_space_rejected(self, tmp_path, header, column, name):
+        # the header "a, b" used to read as a column named " b", which no
+        # evidence "b=..." could then name
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n1,0\n")
+        with pytest.raises(MalformedRowError) as err:
+            read_table_csv(path)
+        assert err.value.line_number == 1
+        message = f"column {column}: header name {name} has surrounding space"
+        assert str(err.value) == f"line 1: {path}, {message}"
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n"])
+    def test_header_without_data_rows_rejected(self, tmp_path, text):
+        # such a file used to read as a zero-row table, which the fits turn
+        # into uniform CPTs; an in-memory zero-row table stays legal
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaMismatchError) as err:
+            read_table_csv(path)
+        assert str(err.value) == f"{path}: a header and no data rows"
+
     def test_inferred_states_stop_below_the_bound(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text(f"a,b\n0,{MAX_STATES - 1}\n1,0\n")

@@ -374,6 +374,60 @@ class TestScoreArgumentsCheckedFirst:
             call(self.DATA, kind, ess)
 
 
+class TestFitAgainstPerNodeOracle:
+    """Every fit's tables equal, bit for bit, those of a one-node-at-a-time estimator."""
+
+    FITS = (  # (fit, its per-cell prior)
+        (fit_mle, lambda q, r: 0.0),
+        (lambda dag, data: fit_bayesian(dag, data, 10.0), lambda q, r: 10.0 / (r * q)),
+        (lambda dag, data: fit_bayesian(dag, data, 0.5), lambda q, r: 0.5 / (r * q)),
+    )
+
+    @staticmethod
+    def assert_bitwise_equal(net, expected):
+        assert net.dag == expected.dag
+        for node in net.dag.nodes:
+            table, reference = net.cpts[node].table, expected.cpts[node].table
+            assert net.cpts[node].parents == expected.cpts[node].parents, node
+            assert table.shape == reference.shape, node
+            assert table.tobytes() == reference.tobytes(), node
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 300])
+    def test_random_dags(self, n_rows):
+        # tables sampled from one network and fitted on it and on a denser
+        # random DAG, whose parent configurations mostly go unseen in the
+        # smaller tables, so uniform rows are among those compared
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            net = random_net(rng, 3 + seed, max_card=3, edge_prob=0.5)
+            data = sample_table(net, n_rows, seed)
+            for dag in (net.dag, oracles.random_dag(rng, 3 + seed, edge_prob=0.7)):
+                for fit, cell_prior in self.FITS:
+                    expected = oracles.fit_dirichlet_per_node(dag, data, cell_prior)
+                    self.assert_bitwise_equal(fit(dag, data), expected)
+            for pseudo in (0.0, 1.0):
+                star = nb_fit(data, "n0", pseudo)
+                expected = oracles.fit_dirichlet_per_node(star.dag, data, lambda q, r: pseudo)
+                self.assert_bitwise_equal(star, expected)
+
+    def test_one_family_per_batch(self):
+        # from 16,385 rows on, each stacked count holds a single family
+        net = random_net(np.random.default_rng(3), 5, max_card=3, edge_prob=0.6)
+        data = sample_table(net, 16_385, 3)
+        assert learn._batch_size(data) == 1
+        for fit, cell_prior in self.FITS:
+            expected = oracles.fit_dirichlet_per_node(net.dag, data, cell_prior)
+            self.assert_bitwise_equal(fit(net.dag, data), expected)
+        star = nb_fit(data, "n0", 1.0)
+        expected = oracles.fit_dirichlet_per_node(star.dag, data, lambda q, r: 1.0)
+        self.assert_bitwise_equal(star, expected)
+
+    def test_heart_fits(self, heart_table, heart_dag):
+        for fit, cell_prior in self.FITS:
+            expected = oracles.fit_dirichlet_per_node(heart_dag, heart_table, cell_prior)
+            self.assert_bitwise_equal(fit(heart_dag, heart_table), expected)
+
+
 class TestPriorWeights:
     """ess must be positive and finite, pseudo non-negative and finite, in every entry point."""
 
