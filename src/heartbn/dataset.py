@@ -303,10 +303,10 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
     Without an explicit schema, the heart schema is used when the header
     matches it; otherwise each column's states are inferred as 0..max.  A
     cell is a state index below :data:`MAX_STATES` written in ASCII digits
-    0-9 only (no sign, space or digit separator).  A header name with
-    leading or trailing space, a data row with a cell too few or too many,
-    or any other cell, raises :class:`MalformedRowError` naming the file,
-    line and column; a file without data rows raises
+    0-9 only (no sign, space or digit separator).  An empty header name, one
+    with leading or trailing space, a data row with a cell too few or too
+    many, or any other cell, raises :class:`MalformedRowError` naming the
+    file, line and column; a file without data rows raises
     :class:`SchemaMismatchError`.
     """
     rows = []
@@ -316,6 +316,8 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
             raise SchemaMismatchError(f"{path}: empty table file")
         names = tuple(header.split(","))
         for column, name in enumerate(names, start=1):
+            if not name:
+                raise MalformedRowError(1, f"{path}, column {column}: empty header name")
             if name != name.strip():
                 raise MalformedRowError(
                     1, f"{path}, column {column}: header name {name!r} has surrounding space"

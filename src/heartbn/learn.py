@@ -273,8 +273,8 @@ def hill_climb(
 ) -> Dag:
     """Greedy structure search from the empty graph.
 
-    Each step applies the best strictly improving add / delete / reverse of
-    a single edge (improvements below :data:`MIN_IMPROVEMENT` count as ties),
+    Each step applies the add / delete / reverse of a single edge with the
+    largest computed gain, if that gain exceeds :data:`MIN_IMPROVEMENT`,
     rejecting moves that would create a cycle, and stops at a local optimum
     or after :data:`MAX_MOVES` accepted moves.  ``allowed`` limits edges to
     the given unordered pairs.  The search is deterministic.  When ``trace``
@@ -286,13 +286,14 @@ def hill_climb(
     lacks are laid out from parent masks and counted together.  An ancestor
     matrix rules out cycles: an added edge p -> c ORs in one outer product
     (p and its ancestors now precede c and its descendants), and only a
-    delete or a reverse rebuilds it.  Ties go to the first move in the
-    order add (parent-major), delete, reverse (child-major), with nodes in
-    name order, so the result depends on the column names: an edge and its
-    reverse often gain equally, and the first choice steers the rest of the
-    search.  Renaming the columns of the 20 heart splits (ten random
-    permutations of their sorted order) changed the learned Markov class
-    on 1 to 6 of them.
+    delete or a reverse rebuilds it.  Only exactly equal gains go to the
+    first move in the order add (parent-major), delete, reverse
+    (child-major), with nodes in name order; unequal gains less than
+    :data:`MIN_IMPROVEMENT` apart are decided by rounding noise.  An edge
+    and its reverse often gain nearly equally and the choice steers the
+    rest of the search, so renaming the columns of the 20 heart splits (ten
+    random permutations of their sorted order) changed the learned Markov
+    class on 1 to 6 of them.
     """
     if len(data.names) < 2:
         raise SchemaMismatchError("structure search needs at least two columns")
@@ -485,24 +486,19 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
     from it, the uncounted tests among as many as one bincount holds.
     A test without degrees of freedom raises :class:`InsufficientDataError`
     when looked up, so the result is exactly that of testing one at a time.
+    The graph is one neighbour set per node (its name's rank), from which
+    each level's pairs and the returned edges are read as sorted (x, y).
     """
     _check_alpha(alpha)
     names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
     columns = np.array([data.index(name) for name in names])
     step = _batch_size(data)
-    edges = set(itertools.combinations(range(len(names)), 2))
     neighbors = [set(range(len(names))) - {n} for n in range(len(names))]
     sepsets: dict[tuple[str, str], frozenset[str]] = {}
-
-    def separate(x: int, y: int, z: tuple[int, ...]) -> None:
-        edges.discard((x, y))
-        neighbors[x].discard(y)
-        neighbors[y].discard(x)
-        sepsets[(names[x], names[y])] = frozenset(names[v] for v in z)
-
     for level in range(MAX_SEPSET + 1):
         # per remaining pair: its subsets on x's side and on y's, and each distinct one's test
-        pairs, plan = sorted(edges), []
+        pairs = [(x, y) for x, near in enumerate(neighbors) for y in sorted(near) if x < y]
+        plan = []
         subsets: list[tuple[int, ...]] = []  # the tests' conditioning sets, in test order
         for x, y in pairs:
             x_side = list(itertools.combinations(sorted(neighbors[x] - {y}), level))
@@ -531,9 +527,12 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
                     z = tuple(names[v] for v in z)
                     raise InsufficientDataError(f"every stratum of {z} is empty")
                 if p_value > alpha:
-                    separate(x, y, z)
+                    neighbors[x].discard(y)
+                    neighbors[y].discard(x)
+                    sepsets[names[x], names[y]] = frozenset(names[v] for v in z)
                     break
-    return Skeleton(tuple(data.names), frozenset((names[x], names[y]) for x, y in edges), sepsets)
+    edges = [(names[x], names[y]) for x, near in enumerate(neighbors) for y in near if x < y]
+    return Skeleton(tuple(data.names), frozenset(edges), sepsets)
 
 
 def orient(skeleton: Skeleton) -> Dag:
@@ -546,29 +545,23 @@ def orient(skeleton: Skeleton) -> Dag:
     Remaining undirected edges fall back to lexicographic direction.  Every
     orientation is checked against the growing graph and reversed if it
     would close a cycle, so the output is always acyclic; genuinely
-    conflicting demands are reported as warnings and resolved toward the
-    lexicographically smaller parent.
+    conflicting demands are resolved toward the lexicographically smaller
+    parent and reported as warnings at the line that called this function.
+    The orientations are one map from sorted pair to arrow; an edge without
+    a key is undirected.  Rule 1 reads the arrows in the order first
+    demanded, which picks the direction when both are forced.
     """
-    undirected = set(skeleton.edges)
     directed: dict[tuple[str, str], tuple[str, str]] = {}  # sorted pair -> (parent, child)
-
-    def points(parent: str, child: str) -> bool:
-        return directed.get(tuple(sorted((parent, child)))) == (parent, child)
 
     def demand(parent: str, child: str) -> None:
         pair = tuple(sorted((parent, child)))
-        if pair in directed:
-            if directed[pair] != (parent, child):
-                resolved = (min(parent, child), max(parent, child))
-                warnings.warn(
-                    f"both directions forced for edge {pair}; keeping {resolved[0]} -> {resolved[1]}",
-                    ConflictingOrientationWarning,
-                    stacklevel=2,
-                )
-                directed[pair] = resolved
-            return
-        directed[pair] = (parent, child)
-        undirected.discard(pair)
+        if directed.setdefault(pair, (parent, child)) != (parent, child):
+            warnings.warn(
+                f"both directions forced for edge {pair}; keeping {pair[0]} -> {pair[1]}",
+                ConflictingOrientationWarning,
+                stacklevel=3,
+            )
+            directed[pair] = pair
 
     def forced(a: str, b: str) -> tuple[str, str] | None:
         """The direction a propagation rule forces on the undirected a - b, if any."""
@@ -578,9 +571,10 @@ def orient(skeleton: Skeleton) -> Dag:
                 if child == x and not skeleton.has_edge(parent, y):
                     return x, y
         # rule 2: x -> mid -> y forces x -> y
+        arrows = set(directed.values())
         for mid in skeleton.nodes:
             for x, y in ((a, b), (b, a)):
-                if points(x, mid) and points(mid, y):
+                if (x, mid) in arrows and (mid, y) in arrows:
                     return x, y
         return None
 
@@ -596,7 +590,7 @@ def orient(skeleton: Skeleton) -> Dag:
     changed = True
     while changed:
         changed = False
-        for a, b in sorted(undirected):
+        for a, b in sorted(skeleton.edges - directed.keys()):
             edge = forced(a, b)
             if edge:
                 demand(*edge)
@@ -604,10 +598,10 @@ def orient(skeleton: Skeleton) -> Dag:
 
     # assemble acyclically: forced orientations first, then lexicographic fallback
     parent_sets: dict[str, set[str]] = {n: set() for n in skeleton.nodes}
-
-    def add_edge(parent: str, child: str, demanded: bool) -> None:
+    for pair in sorted(directed) + sorted(skeleton.edges - directed.keys()):
+        parent, child = directed.get(pair, pair)
         if child in _reachable(parent_sets, (parent,)):  # child is an ancestor of parent
-            if demanded:
+            if pair in directed:
                 warnings.warn(
                     f"orientation {parent} -> {child} would close a cycle; reversed",
                     ConflictingOrientationWarning,
@@ -615,11 +609,6 @@ def orient(skeleton: Skeleton) -> Dag:
                 )
             parent, child = child, parent
         parent_sets[child].add(parent)
-
-    for pair in sorted(directed):
-        add_edge(*directed[pair], demanded=True)
-    for a, b in sorted(undirected):
-        add_edge(a, b, demanded=False)
 
     edges = sorted((p, c) for c in skeleton.nodes for p in parent_sets[c])
     return build_dag(skeleton.nodes, tuple(edges))

@@ -163,11 +163,13 @@ class TestLearn:
         [
             ("a, b\n1,0\n", "line 1: {data}, column 2: header name ' b' has surrounding space"),
             ("a,b\n", "{data}: a header and no data rows"),
+            ("a,,b\n1,0,1\n", "line 1: {data}, column 2: empty header name"),
         ],
     )
     def test_unusable_header_is_data_error(self, tmp_path, capsys, text, message):
-        # both files used to learn a model: one with a node " b" that
-        # "--evidence b=1" cannot name, one of uniform CPTs fit to no rows
+        # the first two files used to learn a model: one with a node " b"
+        # that "--evidence b=1" cannot name, one of uniform CPTs fit to no
+        # rows; the third failed with a message naming no file or column
         data = tmp_path / "table.csv"
         data.write_text(text)
         out = tmp_path / "x.model"

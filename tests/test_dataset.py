@@ -307,6 +307,17 @@ class TestCsvRoundTrip:
         message = f"column {column}: header name {name} has surrounding space"
         assert str(err.value) == f"line 1: {path}, {message}"
 
+    @pytest.mark.parametrize("header, column", [("a,,b", 2), ("a,b,", 3), (",a", 1)])
+    def test_empty_header_name_rejected(self, tmp_path, header, column):
+        # an empty name used to reach Variable, whose error named no file,
+        # line or column
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{','.join('1' * len(header.split(',')))}\n")
+        with pytest.raises(MalformedRowError) as err:
+            read_table_csv(path)
+        assert err.value.line_number == 1
+        assert str(err.value) == f"line 1: {path}, column {column}: empty header name"
+
     @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n"])
     def test_header_without_data_rows_rejected(self, tmp_path, text):
         # such a file used to read as a zero-row table, which the fits turn

@@ -1025,6 +1025,39 @@ class TestAgainstDSeparationOracle:
         assert n_sepsets >= 800 and n_v_structures >= 400
 
 
+def cyclic_demands() -> Skeleton:
+    # three v-structures force the directed triangle a -> b -> c -> a
+    names = ("a", "b", "c", "u", "v", "w")
+    edges = frozenset(
+        tuple(sorted(p))
+        for p in (("a", "b"), ("w", "b"), ("b", "c"), ("u", "c"), ("c", "a"), ("v", "a"))
+    )
+    sepsets = {
+        ("a", "w"): frozenset(),  # forces a -> b <- w
+        ("b", "u"): frozenset(),  # forces b -> c <- u
+        ("c", "v"): frozenset(),  # forces c -> a <- v
+        ("a", "u"): frozenset({"c"}),
+        ("b", "v"): frozenset({"a"}),
+        ("c", "w"): frozenset({"b"}),
+        ("u", "v"): frozenset(),
+        ("u", "w"): frozenset(),
+        ("v", "w"): frozenset(),
+    }
+    return Skeleton(names, edges, sepsets)
+
+
+def opposite_demands() -> Skeleton:
+    # (x, b) and (y, a) both demand an orientation of a - b, in opposite directions
+    names = ("a", "b", "x", "y")
+    edges = frozenset({("a", "b"), ("b", "x"), ("a", "y")})
+    sepsets = {
+        ("a", "x"): frozenset(),  # forces a -> b <- x
+        ("b", "y"): frozenset(),  # forces b -> a <- y
+        ("x", "y"): frozenset({"a", "b"}),
+    }
+    return Skeleton(names, edges, sepsets)
+
+
 class TestOrient:
     def test_textbook_v_structure(self):
         from heartbn import Skeleton
@@ -1055,48 +1088,32 @@ class TestOrient:
         assert ("B", "C") in dag.edges
 
     def test_conflicting_demands_resolved_and_reported(self):
-        # three v-structures force the directed triangle a -> b -> c -> a;
         # the builder must warn and still return an acyclic graph
-        from heartbn import Skeleton
-        from heartbn.errors import ConflictingOrientationWarning
-
-        names = ("a", "b", "c", "u", "v", "w")
-        edges = frozenset(
-            tuple(sorted(p))
-            for p in (("a", "b"), ("w", "b"), ("b", "c"), ("u", "c"), ("c", "a"), ("v", "a"))
-        )
-        sepsets = {
-            ("a", "w"): frozenset(),  # forces a -> b <- w
-            ("b", "u"): frozenset(),  # forces b -> c <- u
-            ("c", "v"): frozenset(),  # forces c -> a <- v
-            ("a", "u"): frozenset({"c"}),
-            ("b", "v"): frozenset({"a"}),
-            ("c", "w"): frozenset({"b"}),
-            ("u", "v"): frozenset(),
-            ("u", "w"): frozenset(),
-            ("v", "w"): frozenset(),
-        }
+        skeleton = cyclic_demands()
         with pytest.warns(ConflictingOrientationWarning):
-            dag = orient(Skeleton(names, edges, sepsets))
+            dag = orient(skeleton)
         assert len(topological_order(dag)) == 6
-        assert {tuple(sorted(e)) for e in dag.edges} == set(edges)
+        assert {tuple(sorted(e)) for e in dag.edges} == set(skeleton.edges)
 
     def test_opposite_v_structures_keep_lexicographic_parent(self):
-        # (x, b) and (y, a) both demand an orientation of a - b, in opposite
-        # directions; the tie resolves toward the smaller parent name
-        from heartbn import Skeleton
-        from heartbn.errors import ConflictingOrientationWarning
-
-        names = ("a", "b", "x", "y")
-        edges = frozenset({("a", "b"), ("b", "x"), ("a", "y")})
-        sepsets = {
-            ("a", "x"): frozenset(),  # forces a -> b <- x
-            ("b", "y"): frozenset(),  # forces b -> a <- y
-            ("x", "y"): frozenset({"a", "b"}),
-        }
+        # the tie resolves toward the smaller parent name
         with pytest.warns(ConflictingOrientationWarning):
-            dag = orient(Skeleton(names, edges, sepsets))
+            dag = orient(opposite_demands())
         assert ("a", "b") in dag.edges
+
+    @pytest.mark.parametrize(
+        "skeleton, message",
+        [
+            (cyclic_demands(), "orientation b -> c would close a cycle; reversed"),
+            (opposite_demands(), "both directions forced for edge ('a', 'b'); keeping a -> b"),
+        ],
+        ids=["cycle", "both-directions"],
+    )
+    def test_warnings_point_at_the_caller(self, skeleton, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            orient(skeleton)
+        assert [(str(w.message), w.filename) for w in caught] == [(message, __file__)]
 
     def test_output_always_acyclic_on_random_skeletons(self):
         import warnings
