@@ -307,10 +307,11 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
     with leading or trailing space, a data row with a cell too few or too
     many, or any other cell, raises :class:`MalformedRowError` naming the
     file, line and column; a file without data rows raises
-    :class:`SchemaMismatchError`.
+    :class:`SchemaMismatchError`.  A UTF-8 byte-order mark before the
+    header, as spreadsheet programs write, is skipped.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
         if not header:
             raise SchemaMismatchError(f"{path}: empty table file")

@@ -14,6 +14,12 @@ or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
 by chi-squared independence tests and :func:`orient` turns the result into a
 DAG; :func:`hybrid_learn` restricts the hill climb to the learned skeleton.
 
+Tests: a p-value is the chi-squared survival function in closed form
+(:func:`_chi2_sf`, from ``math`` alone), so the PC path loads no scipy;
+only BDeu's ``gammaln`` imports it, on first use.  :func:`learn_skeleton`
+compares each statistic with a critical value cached per (dof, alpha) and
+computes a p-value only next to it; :func:`ci_test` reports one.
+
 Counting: one kernel, :func:`_stacked_counts`, counts a batch of families
 (or CI tests) with one ``np.bincount``.  A layout is the list of columns it
 reads, slowest first, the last varying fastest and -1 marking an unused
@@ -30,6 +36,7 @@ score is bitwise the same in any batch; :func:`count_table`,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -65,6 +72,21 @@ MAX_SEPSET = 3
 _ROW_BUDGET = 1 << 15
 
 
+@functools.cache
+def _keep_temporaries_on_heap() -> None:
+    """Allocate and free one untouched 4 MiB block, once per process.
+
+    Freeing a mapped block makes glibc raise its mmap threshold to that
+    size and its trim threshold to twice it (M_MMAP_THRESHOLD in
+    mallopt(3)), so the kernel's temporaries of a few hundred KiB stay on
+    the heap instead of being mapped, returned to the OS and faulted in
+    afresh on every batch.  Other allocators ignore it.  It runs on the
+    first count, not at import, so a process that never counts keeps its
+    allocator as it was.
+    """
+    np.empty(1 << 19)
+
+
 def _batch_size(data: DataTable) -> int:
     """Families or CI tests per stacked bincount."""
     return max(1, _ROW_BUDGET // max(data.n_rows, 1))
@@ -83,6 +105,7 @@ def _stacked_counts(data: DataTable, orders: np.ndarray) -> tuple[np.ndarray, np
     on many rows) adds up only the int64 columns it reads, which at 20,000
     rows takes half the time of a product over them.
     """
+    _keep_temporaries_on_heap()
     dims = np.where(orders < 0, 1.0, data.cards[orders])
     spans = np.multiply.accumulate(dims[:, ::-1], axis=1)[:, ::-1]  # product of dims[:, j:]
     sizes = spans[:, 0]
@@ -375,8 +398,61 @@ class CITestResult:
     independent: bool
 
 
-def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int, float]]:
-    """(statistic, dof, p-value) of each column-index test (x, y, *z), one per row.
+def _chi2_sf(statistic: float, dof: int) -> float:
+    """P(chi-squared with ``dof`` degrees of freedom > ``statistic``), from ``math`` alone.
+
+    With x = statistic / 2 this is the regularized upper incomplete gamma
+    function Q(dof / 2, x) in closed form: erfc(sqrt(x)) when dof is odd,
+    plus x**(i + a) e**-x / Gamma(i + a + 1) for i < dof // 2, with a = 1/2
+    for odd dof and 0 for even.  Each term takes its log from ``math.lgamma``
+    directly (accumulating it term by term compounds the rounding), which
+    keeps the relative error near 1e-13 up to several hundred degrees of
+    freedom and far into the tail.
+    """
+    x = statistic / 2.0
+    if x <= 0.0:
+        return 1.0
+    a = (dof % 2) / 2
+    total = math.erfc(math.sqrt(x)) if a else 0.0
+    log_x = math.log(x)
+    for i in range(dof // 2):
+        total += math.exp((i + a) * log_x - x - math.lgamma(i + a + 1.0))
+    return total
+
+
+@functools.lru_cache(maxsize=1024)
+def _critical(dof: int, alpha: float) -> tuple[float, float]:
+    """Adjacent floats lo < hi with _chi2_sf(lo) > alpha >= _chi2_sf(hi), found by bisection."""
+    lo, hi = 0.0, float(max(dof, 1))
+    while _chi2_sf(hi, dof) > alpha:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        if _chi2_sf(mid, dof) > alpha:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _independent(statistic: float, dof: int, alpha: float) -> bool:
+    """``_chi2_sf(statistic, dof) > alpha``, computed only near the cached critical value.
+
+    Off a relative margin of 1e-9 around the bracket of :func:`_critical`,
+    far wider than the survival function's rounding, the comparison with
+    the bracket decides; inside it the p-value does.
+    """
+    lo, hi = _critical(dof, alpha)
+    if statistic < lo * (1.0 - 1e-9):
+        return True
+    if statistic > hi * (1.0 + 1e-9):
+        return False
+    return _chi2_sf(statistic, dof) > alpha
+
+
+def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int]]:
+    """(statistic, dof) of each column-index test (x, y, *z), one per row.
 
     One stacked bincount lays each test's q * r_x * r_y cells end to end in
     the layout (*z, x, y): y fastest, then x, then the strata, so a test's
@@ -385,10 +461,9 @@ def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int, floa
     margins a weighted ``np.bincount``; all are sums of integer counts, so
     exact.  Expected counts are gathered per cell, and each test's
     deviations are summed as one run, so a test's figures are bitwise the
-    same in any batch.
+    same in any batch.  No p-value is computed here: the skeleton compares
+    statistics with critical values (:func:`_independent`).
     """
-    from scipy.special import chdtrc  # imported on first use, as gammaln is
-
     r_x, r_y = data.cards[tests[:, 0]], data.cards[tests[:, 1]]
     # z with its last variable fastest, then x, then y fastest of all
     flat, sizes = _stacked_counts(data, tests[:, [*range(2, tests.shape[1]), 0, 1]])
@@ -408,7 +483,7 @@ def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int, floa
     statistic = np.add.reduceat(deviations, sizes.cumsum() - sizes)
     nonempty = np.add.reduceat((totals > 0).astype(np.intp), strata.cumsum() - strata)
     dof = nonempty * (r_x - 1) * (r_y - 1)
-    return list(zip(statistic.tolist(), dof.tolist(), chdtrc(dof, statistic).tolist()))
+    return list(zip(statistic.tolist(), dof.tolist()))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -423,16 +498,17 @@ def ci_test(
 
     Vectorized over strata: strata with zero counts are dropped, each kept
     one adds (r_x - 1)(r_y - 1) degrees of freedom, and the p-value is the
-    chi-squared survival function (``scipy.special.chdtrc``).  Independence
+    chi-squared survival function (:func:`_chi2_sf`, no scipy).  Independence
     is declared when the p-value exceeds ``alpha``.  x, y and z must be
     distinct.  This is a batch of one for :func:`learn_skeleton`'s kernel.
     """
     _require_distinct(x, y, *z)
     test = np.array([[data.index(x), data.index(y), *map(data.index, z)]])
     _check_alpha(alpha)
-    ((statistic, dof, p_value),) = _ci_batch(data, test)
+    ((statistic, dof),) = _ci_batch(data, test)
     if dof == 0:
         raise InsufficientDataError(f"every stratum of {tuple(z)} is empty")
+    p_value = _chi2_sf(statistic, dof)
     return CITestResult(statistic, dof, p_value, p_value > alpha)
 
 
@@ -485,7 +561,9 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
     The first lookup of an uncounted test counts a batch in plan order
     from it, the uncounted tests among as many as one bincount holds.
     A test without degrees of freedom raises :class:`InsufficientDataError`
-    when looked up, so the result is exactly that of testing one at a time.
+    when looked up, and a test is decided by :func:`_independent`, which
+    agrees with ``p > alpha`` everywhere, so the result is exactly that of
+    testing one at a time.
     The graph is one neighbour set per node (its name's rank), from which
     each level's pairs and the returned edges are read as sorted (x, y).
     """
@@ -511,7 +589,7 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
         xy = np.repeat(pairs, [len(number) for *_, number in plan], axis=0)  # per test
         flat_z = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, len(subsets) * level)
         planned = columns[np.column_stack((xy, flat_z.reshape(len(subsets), level)))]
-        scored: list = [None] * len(subsets)  # (statistic, dof, p-value) once counted
+        scored: list = [None] * len(subsets)  # (statistic, dof) once counted
         for (x, y), (x_side, y_side, number) in zip(pairs, plan):
             # the subsets of either neighborhood as they stand, x's side first
             x_now, y_now = neighbors[x], neighbors[y]
@@ -522,11 +600,11 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
                     batch = [j for j in range(i, min(i + step, len(subsets))) if scored[j] is None]
                     for j, result in zip(batch, _ci_batch(data, planned[batch])):
                         scored[j] = result
-                _, dof, p_value = scored[i]
+                statistic, dof = scored[i]
                 if dof == 0:
                     z = tuple(names[v] for v in z)
                     raise InsufficientDataError(f"every stratum of {z} is empty")
-                if p_value > alpha:
+                if _independent(statistic, dof, alpha):
                     neighbors[x].discard(y)
                     neighbors[y].discard(x)
                     sepsets[names[x], names[y]] = frozenset(names[v] for v in z)

@@ -177,6 +177,18 @@ class TestLearn:
         assert capsys.readouterr().err == f"heartbn learn: {message.format(data=data)}\n"
         assert not out.exists()
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, capsys):
+        # a "CSV UTF-8" file from a spreadsheet starts with U+FEFF; it used to
+        # learn a node '\ufeffa' that "--evidence a=1" could not name
+        data = tmp_path / "table.csv"
+        data.write_bytes(b"\xef\xbb\xbfa,b\n0,1\n1,1\n1,0\n0,0\n")
+        out = tmp_path / "x.model"
+        assert main(["learn", "--data", str(data), "--method", "hc", "--out", str(out)]) == 0
+        assert load_model(out).dag.nodes == ("a", "b")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(out), "--evidence", "a=1", "--target", "b"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("method", ["paper", "nb", "hc"])
     def test_repeated_column_is_data_error(self, pipeline, tmp_path, capsys, method):
         # the heart table with its thal column repeated at the end
@@ -403,7 +415,7 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 class TestStartup:
-    """Commands that need no chi-squared test or BDeu score never import scipy."""
+    """Commands that need no BDeu score never import scipy, chi-squared tests included."""
 
     def test_import_loads_no_scipy(self):
         result = run_fresh(f"import sys, heartbn.cli; print({SCIPY_MODULES})")
@@ -415,6 +427,10 @@ class TestStartup:
         commands = [
             ["preprocess", "--input", str(cleveland_path()), "--output", table],
             ["learn", "--data", table, "--method", "paper", "--out", model],
+            *(
+                ["learn", "--data", table, "--method", method, "--out", str(tmp_path / method)]
+                for method in ("pc", "hybrid")
+            ),
             ["predict", "--model", model, "--evidence", "thal=2,cp=3"],
             ["dsep", "--model", model, "--x", "fbs", "--y", "target"],
             ["export-dot", "--model", model, "--out", str(tmp_path / "heart.dot")],

@@ -318,6 +318,20 @@ class TestCsvRoundTrip:
         assert err.value.line_number == 1
         assert str(err.value) == f"line 1: {path}, column {column}: empty header name"
 
+    @pytest.mark.parametrize("header", ["a,b", "thal,cp"])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        # a UTF-8 byte-order mark used to become part of the first name, so a
+        # heart header no longer matched the heart schema
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n1,0\n", encoding="utf-8")
+        expected = read_table_csv(path)
+        path.write_text(f"{header}\n1,0\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        loaded = read_table_csv(path)
+        assert loaded.names == tuple(header.split(","))
+        assert loaded.schema == expected.schema
+        assert np.array_equal(loaded.rows, expected.rows)
+
     @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n"])
     def test_header_without_data_rows_rejected(self, tmp_path, text):
         # such a file used to read as a zero-row table, which the fits turn

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -567,6 +568,42 @@ class TestCiTest:
             zero_margins += len(set(columns["x"])) < cards["x"] or len(set(columns["y"])) < cards["y"]
         assert empty_strata >= 100 and zero_margins >= 100
 
+    def test_survival_function_matches_scipy(self):
+        # dof 1-120 and four large ones; statistics 0 and 1e-9 to 1,400, down
+        # to tails of 1e-280 (smaller ones near the float64 floor are skipped)
+        from scipy.stats import chi2
+
+        statistics = np.concatenate(([0.0], np.geomspace(1e-9, 1400.0, 250)))
+        smallest = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dof in [*range(1, 121), 200, 288, 500, 700]:
+                for statistic, reference in zip(statistics, chi2.sf(statistics, dof)):
+                    if reference < 1e-280:
+                        continue
+                    p_value = learn._chi2_sf(float(statistic), dof)
+                    assert abs(p_value - reference) <= 1e-12 * reference, (dof, statistic)
+                    smallest = min(smallest, reference)
+        assert smallest < 1e-270
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
+    def test_independent_decides_as_the_p_value(self, alpha):
+        # at the cached bracket, its float neighbours, 1e-8 either side of lo
+        # (absolute and relative, outside the 1e-9 margin) and random statistics
+        rng = np.random.default_rng(int(alpha * 100))
+        for dof in range(1, 201):
+            lo, hi = learn._critical(dof, alpha)
+            assert hi == np.nextafter(lo, np.inf)
+            assert learn._chi2_sf(lo, dof) > alpha >= learn._chi2_sf(hi, dof)
+            near = [
+                lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                lo - 1e-8, lo + 1e-8, lo * (1 - 1e-8), lo * (1 + 1e-8),
+            ]
+            for statistic in [*near, *rng.uniform(0.0, 2.0 * hi, 20)]:
+                statistic = float(statistic)
+                expected = learn._chi2_sf(statistic, dof) > alpha
+                assert learn._independent(statistic, dof, alpha) == expected, (dof, statistic)
+
     def test_import_loads_no_scipy_stats(self):
         src = Path(__file__).resolve().parents[1] / "src"
         result = subprocess.run(
@@ -578,22 +615,35 @@ class TestCiTest:
         assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize(
-        "call",
+        "call, loaded",
         [
-            "ci_test(table, 'fbs', 'restecg', ('ca', 'thal', 'cp'))",
-            "family_score(table, 'target', ('thal', 'cp'), 'bdeu', 10.0)",
+            (
+                "[ci_test(table, 'fbs', 'restecg', ('ca', 'thal', 'cp')),"
+                " sorted(learn_skeleton(table).edges), hybrid_learn(table)]",
+                "scipy == []",
+            ),
+            (
+                "family_score(table, 'target', ('thal', 'cp'), 'bdeu', 10.0)",
+                "'scipy.special' in scipy",
+            ),
         ],
         ids=["ci_test", "bdeu"],
     )
-    def test_first_call_in_fresh_process_loads_scipy(self, heart_table, call):
+    def test_first_call_in_fresh_process_loads_scipy(self, heart_table, call, loaded):
+        # the PC path (ci_test, learn_skeleton, hybrid_learn) loads no scipy
+        # module; a BDeu score loads scipy.special for gammaln
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys\n"
-            "from heartbn import ci_test, clean, discretize, family_score, load_cleveland\n"
+            "from heartbn import (\n"
+            "    ci_test, clean, discretize, family_score, hybrid_learn, learn_skeleton,\n"
+            "    load_cleveland,\n"
+            ")\n"
             "table = discretize(clean(load_cleveland()))\n"
             "assert 'scipy' not in sys.modules\n"
             f"print(repr({call}))\n"
-            "assert 'scipy.special' in sys.modules"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            f"assert {loaded}, scipy"
         )
         result = subprocess.run(
             [sys.executable, "-c", code],
@@ -602,7 +652,10 @@ class TestCiTest:
             text=True,
         )
         assert result.returncode == 0, result.stderr
-        namespace = {"ci_test": ci_test, "family_score": family_score, "table": heart_table}
+        namespace = {
+            "ci_test": ci_test, "family_score": family_score, "hybrid_learn": hybrid_learn,
+            "learn_skeleton": learn_skeleton, "table": heart_table,
+        }
         assert result.stdout.strip() == repr(eval(call, namespace))
 
 
@@ -704,9 +757,10 @@ class TestKernel:
             tests = np.array([[data.index(v) for v in test] for test in named])
             scored = learn._ci_batch(data, tests)
             assert scored == [learn._ci_batch(data, test[None])[0] for test in tests]
-            for (x, y, *z), (statistic, dof, p_value) in zip(named, scored):
+            for (x, y, *z), (statistic, dof) in zip(named, scored):
                 reference = ci_test_per_stratum(data, x, y, tuple(z))
                 assert dof == reference.dof
+                p_value = learn._chi2_sf(statistic, dof)
                 assert (p_value > 0.05) == reference.independent
                 assert abs(statistic - reference.statistic) <= 1e-12 * reference.statistic
                 assert abs(p_value - reference.p_value) <= 1e-12 * reference.p_value
@@ -740,7 +794,7 @@ class TestKernel:
             named = [(name[x], name[y], tuple(name[v] for v in z)) for x, y, *z in tests.tolist()]
             counted.extend(named)
             scored = real_batch(data, tests)
-            return [(s, 0 if t == chosen else d, p) for t, (s, d, p) in zip(named, scored)]
+            return [(s, 0 if t == chosen else d) for t, (s, d) in zip(named, scored)]
 
         monkeypatch.setattr(learn, "_ci_batch", no_dof_on_chosen)
         assert learn_skeleton(data) == reference
@@ -950,6 +1004,34 @@ class TestSkeleton:
         counted = [tuple(test) for tests in batches for test in tests.tolist()]
         assert len(set(counted)) == len(counted)
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_batches_fault_in_no_fresh_pages(self):
+        # the first count raises glibc's mmap and trim thresholds; without
+        # that the kernel's temporaries are mapped and unmapped per batch, and
+        # these 20 skeletons and hill climbs take about 9,800 minor faults
+        code = (
+            "import resource\n"
+            "from heartbn import (\n"
+            "    clean, discretize, hill_climb, learn_skeleton, load_cleveland, split,\n"
+            ")\n"
+            "table = discretize(clean(load_cleveland()))\n"
+            "trains = [split(table, 0.8, seed)[0] for seed in range(20)]\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for train in trains:\n"
+            "    learn_skeleton(train)\n"
+            "    hill_climb(train)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 1000
+
     def test_matches_sequential_reference_across_batch_sizes(self):
         # 237, 4,000, 9,000 and 16,385 rows put 138, 8, 3 and 1 tests in a
         # batch.  The first case of each of the first three sizes was found
@@ -991,13 +1073,14 @@ class TestAgainstDSeparationOracle:
         truth = {}
 
         def answered_by_d_separation(data, tests):
-            # p = 1 for a d-separated pair, else 0, with one degree of freedom
+            # statistic 0 (p = 1) for a d-separated pair, else infinite (p = 0),
+            # with one degree of freedom
             name = data.names
             separated = (
                 d_separated(truth["dag"], {name[x]}, {name[y]}, {name[v] for v in z})
                 for x, y, *z in tests.tolist()
             )
-            return [(0.0, 1, float(p)) for p in separated]
+            return [(0.0 if p else math.inf, 1) for p in separated]
 
         monkeypatch.setattr(learn, "_ci_batch", answered_by_d_separation)
         n_sepsets = n_v_structures = 0
