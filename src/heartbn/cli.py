@@ -1,25 +1,27 @@
 """Command-line interface.
 
 Subcommands: preprocess, learn, evaluate, predict, dsep, export-dot.
-Exit codes: 0 on success, 1 on usage errors (including malformed or
-out-of-range option values), 2 on data or model errors; every failure
-prints a one-line diagnostic to standard error.
+Exit codes: 0 on success, 1 on usage errors (among them an option value
+that the library function using it rejects; the message quotes its rule),
+2 on data or model errors.  Every failure, and each library warning
+shown, prints one line to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+import warnings
 
 from . import dataset as ds
 from .core import d_separated
 from .errors import HeartBnError
-from .evaluation import ESTIMATORS, METHODS, fit_model, run_experiment
+from .evaluation import ESTIMATORS, METHODS, _check_seeds, fit_model, run_experiment
 from .inference import classify
-from .learn import SCORE_KINDS
+from .learn import SCORE_KINDS, _check_alpha, _check_ess
 from .model_io import export_dot, load_model, save_model
+from .naive_bayes import _check_pseudo
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -30,33 +32,21 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _checked(convert, accept, requirement: str):
-    """argparse type: ``convert(text)`` if that succeeds and ``accept``s it, else a usage error."""
+def _checked(convert, check):
+    """argparse type: ``convert(text)``, which the library's ``check`` must accept."""
 
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not accept(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
         return value
 
     return parse
-
-
-_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
-_NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
-_OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
-_SEEDS = _checked(
-    lambda text: [int(part) for part in text.split(",") if part.strip()],
-    lambda seeds: seeds and min(seeds) >= 0 and len(set(seeds)) == len(seeds),
-    "a comma-separated list of distinct non-negative integers",
-)
 
 
 def _build_parser() -> _Parser:
@@ -68,9 +58,9 @@ def _build_parser() -> _Parser:
     model.add_argument("--method", required=True, choices=METHODS)
     model.add_argument("--estimator", default="mle", choices=ESTIMATORS)
     model.add_argument("--score", default="bic", choices=SCORE_KINDS)
-    model.add_argument("--ess", type=_POSITIVE, default=10.0)
-    model.add_argument("--alpha", type=_OPEN_UNIT, default=0.05)
-    model.add_argument("--pseudo", type=_NON_NEGATIVE, default=1.0)
+    model.add_argument("--ess", type=_checked(float, _check_ess), default=10.0)
+    model.add_argument("--alpha", type=_checked(float, _check_alpha), default=0.05)
+    model.add_argument("--pseudo", type=_checked(float, _check_pseudo), default=1.0)
 
     p = sub.add_parser("preprocess", help="raw table -> cleaned, discretized CSV")
     p.add_argument("--input", required=True, help="raw comma-separated file ('?' = missing)")
@@ -81,8 +71,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="destination model file")
 
     p = sub.add_parser("evaluate", help="repeated-split evaluation report", parents=[model])
-    p.add_argument("--ratio", type=_OPEN_UNIT, default=0.8)
-    p.add_argument("--seeds", required=True, type=_SEEDS, help="comma-separated seed list")
+    p.add_argument("--ratio", type=_checked(float, ds._check_ratio), default=0.8)
+    seeds = _checked(lambda text: [int(s) for s in text.split(",") if s.strip()], _check_seeds)
+    p.add_argument("--seeds", required=True, type=seeds, help="comma-separated seed list")
     p.add_argument("--report", required=True, help="destination JSON report")
 
     p = sub.add_parser("predict", help="classify from evidence")
@@ -116,7 +107,7 @@ def _parse_evidence(spec: str, net) -> dict[str, int]:
         var = net.variable(name)
         if state in var.states:
             evidence[name] = var.state_index(state)
-        elif state.isdecimal() and int(state) < var.cardinality:
+        elif ds._is_index_text(state) and int(state) < var.cardinality:
             evidence[name] = int(state)  # fall back to a bare state index
         else:
             raise ValueError(
@@ -130,11 +121,10 @@ def _names(spec: str) -> set[str]:
     return {part.strip() for part in spec.split(",") if part.strip()}
 
 
-def _cmd_preprocess(args) -> int:
+def _cmd_preprocess(args) -> None:
     cutpoints = ds.load_cutpoints(args.cutpoints) if args.cutpoints else ds.DEFAULT_CUTPOINTS
     table = ds.discretize(ds.clean(ds.load_raw(args.input)), cutpoints)
     ds.write_table_csv(table, args.output)
-    return 0
 
 
 def _model_options(args) -> dict:
@@ -144,41 +134,36 @@ def _model_options(args) -> dict:
                 alpha=args.alpha, score_kind=args.score, pseudo=args.pseudo)
 
 
-def _cmd_learn(args) -> int:
+def _cmd_learn(args) -> None:
     save_model(fit_model(ds.read_table_csv(args.data), **_model_options(args)), args.out)
-    return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     table = ds.read_table_csv(args.data)
     report = run_experiment(table, ratio=args.ratio, seeds=args.seeds, **_model_options(args))
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    return 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> None:
     net = load_model(args.model)
     evidence = _parse_evidence(args.evidence, net)
     label_index, posterior = classify(net, args.target, evidence)
     label = net.variable(args.target).states[label_index]
     probs = " ".join(f"{p:.7g}" for p in posterior.probabilities)
     print(f"{label} {probs}")
-    return 0
 
 
-def _cmd_dsep(args) -> int:
+def _cmd_dsep(args) -> None:
     net = load_model(args.model)
     result = d_separated(net.dag, _names(args.x), _names(args.y), _names(args.given))
     print("true" if result else "false")
-    return 0
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_export_dot(args) -> None:
     net = load_model(args.model)
     export_dot(net.dag, args.out)
-    return 0
 
 
 _COMMANDS = {
@@ -197,11 +182,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except (HeartBnError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"heartbn {args.command}: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    prefix = f"heartbn {args.command}"
+    with warnings.catch_warnings():  # the filters still decide which warnings show
+        warnings.showwarning = lambda text, *_: print(f"{prefix}: warning: {text}", file=sys.stderr)
+        try:
+            _COMMANDS[args.command](args)
+        except (HeartBnError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            print(f"{prefix}: {exc}", file=sys.stderr)
+            return DATA_ERROR
+    return 0
 
 
 if __name__ == "__main__":

@@ -275,18 +275,26 @@ def discretize(table: np.ndarray, cutpoints: CutpointConfig = DEFAULT_CUTPOINTS)
     return DataTable(heart_schema(), np.column_stack(cols))
 
 
+def _check_ratio(ratio: float) -> None:
+    if not 0.0 < ratio < 1.0:
+        raise ValueError("ratio must lie strictly between 0 and 1")
+
+
 def split(table: DataTable, ratio: float, seed: int) -> tuple[DataTable, DataTable]:
     """Seeded shuffle and exact partition into (train, test).
 
-    The training set takes ``floor(n * ratio)`` rows, the test set the rest
-    (297 rows at ratio 0.8 give a 237/60 partition).
+    The training set takes ``floor(n * ratio)`` rows, 0 < ratio < 1, the
+    test set the rest (297 rows at ratio 0.8 give a 237/60 partition).
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie strictly between 0 and 1")
+    _check_ratio(ratio)
     n = table.n_rows
     n_train = math.floor(n * ratio)
     perm = np.random.default_rng(seed).permutation(n)
     return table.take(perm[:n_train]), table.take(perm[n_train:])
+
+
+def _is_index_text(text: str) -> bool:  # ASCII 0-9 only: no sign, space or other digits
+    return text.isascii() and text.isdigit()
 
 
 def write_table_csv(table: DataTable, path) -> None:
@@ -335,7 +343,7 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
                 )
             row = []
             for column, cell in enumerate(cells, start=1):
-                if not (cell.isascii() and cell.isdigit()):
+                if not _is_index_text(cell):
                     raise MalformedRowError(
                         lineno, f"{path}, column {column}: {cell!r} is not a state index (digits 0-9)"
                     )

@@ -24,7 +24,7 @@ from .errors import ZeroEvidenceError
 from .heart import heart_network
 from .inference import classify, classify_rows
 from .learn import (
-    SCORE_KINDS, _check_alpha, _check_ess, fit_bayesian, fit_mle, hill_climb, hybrid_learn,
+    _check_alpha, _check_ess, _check_score, fit_bayesian, fit_mle, hill_climb, hybrid_learn,
     learn_skeleton, orient,
 )
 from .naive_bayes import _check_pseudo, nb_fit
@@ -126,8 +126,7 @@ def fit_model(
         raise ValueError(f"learner must be one of {LEARNERS}")
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
-    if score_kind not in SCORE_KINDS:
-        raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
+    _check_score(score_kind, ess)
     _check_ess(ess)
     _check_alpha(alpha)
     _check_pseudo(pseudo)
@@ -147,6 +146,11 @@ def fit_model(
     return fit_bayesian(dag, train, ess)
 
 
+def _check_seeds(seeds: Sequence[int]) -> None:
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be one or more distinct non-negative integers, got {seeds}")
+
+
 def run_experiment(
     table: DataTable,
     model_kind: str,
@@ -159,19 +163,17 @@ def run_experiment(
     score_kind: str = "bic",
     pseudo: float = 1.0,
 ) -> dict:
-    """Repeated-split evaluation over distinct ``seeds``; returns a JSON-ready report.
+    """Repeated-split evaluation over ``seeds``; returns a JSON-ready report.
 
-    Each seed's test rows are classified from all non-target columns in one
+    The seeds, one or more distinct non-negative integers, are checked
+    before the first split and run in ascending order.  Each seed's test
+    rows are classified from all non-target columns in one
     :func:`~heartbn.inference.classify_rows` call.  Rows whose evidence has
-    probability zero under the fitted model go through
-    :func:`_fallback_classify` (Markov blanket, then class prior) and are
-    counted in ``zero_evidence_rows``.
+    probability zero under the fitted model go through :func:`_fallback_classify`
+    (Markov blanket, then class prior) and are counted in ``zero_evidence_rows``.
     """
-    if not seeds:
-        raise ValueError("at least one seed is required")
     seeds = sorted(int(s) for s in seeds)
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds must be distinct, got {seeds}")
+    _check_seeds(seeds)
     per_seed = []
     for seed in seeds:
         train, test = split(table, ratio, seed)

@@ -18,7 +18,9 @@ itself from the kernel's column orders.  The DAG enumerator lists every
 DAG on a few nodes, and ``markov_class`` keys each by its skeleton and
 v-structures, which identify its Markov equivalence class; with the
 d-separation oracle it also checks structure learning run on a CI test
-that d-separation answers.  The generators produce small random DAGs and
+that d-separation answers.  ``exact_optimum`` finds the best-scoring DAG
+on up to 8 columns by dynamic programming over column subsets, a bound
+for the hill climb.  The generators produce small random DAGs and
 networks for randomized comparisons, and two ancestral samplers draw rows
 from a network: one row at a time, or one node at a time for all rows.
 """
@@ -372,6 +374,63 @@ def markov_class(dag: Dag) -> tuple[frozenset, frozenset]:
         if frozenset((a, b)) not in skeleton
     )
     return skeleton, v_structures
+
+
+def exact_optimum(
+    data: DataTable, kind: str = "bic", ess: float = 10.0, allowed=None
+) -> tuple[float, Dag]:
+    """The highest total score of any DAG on the columns of ``data``, and a DAG that has it.
+
+    The dynamic program of Silander & Myllymaki (2006): every family is
+    scored once, in one ``_family_scores`` batch (at most 8 columns, so at
+    most 1,024 families and no pruning); then each child's best parent set
+    within every candidate set; then the best network on every column
+    subset, as the best network on the subset without one sink plus that
+    sink's best family among the rest.  With ``allowed``, a parent must form
+    one of its unordered pairs with the child.
+    """
+    from heartbn.learn import _family_scores, _orders
+
+    names, n = data.names, len(data.names)
+    if n > 8:
+        raise ValueError("exact_optimum enumerates the families of at most 8 columns")
+    subsets = range(1 << n)
+
+    def members(mask: int) -> tuple[str, ...]:
+        return tuple(names[i] for i in range(n) if mask >> i & 1)
+
+    families = [
+        (child, mask)
+        for child in range(n)
+        for mask in subsets
+        if not mask >> child & 1
+        and (allowed is None or all({names[child], p} in allowed for p in members(mask)))
+    ]
+    orders = _orders(data, [(names[child], members(mask)) for child, mask in families])
+    local = dict(zip(families, _family_scores(data, orders, kind, ess)))
+    best_parents = {}  # (child, candidates) -> (score, parent mask)
+    for child in range(n):
+        for candidates in subsets:
+            if candidates >> child & 1:
+                continue
+            options = [
+                best_parents[child, candidates & ~(1 << u)] for u in range(n) if candidates >> u & 1
+            ]
+            if (child, candidates) in local:
+                options.append((local[child, candidates], candidates))
+            best_parents[child, candidates] = max(options)
+    best_network = {0: (0.0, ())}  # column subset -> (score, edges)
+    for subset in subsets[1:]:
+        options = []
+        for sink in (i for i in range(n) if subset >> i & 1):
+            rest = subset & ~(1 << sink)
+            rest_score, rest_edges = best_network[rest]
+            family, parents = best_parents[sink, rest]
+            edges = rest_edges + tuple((p, names[sink]) for p in members(parents))
+            options.append((rest_score + family, edges))
+        best_network[subset] = max(options)
+    total, edges = best_network[subsets[-1]]
+    return total, build_dag(names, sorted(edges))
 
 
 def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4) -> Dag:

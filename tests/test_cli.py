@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -238,7 +239,9 @@ class TestPredict:
         assert not captured.out
         assert captured.err.count("\n") == 1 and "'thal'" in captured.err
 
-    @pytest.mark.parametrize("state", ["1.5", "", "3", "-1"])
+    # an Arabic-Indic or a full-width digit is no index, as in a table file;
+    # "thal=\u0662" used to read as thal=2
+    @pytest.mark.parametrize("state", ["1.5", "", "3", "-1", "\u0662", "\uff12"])
     def test_unknown_evidence_state_names_variable_and_states(self, pipeline, capsys, state):
         code = main(["predict", "--model", str(pipeline["model"]), "--evidence", f"thal={state}"])
         assert code == 2
@@ -399,6 +402,33 @@ class TestUsageErrors:
         assert capsys.readouterr().err.strip()
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, rule",
+        [
+            (["evaluate", "--method", "paper", "--seeds", "0", "--ratio", "1"],
+             "argument --ratio: '1': ratio must lie strictly between 0 and 1"),
+            (["evaluate", "--method", "paper", "--seeds", "3,3"],
+             "argument --seeds: '3,3': seeds must be one or more distinct non-negative "
+             "integers, got [3, 3]"),
+            (["learn", "--method", "paper", "--estimator", "bayes", "--ess", "0"],
+             "argument --ess: '0': ess must be positive and finite"),
+            (["learn", "--method", "pc", "--alpha", "0"],
+             "argument --alpha: '0': alpha must lie strictly between 0 and 1"),
+            (["learn", "--method", "nb", "--pseudo", "nan"],
+             "argument --pseudo: 'nan': pseudo must be non-negative and finite"),
+        ],
+        ids=["ratio", "seeds", "ess", "alpha", "pseudo"],
+    )
+    def test_usage_error_quotes_the_library_rule(self, argv, rule, tmp_path, capsys):
+        # the option is checked by the library function that uses its value
+        files = (
+            ["--report", str(tmp_path / "r.json")] if argv[0] == "evaluate"
+            else ["--out", str(tmp_path / "m.model")]
+        )
+        assert main([*argv, "--data", str(tmp_path / "heart.csv"), *files]) == 1
+        assert capsys.readouterr().err.endswith(f"heartbn {argv[0]}: error: {rule}\n")
+        assert not list(tmp_path.iterdir())
+
 
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``code`` with ``args`` in a new interpreter importing heartbn from src."""
@@ -448,3 +478,25 @@ class TestStartup:
         codes, scipy_modules = json.loads(result.stdout.splitlines()[-1])
         assert codes == [0] * len(commands)
         assert scipy_modules == []
+
+
+class TestWarnings:
+    def test_library_warning_is_one_cli_line(self, pipeline, tmp_path):
+        # orient's ConflictingOrientationWarning used to print Python's format:
+        # a source path and line number, then a line of library source
+        result = run_fresh(
+            "import sys\nfrom heartbn.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "learn", "--data", str(pipeline["table"]), "--method", "pc",
+            "--out", str(tmp_path / "pc.model"),
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.splitlines()
+        assert lines
+        assert all(line.startswith("heartbn learn: warning: ") for line in lines), lines
+
+    def test_warning_state_restored(self, pipeline, tmp_path):
+        before = (warnings.showwarning, list(warnings.filters))
+        out = tmp_path / "pc.model"
+        argv = ["learn", "--data", str(pipeline["table"]), "--method", "pc", "--out", str(out)]
+        assert main(argv) == 0
+        assert (warnings.showwarning, warnings.filters) == before

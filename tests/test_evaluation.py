@@ -155,6 +155,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="distinct"):
             run_experiment(heart_table, "nb", 0.8, [3, 3, 4])
 
+    def test_negative_seed_rejected_before_any_split(self, heart_table, monkeypatch):
+        # -1 used to pass the seed check and fail inside numpy's default_rng
+        def no_split(*args):
+            raise AssertionError("split called")
+
+        monkeypatch.setattr(evaluation, "split", no_split)
+        with pytest.raises(ValueError, match=r"seeds must be .* non-negative .*, got \[-1\]"):
+            run_experiment(heart_table, "nb", 0.8, [-1])
+
     def test_json_serializable(self, heart_table):
         report = run_experiment(heart_table, "bn-paper", 0.8, [0])
         json.dumps(report)

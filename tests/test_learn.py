@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -895,6 +896,75 @@ class TestScoreOracles:
                     continue
                 gain = total(neighbour) - here
                 assert gain <= learn.MIN_IMPROVEMENT, (n_nodes, sorted(neighbour), gain)
+
+
+def oracle_score(data: DataTable, kind: str, ess: float):
+    """Total score of an edge set from the row-level family oracles, memoized per family."""
+
+    @functools.cache
+    def family(child, parents):
+        if kind == "bic":
+            return bic_row_loglik(data, child, parents)
+        return bdeu_sequential(data, child, parents, ess)
+
+    def total(edges) -> float:
+        return sum(family(c, tuple(sorted(p for p, ch in edges if ch == c))) for c in data.names)
+
+    return total
+
+
+class TestExactOptimum:
+    """hill_climb against the global optimum of its score (Silander & Myllymaki 2006)."""
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["all pairs", "allowed"])
+    @pytest.mark.parametrize("kind, ess", [("bic", 10.0), ("bdeu", 1.0), ("bdeu", 10.0)])
+    def test_best_of_all_dags_on_four_nodes(self, kind, ess, restricted):
+        rng = np.random.default_rng(7 + restricted)
+        data = sample_table(random_net(rng, 4, max_card=3, edge_prob=0.6), 200, 7)
+        pairs = [frozenset(p) for p in itertools.combinations(data.names, 2)]
+        allowed = set(pairs[::2] + pairs[1:2]) if restricted else None
+        total = oracle_score(data, kind, ess)
+        best = max(
+            total(dag.edges) for dag in all_dags(tuple(data.names))
+            if allowed is None or {frozenset(e) for e in dag.edges} <= allowed
+        )
+        optimum, dag = oracles.exact_optimum(data, kind, ess, allowed)
+        assert abs(optimum - best) <= 1e-12 * abs(best)
+        assert abs(total(dag.edges) - best) <= 1e-12 * abs(best)
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["all pairs", "allowed"])
+    @pytest.mark.parametrize("kind", ["bic", "bdeu"])
+    def test_hill_climb_scores_no_higher(self, kind, restricted):
+        # and its trace ends at its result's score
+        rng = np.random.default_rng(53 + restricted)
+        for n_nodes in (3, 4, 5, 6, 7, 8):
+            net = random_net(rng, n_nodes, max_card=3, edge_prob=0.5)
+            data = sample_table(net, int(rng.integers(100, 600)), int(rng.integers(1 << 30)))
+            ess = float(rng.uniform(0.5, 20.0))
+            allowed = (
+                {frozenset(p) for p in itertools.combinations(data.names, 2) if rng.random() < 0.6}
+                if restricted else None
+            )
+            trace: list[float] = []
+            dag = hill_climb(data, kind, ess, allowed, trace=trace)
+            found = oracle_score(data, kind, ess)(dag.edges)
+            optimum, _ = oracles.exact_optimum(data, kind, ess, allowed)
+            assert found <= optimum + 1e-9 * abs(optimum), (n_nodes, found, optimum)
+            assert abs(trace[-1] - found) <= 1e-9 * abs(found), (n_nodes, trace[-1], found)
+
+    @pytest.mark.parametrize("kind", ["bic", "bdeu"])
+    def test_optimum_does_not_depend_on_column_names(self, kind):
+        # new names sort in the opposite order, and the columns are permuted
+        rng = np.random.default_rng(71)
+        data = sample_table(random_net(rng, 7, max_card=3, edge_prob=0.5), 400, 71)
+        permutation = rng.permutation(len(data.names))
+        schema = tuple(
+            Variable(f"z{9 - j}_{data.names[j]}", data.schema[j].states) for j in permutation
+        )
+        renamed = DataTable(schema, data.rows[:, permutation])
+        optimum, _ = oracles.exact_optimum(data, kind, 5.0)
+        renamed_optimum, _ = oracles.exact_optimum(renamed, kind, 5.0)
+        assert abs(renamed_optimum - optimum) <= 1e-12 * abs(optimum)
 
 
 def chain_data(seed: int, n: int = 2000) -> DataTable:
