@@ -548,65 +548,53 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
 
     For conditioning-set sizes 0..:data:`MAX_SEPSET`, each remaining edge
     (x, y) is tested against subsets of the current neighborhoods of x and
-    of y; the first separating set found removes the edge and is recorded.  Pairs and
-    subsets are visited in lexicographic order, so the result is
+    of y; the first separating set found removes the edge and is recorded.
+    Pairs and subsets are visited in lexicographic order, so the result is
     deterministic and independent of data row order.
 
-    Each level is planned, counted and replayed.  The plan lists each
-    remaining pair's subsets once, x's side then y's, at the level's start
-    and numbers the distinct tests in that order; neighborhoods only
-    shrink, so it holds every test the order above can reach.  The replay
-    keeps an x-side subset within x's current neighborhood and a y-side
-    one within y's but not x's: a fresh listing's candidates, in order.
-    The first lookup of an uncounted test counts a batch in plan order
-    from it, the uncounted tests among as many as one bincount holds.
+    A pair walks its listing: the subsets of x's neighborhood then y's, as
+    they stand, each once.  Reaching an uncounted test counts one batch:
+    the first uncounted tests, as many as one bincount holds, of the
+    listings of this pair and every later pair of the level, listed then.
     A test without degrees of freedom raises :class:`InsufficientDataError`
-    when looked up, and a test is decided by :func:`_independent`, which
+    when reached, and a test is decided by :func:`_independent`, which
     agrees with ``p > alpha`` everywhere, so the result is exactly that of
-    testing one at a time.
-    The graph is one neighbour set per node (its name's rank), from which
-    each level's pairs and the returned edges are read as sorted (x, y).
+    testing one at a time.  The graph is one sorted neighbour list per node
+    (its name's rank), from which each level's pairs and the returned edges
+    are read as sorted (x, y).
     """
     _check_alpha(alpha)
     names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
     columns = np.array([data.index(name) for name in names])
     step = _batch_size(data)
-    neighbors = [set(range(len(names))) - {n} for n in range(len(names))]
+    neighbors = [[m for m in range(len(names)) if m != n] for n in range(len(names))]
     sepsets: dict[tuple[str, str], frozenset[str]] = {}
+    scored: dict[tuple, tuple[float, int]] = {}  # (x, y, z) -> (statistic, dof) once counted
+
+    def listing(x: int, y: int) -> dict[tuple[int, ...], None]:
+        """The current level's subsets of x's neighbors then y's, as they stand, each once."""
+        x_side = itertools.combinations([v for v in neighbors[x] if v != y], level)
+        y_side = itertools.combinations([v for v in neighbors[y] if v != x], level)
+        return dict.fromkeys(itertools.chain(x_side, y_side))
+
     for level in range(MAX_SEPSET + 1):
-        # per remaining pair: its subsets on x's side and on y's, and each distinct one's test
-        pairs = [(x, y) for x, near in enumerate(neighbors) for y in sorted(near) if x < y]
-        plan = []
-        subsets: list[tuple[int, ...]] = []  # the tests' conditioning sets, in test order
-        for x, y in pairs:
-            x_side = list(itertools.combinations(sorted(neighbors[x] - {y}), level))
-            y_side = list(itertools.combinations(sorted(neighbors[y] - {x}), level))
-            number = dict(zip(dict.fromkeys(x_side + y_side), itertools.count(len(subsets))))
-            subsets += number
-            plan.append((x_side, y_side, number))
-        if not subsets:
-            break
-        xy = np.repeat(pairs, [len(number) for *_, number in plan], axis=0)  # per test
-        flat_z = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, len(subsets) * level)
-        planned = columns[np.column_stack((xy, flat_z.reshape(len(subsets), level)))]
-        scored: list = [None] * len(subsets)  # (statistic, dof) once counted
-        for (x, y), (x_side, y_side, number) in zip(pairs, plan):
-            # the subsets of either neighborhood as they stand, x's side first
-            x_now, y_now = neighbors[x], neighbors[y]
-            y_only = itertools.filterfalse(x_now.issuperset, filter(y_now.issuperset, y_side))
-            for z in itertools.chain(filter(x_now.issuperset, x_side), y_only):
-                i = number[z]
-                if scored[i] is None:  # count the plan's uncounted tests among the next step
-                    batch = [j for j in range(i, min(i + step, len(subsets))) if scored[j] is None]
-                    for j, result in zip(batch, _ci_batch(data, planned[batch])):
-                        scored[j] = result
-                statistic, dof = scored[i]
+        pairs = [(x, y) for x, near in enumerate(neighbors) for y in near if x < y]
+        for k, (x, y) in enumerate(pairs):
+            for z in listing(x, y):
+                if (x, y, z) not in scored:  # count the first uncounted tests from here on
+                    uncounted = (
+                        (p, q, w) for p, q in pairs[k:] for w in listing(p, q) if (p, q, w) not in scored
+                    )
+                    batch = list(itertools.islice(uncounted, step))
+                    tests = columns[np.array([(p, q, *w) for p, q, w in batch])]
+                    scored.update(zip(batch, _ci_batch(data, tests)))
+                statistic, dof = scored[x, y, z]
                 if dof == 0:
                     z = tuple(names[v] for v in z)
                     raise InsufficientDataError(f"every stratum of {z} is empty")
                 if _independent(statistic, dof, alpha):
-                    neighbors[x].discard(y)
-                    neighbors[y].discard(x)
+                    neighbors[x].remove(y)
+                    neighbors[y].remove(x)
                     sepsets[names[x], names[y]] = frozenset(names[v] for v in z)
                     break
     edges = [(names[x], names[y]) for x, near in enumerate(neighbors) for y in near if x < y]

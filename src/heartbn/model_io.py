@@ -79,9 +79,15 @@ def model_from_document(doc: dict) -> DiscreteBayesNet:
     for node in doc["nodes"]:
         var = variables[node["name"]]
         parents = tuple(variables[p] for p in node["parents"])
-        q = math.prod(p.cardinality for p in parents)
-        table = np.array([float(cell) for cell in node["cpt"]], dtype=float)
-        cpts[node["name"]] = Cpt(var, parents, table.reshape(q, var.cardinality))
+        shape = (math.prod(p.cardinality for p in parents), var.cardinality)
+        cells = len(node["cpt"])
+        if cells != math.prod(shape):
+            raise ValueError(f"model node {var.name!r} has {cells} cpt cells, not {math.prod(shape)}")
+        try:
+            table = np.array([float(cell) for cell in node["cpt"]], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"model node {var.name!r}: a cpt cell is not a number ({exc})") from None
+        cpts[var.name] = Cpt(var, parents, table.reshape(shape))
     return DiscreteBayesNet(dag, cpts)
 
 
@@ -92,11 +98,14 @@ def load_model(path) -> DiscreteBayesNet:
 
 def to_dot(dag: Dag) -> str:
     """Plain DOT digraph named G: one statement per node, one edge line per edge."""
+    def quoted(name: str) -> str:
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph G {"]
     for node in dag.nodes:
-        lines.append(f'  "{node}";')
+        lines.append(f"  {quoted(node)};")
     for parent, child in dag.edges:
-        lines.append(f'  "{parent}" -> "{child}";')
+        lines.append(f"  {quoted(parent)} -> {quoted(child)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

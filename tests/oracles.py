@@ -297,13 +297,16 @@ def hill_climb_sequential(
     return build_dag(tuple(data.names), tuple(edges))
 
 
-def pc_skeleton_sequential(data: DataTable, alpha: float = 0.05, max_sepset: int = 3) -> Skeleton:
+def pc_skeleton_sequential(
+    data: DataTable, alpha: float = 0.05, max_sepset: int = 3, visits: dict | None = None
+) -> Skeleton:
     """The PC skeleton with one :func:`ci_test_per_stratum` call per test.
 
     Levels, pairs and conditioning subsets are visited in the library's
     documented order: for each level, each remaining pair in sorted order
     tries the subsets of x's current neighborhood, then y's, and the first
-    independent one removes the edge.
+    independent one removes the edge.  ``visits``, if given, maps each test
+    (x, y, *subset) the order reaches to the neighborhoods at that moment.
     """
     names = tuple(data.names)
     edges = {tuple(sorted(p)) for p in itertools.combinations(names, 2)}
@@ -318,6 +321,8 @@ def pc_skeleton_sequential(data: DataTable, alpha: float = 0.05, max_sepset: int
                 )
             )
             for subset in candidates:
+                if visits is not None:
+                    visits[x, y, *subset] = {n: frozenset(near) for n, near in neighbors.items()}
                 if ci_test_per_stratum(data, x, y, subset, alpha).independent:
                     edges.discard((x, y))
                     neighbors[x].discard(y)

@@ -252,6 +252,19 @@ class TestPredict:
             "give one of the labels 0, 1, 2 or an index 0-2\n"
         )
 
+    # a cpt of the wrong size, or with a cell that is no number, used to exit
+    # with numpy's reshape message or float()'s, which name no node
+    @pytest.mark.parametrize("cpt", [["1"], ["x", "1"]])
+    def test_bad_cpt_is_data_error_naming_its_node(self, tmp_path, capsys, cpt):
+        node = {"name": "a", "states": ["0", "1"], "parents": [], "cpt": cpt}
+        model = tmp_path / "bad.model"
+        model.write_text(json.dumps({"format_version": 1, "nodes": [node]}))
+        assert main(["predict", "--model", str(model), "--evidence", "a=1"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("heartbn predict: model node 'a'")
+        assert captured.err.count("\n") == 1
+
 
 class TestDsep:
     def test_isolated_node_separated(self, pipeline, capsys):

@@ -1046,6 +1046,29 @@ class TestSkeleton:
             assert set(z) <= x_side or set(z) <= y_side
         assert {len(z) for _, _, *z in counted} == {0, 1, 2, 3}
 
+    def test_batches_condition_on_neighborhoods_at_their_miss(self, heart_table, monkeypatch):
+        # A batch is counted when the order reaches an uncounted test, which
+        # it lists first; every test in it conditions on a subset of x's or
+        # y's neighbors at that moment, so none on a neighbor already removed.
+        real_batch = learn._ci_batch
+        batches = []
+
+        def spy(data, tests):
+            batches.append([tuple(data.names[v] for v in test) for test in tests.tolist()])
+            return real_batch(data, tests)
+
+        monkeypatch.setattr(learn, "_ci_batch", spy)
+        for seed in range(3):
+            train, _ = split(heart_table, 0.8, seed)
+            visits: dict = {}
+            batches.clear()
+            assert learn_skeleton(train) == pc_skeleton_sequential(train, visits=visits)
+            for batch in batches:
+                assert batch[0] in visits, seed
+                neighbors = visits[batch[0]]
+                for a, b, *w in batch:
+                    assert set(w) <= neighbors[a] - {b} or set(w) <= neighbors[b] - {a}, seed
+
     def test_ci_batches_count_no_padded_cell(self, heart_table, monkeypatch):
         # each test's table is laid out at its own q * r_x * r_y cells, in a
         # batch of tests whose sizes differ, and no test is counted twice
@@ -1106,8 +1129,8 @@ class TestSkeleton:
         # 237, 4,000, 9,000 and 16,385 rows put 138, 8, 3 and 1 tests in a
         # batch.  The first case of each of the first three sizes was found
         # by seeded search: there a pair whose endpoint lost a neighbor
-        # earlier in the level must list its subsets again, and reusing the
-        # level's plan changes the skeleton.
+        # earlier in the level must list its subsets again, and listing them
+        # from the neighborhoods at the level's start changes the skeleton.
         cases = [
             (8, 237, 2), (8, 237, 0), (7, 4000, 2), (7, 4000, 0), (7, 9000, 1), (6, 9000, 0),
             (6, 16_385, 0),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from heartbn import load_model, nb_fit, save_model, split, to_dot
+from heartbn import build_dag, load_model, nb_fit, save_model, split, to_dot
 from heartbn.model_io import model_document, model_from_document
 
 
@@ -62,6 +62,21 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError):
             model_from_document(doc)
 
+    # both used to raise numpy's or float()'s message, which names no node
+    @pytest.mark.parametrize(
+        "cpt, message",
+        [
+            (["1"], "model node 'a' has 1 cpt cells, not 2"),
+            (["1", "0", "0"], "model node 'a' has 3 cpt cells, not 2"),
+            (["x", "1"], "model node 'a': a cpt cell is not a number .*'x'"),
+        ],
+        ids=["short", "long", "not-a-number"],
+    )
+    def test_bad_cpt_cells_name_their_node(self, cpt, message):
+        node = {"name": "a", "states": ["0", "1"], "parents": [], "cpt": cpt}
+        with pytest.raises(ValueError, match=message):
+            model_from_document({"format_version": 1, "nodes": [node]})
+
     def test_nb_model_uses_same_format(self, heart_table, tmp_path):
         train, _ = split(heart_table, 0.8, seed=0)
         star = nb_fit(train, "target")
@@ -88,3 +103,14 @@ class TestDot:
         text = to_dot(heart_dag)
         assert text.startswith("digraph G {")
         assert text.rstrip().endswith("}")
+
+    def test_quotes_and_backslashes_in_names_are_escaped(self):
+        # a quote in a name used to end its ID early, and a trailing backslash
+        # to escape the closing quote; both are backslash-escaped now
+        dag = build_dag(('a"b', "a\\"), (('a"b', "a\\"),))
+        assert to_dot(dag) == r'''digraph G {
+  "a\"b";
+  "a\\";
+  "a\"b" -> "a\\";
+}
+'''
