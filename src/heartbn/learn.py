@@ -31,7 +31,8 @@ product, each member from its own offset, and every member fills exactly
 its own cells: a CI test's q * r_x * r_y, with no padding to its batch's
 largest.  :func:`_scores` sums each family's terms as one 1-D array, so a
 score is bitwise the same in any batch; :func:`count_table`,
-:func:`family_score` and :func:`ci_test` are batches of one.
+:func:`family_score` and :func:`ci_test` are batches of one.  The hill
+climb's start is one score call, the skeleton's level 0 one pass.
 """
 
 from __future__ import annotations
@@ -303,20 +304,20 @@ def hill_climb(
     the given unordered pairs.  The search is deterministic.  When ``trace``
     is given, the running score is appended after every accepted move.
 
-    The search is incremental.  Per child it caches the score of its family
-    with each candidate parent added and with each parent removed; a move
-    clears only the children it changes, and the families a step still
-    lacks are laid out from parent masks and counted together.  An ancestor
-    matrix rules out cycles: an added edge p -> c ORs in one outer product
-    (p and its ancestors now precede c and its descendants), and only a
-    delete or a reverse rebuilds it.  Only exactly equal gains go to the
-    first move in the order add (parent-major), delete, reverse
-    (child-major), with nodes in name order; unequal gains less than
-    :data:`MIN_IMPROVEMENT` apart are decided by rounding noise.  An edge
-    and its reverse often gain nearly equally and the choice steers the
-    rest of the search, so renaming the columns of the 20 heart splits (ten
-    random permutations of their sorted order) changed the learned Markov
-    class on 1 to 6 of them.
+    The search is incremental.  The empty graph's families are scored in one
+    call.  Per child it caches the score of its family with each candidate
+    parent added and with each parent removed; a move clears only the
+    children it changes, and the families a step still lacks are laid out
+    from parent masks and counted together.  An ancestor matrix rules out
+    cycles: an added edge p -> c ORs in one outer product (p and its
+    ancestors now precede c and its descendants), and only a delete or a
+    reverse rebuilds it.  Only exactly equal gains go to the first move in
+    the order add (parent-major), delete, reverse (child-major), with nodes
+    in name order; unequal gains less than :data:`MIN_IMPROVEMENT` apart are
+    decided by rounding noise.  An edge and its reverse often gain nearly
+    equally and the choice steers the rest of the search, so renaming the
+    columns of the 20 heart splits (ten random permutations of their sorted
+    order) changed the learned Markov class on 1 to 6 of them.
     """
     if len(data.names) < 2:
         raise SchemaMismatchError("structure search needs at least two columns")
@@ -330,7 +331,10 @@ def hill_climb(
             raise SchemaMismatchError(f"allowed pairs must name two data columns, not {bad}")
         pairs_ok &= np.array([[frozenset((a, b)) in allowed for a in names] for b in names])
     parents = np.zeros((n, n), dtype=bool)  # parents[c, p]: edge p -> c
-    start = [family_score(data, name, (), kind, ess) for name in names]  # checks kind and ess
+    _check_score(kind, ess)
+    tables = [count_table(data, name) for name in names]
+    shapes = np.array([t.shape for t in tables])
+    start = _scores(np.concatenate(tables, axis=None), shapes, data.n_rows, kind, ess)
     current = sum(start)
     now = np.array(start)  # now[c]: score of c's family
     # plus[c, p] / minus[c, p]: score of c's family with p added / removed; NaN until needed
@@ -552,16 +556,16 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
     Pairs and subsets are visited in lexicographic order, so the result is
     deterministic and independent of data row order.
 
-    A pair walks its listing: the subsets of x's neighborhood then y's, as
-    they stand, each once.  Reaching an uncounted test counts one batch:
-    the first uncounted tests, as many as one bincount holds, of the
-    listings of this pair and every later pair of the level, listed then.
-    A test without degrees of freedom raises :class:`InsufficientDataError`
-    when reached, and a test is decided by :func:`_independent`, which
-    agrees with ``p > alpha`` everywhere, so the result is exactly that of
-    testing one at a time.  The graph is one sorted neighbour list per node
-    (its name's rank), from which each level's pairs and the returned edges
-    are read as sorted (x, y).
+    Level 0 takes one pass: its tests, one per pair, depend on no removal,
+    so the pairs are counted in consecutive batches, as many as one
+    bincount holds, and decided in order.  From level 1 a pair walks its
+    listing: the subsets of x's neighborhood then y's, as they stand, each
+    once.  Reaching an uncounted test counts one batch: the first uncounted
+    tests of the listings of this pair and every later pair of the level,
+    listed then.  A test without degrees of freedom raises
+    :class:`InsufficientDataError` when reached, and a test is decided by
+    :func:`_independent`, which agrees with ``p > alpha`` everywhere, so the
+    result is exactly that of testing one at a time.
     """
     _check_alpha(alpha)
     names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
@@ -571,13 +575,28 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
     sepsets: dict[tuple[str, str], frozenset[str]] = {}
     scored: dict[tuple, tuple[float, int]] = {}  # (x, y, z) -> (statistic, dof) once counted
 
+    def separates(x: int, y: int, z: tuple[int, ...], statistic: float, dof: int) -> bool:
+        """Decide a reached test; a separating z removes the edge x - y and is recorded."""
+        if dof == 0:
+            raise InsufficientDataError(f"every stratum of {tuple(names[v] for v in z)} is empty")
+        if not _independent(statistic, dof, alpha):
+            return False
+        neighbors[x].remove(y)
+        neighbors[y].remove(x)
+        sepsets[names[x], names[y]] = frozenset(names[v] for v in z)
+        return True
+
     def listing(x: int, y: int) -> dict[tuple[int, ...], None]:
         """The current level's subsets of x's neighbors then y's, as they stand, each once."""
         x_side = itertools.combinations([v for v in neighbors[x] if v != y], level)
         y_side = itertools.combinations([v for v in neighbors[y] if v != x], level)
         return dict.fromkeys(itertools.chain(x_side, y_side))
 
-    for level in range(MAX_SEPSET + 1):
+    pairs = list(itertools.combinations(range(len(names)), 2))  # level 0: each pair's () test
+    for chunk in (pairs[start : start + step] for start in range(0, len(pairs), step)):
+        for (x, y), result in zip(chunk, _ci_batch(data, columns[np.array(chunk)])):
+            separates(x, y, (), *result)
+    for level in range(1, MAX_SEPSET + 1):
         pairs = [(x, y) for x, near in enumerate(neighbors) for y in near if x < y]
         for k, (x, y) in enumerate(pairs):
             for z in listing(x, y):
@@ -588,14 +607,7 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
                     batch = list(itertools.islice(uncounted, step))
                     tests = columns[np.array([(p, q, *w) for p, q, w in batch])]
                     scored.update(zip(batch, _ci_batch(data, tests)))
-                statistic, dof = scored[x, y, z]
-                if dof == 0:
-                    z = tuple(names[v] for v in z)
-                    raise InsufficientDataError(f"every stratum of {z} is empty")
-                if _independent(statistic, dof, alpha):
-                    neighbors[x].remove(y)
-                    neighbors[y].remove(x)
-                    sepsets[names[x], names[y]] = frozenset(names[v] for v in z)
+                if separates(x, y, z, *scored[x, y, z]):
                     break
     edges = [(names[x], names[y]) for x, near in enumerate(neighbors) for y in near if x < y]
     return Skeleton(tuple(data.names), frozenset(edges), sepsets)

@@ -84,6 +84,9 @@ def model_from_document(doc: dict) -> DiscreteBayesNet:
         if cells != math.prod(shape):
             raise ValueError(f"model node {var.name!r} has {cells} cpt cells, not {math.prod(shape)}")
         try:
+            for cell in node["cpt"]:
+                if isinstance(cell, bool):  # an int to isinstance and float() alike
+                    raise ValueError(f"{str(cell).lower()} is a JSON boolean")
             table = np.array([float(cell) for cell in node["cpt"]], dtype=float)
         except ValueError as exc:
             raise ValueError(f"model node {var.name!r}: a cpt cell is not a number ({exc})") from None

@@ -494,18 +494,26 @@ class TestStartup:
 
 
 class TestWarnings:
-    def test_library_warning_is_one_cli_line(self, pipeline, tmp_path):
-        # orient's ConflictingOrientationWarning used to print Python's format:
-        # a source path and line number, then a line of library source
+    # orient's ConflictingOrientationWarning used to print Python's format:
+    # a source path and line number, then a line of library source.  Each of
+    # evaluate's seeds 0, 1 and 2 warns, with a message of its own.
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("learn", ["--method", "pc", "--out"]),
+            ("evaluate", ["--method", "pc", "--seeds", "0,1,2", "--report"]),
+        ],
+        ids=["learn", "evaluate"],
+    )
+    def test_library_warning_is_one_cli_line(self, pipeline, tmp_path, command, args):
         result = run_fresh(
             "import sys\nfrom heartbn.cli import main\nsys.exit(main(sys.argv[1:]))",
-            "learn", "--data", str(pipeline["table"]), "--method", "pc",
-            "--out", str(tmp_path / "pc.model"),
+            command, "--data", str(pipeline["table"]), *args, str(tmp_path / "pc.out"),
         )
         assert result.returncode == 0, result.stderr
         lines = result.stderr.splitlines()
         assert lines
-        assert all(line.startswith("heartbn learn: warning: ") for line in lines), lines
+        assert all(line.startswith(f"heartbn {command}: warning: ") for line in lines), lines
 
     def test_warning_state_restored(self, pipeline, tmp_path):
         before = (warnings.showwarning, list(warnings.filters))

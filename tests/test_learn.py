@@ -1069,6 +1069,31 @@ class TestSkeleton:
                 for a, b, *w in batch:
                     assert set(w) <= neighbors[a] - {b} or set(w) <= neighbors[b] - {a}, seed
 
+    @pytest.mark.parametrize(
+        "budget, step", [(learn._ROW_BUDGET, 138), (2370, 10)], ids=["default", "ten-per-batch"]
+    )
+    def test_level_zero_counts_each_pair_once_in_order(
+        self, heart_table, monkeypatch, budget, step
+    ):
+        # no level-0 test depends on a removal, so level 0 counts the sorted
+        # pairs in consecutive batches, before any test of level 1
+        train, _ = split(heart_table, 0.8, 0)
+        monkeypatch.setattr(learn, "_ROW_BUDGET", budget)
+        real_batch = learn._ci_batch
+        batches = []
+
+        def spy(data, tests):
+            batches.append([tuple(data.names[v] for v in test) for test in tests.tolist()])
+            return real_batch(data, tests)
+
+        monkeypatch.setattr(learn, "_ci_batch", spy)
+        assert learn_skeleton(train) == pc_skeleton_sequential(train)
+        assert learn._batch_size(train) == step
+        pairs = list(itertools.combinations(sorted(train.names), 2))
+        chunks = [pairs[start : start + step] for start in range(0, len(pairs), step)]
+        assert batches[: len(chunks)] == chunks
+        assert all(len(test) > 2 for batch in batches[len(chunks) :] for test in batch)
+
     def test_ci_batches_count_no_padded_cell(self, heart_table, monkeypatch):
         # each test's table is laid out at its own q * r_x * r_y cells, in a
         # batch of tests whose sizes differ, and no test is counted twice

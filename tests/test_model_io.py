@@ -62,15 +62,17 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError):
             model_from_document(doc)
 
-    # both used to raise numpy's or float()'s message, which names no node
+    # these used to raise numpy's or float()'s message, which names no node,
+    # or (booleans, an int to isinstance) load as 1.0 and 0.0
     @pytest.mark.parametrize(
         "cpt, message",
         [
             (["1"], "model node 'a' has 1 cpt cells, not 2"),
             (["1", "0", "0"], "model node 'a' has 3 cpt cells, not 2"),
             (["x", "1"], "model node 'a': a cpt cell is not a number .*'x'"),
+            ([True, False], "model node 'a': a cpt cell is not a number .*true is a JSON boolean"),
         ],
-        ids=["short", "long", "not-a-number"],
+        ids=["short", "long", "not-a-number", "boolean"],
     )
     def test_bad_cpt_cells_name_their_node(self, cpt, message):
         node = {"name": "a", "states": ["0", "1"], "parents": [], "cpt": cpt}
