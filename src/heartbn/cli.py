@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="repeated-split evaluation report", parents=[model])
     p.add_argument("--ratio", type=_checked(float, ds._check_ratio), default=0.8)
-    seeds = _checked(lambda text: [int(s) for s in text.split(",") if s.strip()], _check_seeds)
+    seeds = _checked(_parse_seeds, _check_seeds)
     p.add_argument("--seeds", required=True, type=seeds, help="comma-separated seed list")
     p.add_argument("--report", required=True, help="destination JSON report")
 
@@ -91,6 +91,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     return parser
+
+
+def _parse_seeds(text: str) -> list[int]:
+    """Comma-separated seeds, each ASCII digits 0-9 once spaces are stripped; empty items skipped."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    for item in items:
+        if not ds._is_index_text(item):
+            raise ValueError(f"seed {item!r} is not digits 0-9")
+    return [int(item) for item in items]
 
 
 def _parse_evidence(spec: str, net) -> dict[str, int]:

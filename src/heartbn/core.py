@@ -213,6 +213,48 @@ def markov_blanket(dag: Dag, node: str) -> set[str]:
     return blanket
 
 
+def _check_tables(
+    families: Sequence[tuple[Variable, tuple[Variable, ...]]],
+    shapes: Sequence[tuple[int, ...]],
+    flat: np.ndarray,
+) -> None:
+    """Raise a ``ValueError`` naming the first table that breaks a CPT rule.
+
+    Table i is for ``families[i]``, a (variable, parents) pair, has shape
+    ``shapes[i]`` and lies in the float array ``flat`` after the tables
+    before it.  First every shape must be (q, r): q the product of the
+    parents' cards, r the variable's.  Then, table by table, every entry
+    must lie in [0, 1] and every row sum to 1 within :data:`ROW_SUM_TOL`;
+    a table breaking both gets the first message.  A NaN entry is not
+    outside [0, 1] (no comparison holds for it), but its row's sum is not 1.
+    """
+    expected = [
+        (math.prod(p.cardinality for p in parents), variable.cardinality)
+        for variable, parents in families
+    ]
+    for (variable, _), got, want in zip(families, shapes, expected):
+        if tuple(got) != want:
+            raise ValueError(f"CPT for {variable.name!r} must have shape {want}, got {tuple(got)}")
+    q, r = np.array(expected, dtype=np.intp).reshape(-1, 2).T
+    widths = r.repeat(q)  # one entry per row
+    deviations = np.abs(np.add.reduceat(flat, widths.cumsum() - widths) - 1.0)
+    # fmin and fmax skip NaN; max does not, and NaN <= ROW_SUM_TOL is false
+    if (
+        np.fmin.reduce(flat) < 0.0
+        or np.fmax.reduce(flat) > 1.0
+        or not deviations.max() <= ROW_SUM_TOL
+    ):
+        tables = np.arange(len(families))
+        outside = (flat < 0.0) | (flat > 1.0)
+        first_outside = tables.repeat(q * r)[outside].min(initial=len(families))
+        unnormalized = ~(deviations <= ROW_SUM_TOL)
+        first = min(first_outside, tables.repeat(q)[unnormalized].min(initial=len(families)))
+        name = families[first][0].name
+        if first == first_outside:
+            raise ValueError(f"CPT for {name!r} has entries outside [0, 1]")
+        raise ValueError(f"CPT rows for {name!r} must each sum to 1")
+
+
 @dataclass(frozen=True)
 class Cpt:
     """Conditional probability table P(variable | parents).
@@ -222,6 +264,10 @@ class Cpt:
     declared order and the LAST parent's state varying fastest, so
     ``config_index((s1, s2))`` for parents (A, B) is ``s1 * card(B) + s2``.
     A node without parents has exactly one configuration row.
+
+    The table is copied, checked by :func:`_check_tables` as a batch of one
+    and made read-only.  A fit builds its CPTs through :func:`_cpt_batch`
+    instead, which checks each count batch's tables once.
     """
 
     variable: Variable
@@ -231,17 +277,7 @@ class Cpt:
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
         table = np.array(self.table, dtype=float)
-        q = math.prod(p.cardinality for p in self.parents)
-        r = self.variable.cardinality
-        if table.shape != (q, r):
-            raise ValueError(
-                f"CPT for {self.variable.name!r} must have shape {(q, r)}, got {table.shape}"
-            )
-        # fmin/fmax skip NaN, so a NaN beside an entry above 1 still reads as outside
-        if np.fmin.reduce(table, axis=None) < 0.0 or np.fmax.reduce(table, axis=None) > 1.0:
-            raise ValueError(f"CPT for {self.variable.name!r} has entries outside [0, 1]")
-        if not (np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
-            raise ValueError(f"CPT rows for {self.variable.name!r} must each sum to 1")
+        _check_tables([(self.variable, self.parents)], [table.shape], table.ravel())
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -268,6 +304,29 @@ class Cpt:
         if not 0 <= state < self.variable.cardinality:
             raise ValueError(f"state {state} out of range for {self.variable.name!r}")
         return float(self.table[self.config_index(parent_states), state])
+
+
+def _cpt_batch(
+    families: Sequence[tuple[Variable, tuple[Variable, ...]]],
+    shapes: Sequence[tuple[int, int]],
+    flat: np.ndarray,
+) -> list[Cpt]:
+    """The :class:`Cpt` of each family over its (q, r) table, laid end to end in ``flat``.
+
+    The tables are checked once, together, by :func:`_check_tables`; then
+    ``flat`` becomes read-only and each table is a view of it, neither
+    copied nor checked again.  ``parents`` must be tuples.
+    """
+    _check_tables(families, shapes, flat)
+    flat.setflags(write=False)
+    cpts, start = [], 0
+    for (variable, parents), (q, r) in zip(families, shapes):
+        cpt = object.__new__(Cpt)
+        table = flat[start : start + q * r].reshape(q, r)
+        cpt.__dict__.update(variable=variable, parents=parents, table=table)
+        cpts.append(cpt)
+        start += q * r
+    return cpts
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,13 @@ def fit_model(
 
 
 def _check_seeds(seeds: Sequence[int]) -> None:
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+    """Refuse anything but distinct non-negative ints; a bool, float or string is not converted."""
+    if (
+        not seeds
+        or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in seeds)
+        or min(seeds) < 0
+        or len(set(seeds)) < len(seeds)
+    ):
         raise ValueError(f"seeds must be one or more distinct non-negative integers, got {seeds}")
 
 
@@ -172,10 +178,10 @@ def run_experiment(
     probability zero under the fitted model go through :func:`_fallback_classify`
     (Markov blanket, then class prior) and are counted in ``zero_evidence_rows``.
     """
-    seeds = sorted(int(s) for s in seeds)
+    seeds = list(seeds)
     _check_seeds(seeds)
     per_seed = []
-    for seed in seeds:
+    for seed in sorted(map(int, seeds)):
         train, test = split(table, ratio, seed)
         net = fit_model(train, model_kind, learner, estimator, ess, alpha, score_kind, pseudo)
         predicted, _ = classify_rows(net, "target", test)

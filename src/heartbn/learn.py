@@ -7,7 +7,10 @@ q parent configurations, where the per-cell prior ``a`` sets the method.
 a = ess / (r * q) (a uniform prior of total weight ``ess`` spread over each
 CPT), and Naive Bayes uses a = pseudo.  A parent configuration with no
 weight at all becomes a uniform row.  A fit estimates each count batch in
-one elementwise pass, entry for entry bitwise as one family at a time.
+one elementwise pass, entry for entry bitwise as one family at a time, and
+checks the batch's tables once, by the rules and messages of
+:class:`~heartbn.core.Cpt`; each CPT is then a read-only view of the batch,
+neither copied nor checked again.
 
 Structure: :func:`hill_climb` greedily optimizes a decomposable score (BIC
 or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cpt, Dag, DiscreteBayesNet, _reachable, build_dag
+from .core import Cpt, Dag, DiscreteBayesNet, _cpt_batch, _reachable, build_dag
 from .dataset import DataTable
 from .errors import (
     ConflictingOrientationWarning,
@@ -169,9 +172,14 @@ def _require_nodes(dag: Dag, data: DataTable) -> None:
 
 
 def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
-    """CPTs (N(x, pa) + a) / (N(pa) + a * r), a = cell_prior(q, r); zero-weight rows are uniform."""
+    """CPTs (N(x, pa) + a) / (N(pa) + a * r), a = cell_prior(q, r); zero-weight rows are uniform.
+
+    Each count batch's estimates are checked once, by the rules and with the
+    messages of :class:`Cpt`, and each table is a read-only view of them.
+    """
     _require_nodes(dag, data)
-    tables = []
+    families = [(data.variable(n), tuple(map(data.variable, dag.parents(n)))) for n in dag.nodes]
+    cpts: list[Cpt] = []
     orders = _orders(data, [(node, dag.parents(node)) for node in dag.nodes])
     for flat, shapes in _family_counts(data, orders):
         q, r = shapes.T
@@ -182,13 +190,9 @@ def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
         uniform = (1.0 / widths).repeat(widths)
         numerators = flat + a.repeat(q * r)
         estimates = np.divide(numerators, denominators, out=uniform, where=denominators > 0)
-        ends = (q * r).cumsum().tolist()
-        tables += (estimates[i:j].reshape(-1, k) for i, j, k in zip([0, *ends], ends, r.tolist()))
-    cpts = {
-        node: Cpt(data.variable(node), tuple(map(data.variable, dag.parents(node))), table)
-        for node, table in zip(dag.nodes, tables)
-    }
-    return DiscreteBayesNet(dag, cpts)
+        batch = families[len(cpts) : len(cpts) + len(shapes)]
+        cpts += _cpt_batch(batch, shapes.tolist(), estimates)
+    return DiscreteBayesNet(dag, dict(zip(dag.nodes, cpts)))
 
 
 def fit_mle(dag: Dag, data: DataTable) -> DiscreteBayesNet:
@@ -311,13 +315,16 @@ def hill_climb(
     from parent masks and counted together.  An ancestor matrix rules out
     cycles: an added edge p -> c ORs in one outer product (p and its
     ancestors now precede c and its descendants), and only a delete or a
-    reverse rebuilds it.  Only exactly equal gains go to the first move in
-    the order add (parent-major), delete, reverse (child-major), with nodes
-    in name order; unequal gains less than :data:`MIN_IMPROVEMENT` apart are
-    decided by rounding noise.  An edge and its reverse often gain nearly
-    equally and the choice steers the rest of the search, so renaming the
-    columns of the 20 heart splits (ten random permutations of their sorted
-    order) changed the learned Markov class on 1 to 6 of them.
+    reverse rebuilds it.  A step's gains fill one array, adds at (parent,
+    child) before deletes and reverses at (child, parent), and one argmax
+    takes the first of the largest.  So only exactly equal gains go to the
+    first move in the order add (parent-major), delete, reverse
+    (child-major), with nodes in name order; unequal gains less than
+    :data:`MIN_IMPROVEMENT` apart are decided by rounding noise.  An edge
+    and its reverse often gain nearly equally and the choice steers the
+    rest of the search, so renaming the columns of the 20 heart splits (ten
+    random permutations of their sorted order) changed the learned Markov
+    class on 1 to 6 of them.
     """
     if len(data.names) < 2:
         raise SchemaMismatchError("structure search needs at least two columns")
@@ -343,9 +350,10 @@ def hill_climb(
         trace.append(current)
 
     anc = np.zeros((n, n), dtype=bool)  # anc[i, j]: i is a proper ancestor of j
+    gains = np.empty((3, n, n))  # add at (parent, child), delete and reverse at (child, parent)
     for _ in range(MAX_MOVES):
         # add p -> c: no edge either way, and c is not an ancestor of p
-        can_add = pairs_ok & ~parents & ~parents.T & ~anc
+        can_add = pairs_ok & ~(parents | parents.T | anc)
         # reverse p -> c: p is not an ancestor of another parent of c
         can_reverse = parents & ~(parents @ anc.T)
         # the plus (k = 0) and minus (k = 1) scores this step needs and lacks
@@ -356,18 +364,18 @@ def hill_climb(
         orders = np.column_stack((np.where(masks, columns, -1), columns[c]))
         cache[k, c, p] = _family_scores(data, orders, kind, ess)
 
-        add = np.where(can_add, plus - now[:, None], -np.inf)
-        delete = np.where(parents, minus - now[:, None], -np.inf)
-        reverse = np.where(can_reverse, minus + plus.T - now[:, None] - now[None, :], -np.inf)
-        best_delta, best_move = MIN_IMPROVEMENT, None
-        for move, gains in (("add", add.T), ("delete", delete), ("reverse", reverse)):
-            i = int(np.argmax(gains))
-            if gains.flat[i] > best_delta:
-                best_delta, best_move = float(gains.flat[i]), (move, *divmod(i, n))
-        if best_move is None:
+        gains.fill(-np.inf)
+        np.subtract(plus.T, now, out=gains[0], where=can_add.T)
+        np.subtract(minus, now[:, None], out=gains[1], where=parents)
+        np.add(minus, plus.T, out=gains[2], where=can_reverse)
+        np.subtract(gains[2], now[:, None], out=gains[2], where=can_reverse)
+        np.subtract(gains[2], now, out=gains[2], where=can_reverse)
+        best = int(np.argmax(gains))  # the first of the largest, in the order of the tie rule
+        best_delta = float(gains.flat[best])
+        if not best_delta > MIN_IMPROVEMENT:
             break
-        move, i, j = best_move
-        if move == "add":  # (parent, child)
+        move, (i, j) = best // (n * n), divmod(best % (n * n), n)
+        if move == 0:  # add (parent, child)
             parents[j, i] = True
             changed = {j: plus[j, i]}
             # i and its ancestors now precede j and its descendants
@@ -377,7 +385,7 @@ def hill_climb(
         else:  # (child, parent)
             parents[i, j] = False
             changed = {i: minus[i, j]}
-            if move == "reverse":
+            if move == 2:  # reverse
                 parents[j, i] = True
                 changed[j] = plus[j, i]
             anc = _ancestors(parents)

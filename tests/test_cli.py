@@ -395,6 +395,10 @@ class TestUsageErrors:
             ["evaluate", "--method", "paper", "--seeds", ","],
             ["evaluate", "--method", "paper", "--seeds", "-1"],
             ["evaluate", "--method", "paper", "--seeds", "3,3"],
+            # int() reads these as seeds 10, 2 and 3; a seed is ASCII digits
+            ["evaluate", "--method", "paper", "--seeds", "1_0"],
+            ["evaluate", "--method", "paper", "--seeds", "0,+2"],
+            ["evaluate", "--method", "paper", "--seeds", "\u0663"],
             ["evaluate", "--method", "nb", "--seeds", "0", "--pseudo", "-1"],
             ["evaluate", "--method", "pc", "--seeds", "0", "--alpha", "1"],
             ["learn", "--method", "nb", "--pseudo", "nan"],

@@ -13,6 +13,7 @@ from heartbn import (
     markov_blanket,
     topological_order,
 )
+from heartbn import core
 from heartbn.errors import CycleDetectedError, DuplicateEdgeError, UnknownNodeError
 
 from oracles import (
@@ -231,14 +232,44 @@ class TestCpt:
         ],
     )
     def test_validation_messages(self, row, message):
-        # the second row is valid, so only the first one can trip a check
+        # the second row is valid, so only the first one can trip a check; the
+        # batch route checks the table as the middle one of three, as a fit does
         x, a = Variable("x", ("0", "1")), Variable("a", ("0", "1"))
+        b = Variable("b", ("0", "1", "2"))
         table = np.array([row, [0.25, 0.75]])
+        tables = [np.array([[0.5, 0.5]]), table, np.full((2, 3), 1 / 3)]
+        families = [(a, ()), (x, (a,)), (b, (a,))]
+        shapes, flat = [t.shape for t in tables], np.concatenate(tables, axis=None)
         if message is None:
             assert Cpt(x, (a,), table).table.tolist() == table.tolist()
+            core._check_tables(families, shapes, flat)
         else:
-            with pytest.raises(ValueError, match=re.escape(message)):
+            with pytest.raises(ValueError, match=re.escape(message)) as single:
                 Cpt(x, (a,), table)
+            with pytest.raises(ValueError) as batch:
+                core._check_tables(families, shapes, flat)
+            assert str(batch.value) == str(single.value) and "'x'" in str(single.value)
+
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            # x breaks only the row rule; y, later, breaks the range rule
+            ([[[0.5, 0.6]], [[-0.5, 1.5]]], "CPT rows for 'x' must each sum to 1"),
+            # x is misshapen; y, later, breaks the range rule
+            ([[[0.5, 0.25, 0.25]], [[-0.5, 1.5]]],
+             "CPT for 'x' must have shape (1, 2), got (1, 3)"),
+            # shapes are checked first: y's beats x's entries
+            ([[[np.nan, 2.0]], [[0.5], [0.5]]], "CPT for 'y' must have shape (1, 2), got (2, 1)"),
+            # a NaN does not hide x's entry above 1; y, later, breaks the row rule
+            ([[[np.nan, 2.0]], [[0.5, 0.6]]], "CPT for 'x' has entries outside [0, 1]"),
+        ],
+    )
+    def test_batch_error_is_the_first_tables(self, tables, message):
+        x, y = Variable("x", ("0", "1")), Variable("y", ("0", "1"))
+        arrays = [np.array(t, dtype=float) for t in tables]
+        flat = np.concatenate(arrays, axis=None)
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            core._check_tables([(x, ()), (y, ())], [t.shape for t in arrays], flat)
 
 
 class TestDiscreteBayesNet:

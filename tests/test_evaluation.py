@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,23 @@ class TestRunExperiment:
     def test_repeated_seed_rejected(self, heart_table):
         with pytest.raises(ValueError, match="distinct"):
             run_experiment(heart_table, "nb", 0.8, [3, 3, 4])
+
+    @pytest.mark.parametrize("seeds", [[1.5], [True], ["3"], [1, 1.2], [np.True_]], ids=repr)
+    def test_non_integer_seed_rejected_before_any_split(self, heart_table, monkeypatch, seeds):
+        # each was once converted by int(): 1.5, True and "3" ran seeds 1, 1 and 3,
+        # and [1, 1.2] failed as the repeated list [1, 1]
+        def no_split(*args):
+            raise AssertionError("split called")
+
+        monkeypatch.setattr(evaluation, "split", no_split)
+        got = re.escape(f"got {seeds}")
+        with pytest.raises(ValueError, match=rf"seeds must be .* integers, {got}$"):
+            run_experiment(heart_table, "nb", 0.8, seeds)
+
+    def test_numpy_integer_seeds_accepted(self, heart_table):
+        report = run_experiment(heart_table, "nb", 0.8, np.array([2, 0]))
+        assert [entry["seed"] for entry in report["per_seed"]] == [0, 2]
+        assert all(type(entry["seed"]) is int for entry in report["per_seed"])
 
     def test_negative_seed_rejected_before_any_split(self, heart_table, monkeypatch):
         # -1 used to pass the seed check and fail inside numpy's default_rng

@@ -34,7 +34,7 @@ from heartbn import (
     split,
     topological_order,
 )
-from heartbn import learn
+from heartbn import core, learn
 from heartbn.errors import (
     ConflictingOrientationWarning,
     CycleDetectedError,
@@ -428,6 +428,56 @@ class TestFitAgainstPerNodeOracle:
         for fit, cell_prior in self.FITS:
             expected = oracles.fit_dirichlet_per_node(heart_dag, heart_table, cell_prior)
             self.assert_bitwise_equal(fit(heart_dag, heart_table), expected)
+
+
+class TestFitChecksEachBatchOnce:
+    """A fit checks each count batch's tables once, by the rules and messages of Cpt."""
+
+    FITS = (
+        lambda data: fit_mle(heart_network(), data),
+        lambda data: fit_bayesian(heart_network(), data, 10.0),
+        lambda data: nb_fit(data, "target", 0.0),
+        lambda data: nb_fit(data, "target", 1.0),
+    )
+
+    def test_heart_split_tables_pinned(self, heart_table):
+        # every table of the four fits on the 20 training splits, read-only
+        # and bitwise as when each Cpt copied and checked its own table
+        lines = []
+        for seed in range(20):
+            train, _ = split(heart_table, 0.8, seed)
+            for fit in self.FITS:
+                for name, cpt in fit(train).cpts.items():
+                    assert not cpt.table.flags.writeable, name
+                    lines.append(f"{name} {cpt.table.shape} {cpt.table.tobytes().hex()}")
+        assert digest(lines) == "f167d64c91405fd4"
+
+    def test_one_check_per_count_batch(self, heart_table, monkeypatch):
+        checked = []
+
+        def spy(families, shapes, flat):
+            checked.append(len(families))
+            return check(families, shapes, flat)
+
+        check = core._check_tables
+        monkeypatch.setattr(core, "_check_tables", spy)
+        for fit in self.FITS:
+            fit(heart_table)
+        assert learn._batch_size(heart_table) >= 14
+        assert checked == [14] * 4
+        checked.clear()
+        monkeypatch.setattr(learn, "_ROW_BUDGET", 4 * heart_table.n_rows)  # four families a batch
+        for fit in self.FITS:
+            fit(heart_table)
+        assert checked == [4, 4, 4, 2] * 4
+
+    def test_a_bad_estimate_names_its_node(self):
+        # a negative per-cell prior makes the unseen cell of b's table
+        # negative; the batch check names b, as b's own Cpt check did
+        data = binary_table({"a": [0, 1, 0, 1], "b": [0, 0, 0, 0], "c": [0, 1, 1, 0]})
+        dag = build_dag(("a", "b", "c"), ())
+        with pytest.raises(ValueError, match=re.escape("CPT for 'b' has entries outside [0, 1]")):
+            learn._fit_dirichlet(dag, data, lambda q, r: -0.1)
 
 
 class TestPriorWeights:
