@@ -2,7 +2,10 @@
 
 A network is a directed acyclic graph over named categorical variables plus
 one conditional probability table per node.  Everything here is immutable
-after construction, so values can be shared freely across threads.
+after construction, so values can be shared freely across threads: every
+array the library hands out lies in its own ``bytes`` copy (:func:`_frozen`),
+so neither it nor any view or base of it can be made writable again, and a
+network's CPTs and a skeleton's separating sets are read-only mappings.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,6 +22,11 @@ import numpy as np
 from .errors import CycleDetectedError, DuplicateEdgeError, UnknownNodeError
 
 ROW_SUM_TOL = 1e-9
+
+
+def _frozen(array: np.ndarray, order: str = "C") -> np.ndarray:
+    """``array`` copied once into immutable ``bytes``: an array over them, laid out in ``order``."""
+    return np.ndarray(array.shape, array.dtype, array.tobytes(order), 0, None, order)
 
 
 @dataclass(frozen=True)
@@ -265,9 +274,8 @@ class Cpt:
     ``config_index((s1, s2))`` for parents (A, B) is ``s1 * card(B) + s2``.
     A node without parents has exactly one configuration row.
 
-    The table is copied, checked by :func:`_check_tables` as a batch of one
-    and made read-only.  A fit builds its CPTs through :func:`_cpt_batch`
-    instead, which checks each count batch's tables once.
+    A Cpt is a batch of one of :func:`_cpt_batch`, which checks the table
+    and makes it read-only.
     """
 
     variable: Variable
@@ -275,11 +283,9 @@ class Cpt:
     table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        table = np.array(self.table, dtype=float)
-        _check_tables([(self.variable, self.parents)], [table.shape], table.ravel())
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        table = np.asarray(self.table, dtype=float)
+        (cpt,) = _cpt_batch([(self.variable, tuple(self.parents))], [table.shape], table.ravel())
+        self.__dict__.update(vars(cpt))
 
     @property
     def n_configs(self) -> int:
@@ -313,12 +319,12 @@ def _cpt_batch(
 ) -> list[Cpt]:
     """The :class:`Cpt` of each family over its (q, r) table, laid end to end in ``flat``.
 
-    The tables are checked once, together, by :func:`_check_tables`; then
-    ``flat`` becomes read-only and each table is a view of it, neither
-    copied nor checked again.  ``parents`` must be tuples.
+    The one route that checks a table and assembles a Cpt: the tables are
+    checked together, each a view of one :func:`_frozen` copy of ``flat``.
+    ``parents`` must be tuples.
     """
+    flat = _frozen(flat)
     _check_tables(families, shapes, flat)
-    flat.setflags(write=False)
     cpts, start = [], 0
     for (variable, parents), (q, r) in zip(families, shapes):
         cpt = object.__new__(Cpt)
@@ -354,7 +360,10 @@ class DiscreteBayesNet:
                 raise ValueError(
                     f"CPT parents for {name!r} are {declared}, DAG says {self.dag.parents(name)}"
                 )
-        object.__setattr__(self, "cpts", cpts)
+        object.__setattr__(self, "cpts", MappingProxyType(cpts))
+
+    def __reduce__(self):  # copy and pickle rebuild it: a mapping proxy cannot be pickled
+        return DiscreteBayesNet, (self.dag, dict(self.cpts))
 
     @property
     def variables(self) -> dict[str, Variable]:

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Variable
+from .core import Variable, _frozen
 from .errors import (
     MalformedRowError,
     NonMonotoneCutpointsError,
@@ -112,15 +112,13 @@ class DataTable:
             raise SchemaMismatchError(f"column names must be distinct, not {repeated}")
         object.__setattr__(self, "_index", index)
         # column-major: the counting kernels gather whole columns
-        rows = np.array(self.rows, dtype=np.int64, order="F")
+        rows = _frozen(np.asarray(self.rows, dtype=np.int64), order="F")
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise ValueError("rows must be a 2-D array with one column per variable")
-        cards = np.array([v.cardinality for v in self.schema], dtype=np.int64)
+        cards = _frozen(np.array([v.cardinality for v in self.schema], dtype=np.int64))
         bad = (rows.min(axis=0, initial=0) < 0) | (rows.max(axis=0, initial=0) >= cards)
         if bad.any():
             raise ValueError(f"column {self.names[bad.argmax()]!r} has state indices out of range")
-        rows.setflags(write=False)
-        cards.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cards", cards)
 
@@ -249,9 +247,7 @@ def clean(raw: Sequence[Sequence[str]] | np.ndarray) -> np.ndarray:
                 )
             out.append(float(mapping[code]))
         kept.append(out)
-    values = np.array(kept, dtype=float).reshape(len(kept), N_FIELDS)
-    values.setflags(write=False)
-    return values
+    return _frozen(np.array(kept, dtype=float).reshape(len(kept), N_FIELDS))
 
 
 def discretize(table: np.ndarray, cutpoints: CutpointConfig = DEFAULT_CUTPOINTS) -> DataTable:

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Cpt, DiscreteBayesNet, Variable, _reachable
+from .core import Cpt, DiscreteBayesNet, Variable, _frozen, _reachable
 from .dataset import DataTable
 from .errors import SchemaMismatchError, ZeroEvidenceError
 
@@ -38,12 +38,11 @@ class Posterior:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probabilities, dtype=float)
+        probs = _frozen(np.asarray(self.probabilities, dtype=float))
         if probs.shape != (self.variable.cardinality,):
             raise ValueError("one probability per state required")
         if not (np.all((probs >= 0.0) & (probs <= 1.0)) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("posterior must be a distribution over the states")
-        probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
 
     def __getitem__(self, state: int) -> float:

@@ -6,11 +6,11 @@ q parent configurations, where the per-cell prior ``a`` sets the method.
 :func:`fit_mle` uses a = 0 (relative frequencies), :func:`fit_bayesian` uses
 a = ess / (r * q) (a uniform prior of total weight ``ess`` spread over each
 CPT), and Naive Bayes uses a = pseudo.  A parent configuration with no
-weight at all becomes a uniform row.  A fit estimates each count batch in
-one elementwise pass, entry for entry bitwise as one family at a time, and
-checks the batch's tables once, by the rules and messages of
-:class:`~heartbn.core.Cpt`; each CPT is then a read-only view of the batch,
-neither copied nor checked again.
+weight at all becomes a uniform row.  A fit resolves each family's names
+once and estimates each count batch in one elementwise pass, entry for entry
+bitwise as one family at a time; the batch then becomes CPTs by the one
+route every :class:`~heartbn.core.Cpt` takes, :func:`~heartbn.core._cpt_batch`,
+which checks its tables once and leaves each a read-only view of one copy.
 
 Structure: :func:`hill_climb` greedily optimizes a decomposable score (BIC
 or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
@@ -45,6 +45,8 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -70,25 +72,10 @@ MAX_MOVES = 200
 # Largest conditioning set learn_skeleton tests.
 MAX_SEPSET = 3
 
-# Rows one stacked bincount may count: a batch holds 138 families or CI tests
-# on a 237-row heart split, one at a time from 16,385 rows up (so on 20,000),
-# where stacking would only cost memory.
-_ROW_BUDGET = 1 << 15
-
-
-@functools.cache
-def _keep_temporaries_on_heap() -> None:
-    """Allocate and free one untouched 4 MiB block, once per process.
-
-    Freeing a mapped block makes glibc raise its mmap threshold to that
-    size and its trim threshold to twice it (M_MMAP_THRESHOLD in
-    mallopt(3)), so the kernel's temporaries of a few hundred KiB stay on
-    the heap instead of being mapped, returned to the OS and faulted in
-    afresh on every batch.  Other allocators ignore it.  It runs on the
-    first count, not at import, so a process that never counts keeps its
-    allocator as it was.
-    """
-    np.empty(1 << 19)
+# Rows one stacked bincount may count: 69 families or CI tests a batch on a
+# 237-row heart split, whose 237 x 69 codes stay under glibc's 128 KiB mmap
+# threshold, and one at a time from 8,193 rows up (so on 20,000).
+_ROW_BUDGET = 1 << 14
 
 
 def _batch_size(data: DataTable) -> int:
@@ -109,7 +96,6 @@ def _stacked_counts(data: DataTable, orders: np.ndarray) -> tuple[np.ndarray, np
     on many rows) adds up only the int64 columns it reads, which at 20,000
     rows takes half the time of a product over them.
     """
-    _keep_temporaries_on_heap()
     dims = np.where(orders < 0, 1.0, data.cards[orders])
     spans = np.multiply.accumulate(dims[:, ::-1], axis=1)[:, ::-1]  # product of dims[:, j:]
     sizes = spans[:, 0]
@@ -174,13 +160,15 @@ def _require_nodes(dag: Dag, data: DataTable) -> None:
 def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
     """CPTs (N(x, pa) + a) / (N(pa) + a * r), a = cell_prior(q, r); zero-weight rows are uniform.
 
-    Each count batch's estimates are checked once, by the rules and with the
-    messages of :class:`Cpt`, and each table is a read-only view of them.
+    A family's variables are read off its count layout, so its names are resolved once.
     """
     _require_nodes(dag, data)
-    families = [(data.variable(n), tuple(map(data.variable, dag.parents(n)))) for n in dag.nodes]
-    cpts: list[Cpt] = []
     orders = _orders(data, [(node, dag.parents(node)) for node in dag.nodes])
+    families = [
+        (data.schema[child], tuple(data.schema[j] for j in parents if j >= 0))
+        for *parents, child in orders.tolist()
+    ]
+    cpts: list[Cpt] = []
     for flat, shapes in _family_counts(data, orders):
         q, r = shapes.T
         a = np.full(len(shapes), cell_prior(q, r), dtype=float)  # one per family, then per cell
@@ -533,20 +521,20 @@ class Skeleton:
 
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]  # pairs stored sorted
-    sepsets: dict[tuple[str, str], frozenset[str]]
+    sepsets: Mapping[tuple[str, str], frozenset[str]]  # read-only
 
     def __post_init__(self):
         object.__setattr__(
             self, "edges", frozenset(tuple(sorted(pair)) for pair in self.edges)
         )
-        object.__setattr__(
-            self,
-            "sepsets",
-            {tuple(sorted(pair)): frozenset(s) for pair, s in self.sepsets.items()},
-        )
+        sepsets = {tuple(sorted(pair)): frozenset(s) for pair, s in self.sepsets.items()}
+        object.__setattr__(self, "sepsets", MappingProxyType(sepsets))
         all_pairs = {tuple(sorted(p)) for p in itertools.combinations(self.nodes, 2)}
         if set(self.sepsets) != all_pairs - self.edges:
             raise ValueError("sepsets must cover exactly the non-adjacent node pairs")
+
+    def __reduce__(self):  # copy and pickle rebuild it: a mapping proxy cannot be pickled
+        return Skeleton, (self.nodes, self.edges, dict(self.sepsets))
 
     def adjacent(self, name: str) -> tuple[str, ...]:
         return tuple(sorted(b if a == name else a for a, b in self.edges if name in (a, b)))

@@ -23,6 +23,8 @@ on up to 8 columns by dynamic programming over column subsets, a bound
 for the hill climb.  The generators produce small random DAGs and
 networks for randomized comparisons, and two ancestral samplers draw rows
 from a network: one row at a time, or one node at a time for all rows.
+``assert_frozen`` tries to make an array writable again, and then each
+``.base`` under it, down to the buffer that holds the data.
 """
 
 from __future__ import annotations
@@ -514,3 +516,16 @@ def sample_table(net: DiscreteBayesNet, n_rows: int, seed: int) -> DataTable:
     nodes = net.dag.nodes
     rows = np.column_stack([columns[n] for n in nodes])
     return DataTable(tuple(net.variables[n] for n in nodes), rows)
+
+
+def assert_frozen(array: np.ndarray, what: str) -> None:
+    """Fail unless ``array`` and each ``.base`` under it refuse writes, down to a ``bytes`` buffer."""
+    level = array
+    while isinstance(level, np.ndarray):
+        try:
+            level.setflags(write=True)
+        except ValueError:
+            level = level.base
+        else:
+            raise AssertionError(f"{what}: an array of its .base chain can be made writable")
+    assert isinstance(level, bytes), f"{what}: data held by {type(level).__name__}, not bytes"

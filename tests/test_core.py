@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 
 import numpy as np
@@ -7,17 +9,22 @@ import pytest
 from heartbn import (
     Cpt,
     DiscreteBayesNet,
+    Skeleton,
     Variable,
     build_dag,
     d_separated,
+    load_model,
     markov_blanket,
+    posterior_ve,
+    save_model,
     topological_order,
 )
 from heartbn import core
 from heartbn.errors import CycleDetectedError, DuplicateEdgeError, UnknownNodeError
 
 from oracles import (
-    all_assignments, d_separated_bruteforce, joint_probability, random_dag, random_net,
+    all_assignments, assert_frozen, d_separated_bruteforce, joint_probability, random_dag,
+    random_net,
 )
 
 
@@ -290,6 +297,48 @@ class TestDiscreteBayesNet:
         dag = build_dag((a, b), ())
         with pytest.raises(ValueError):
             DiscreteBayesNet(dag, {"a": Cpt(a, (), [[0.5, 0.5]])})
+
+
+class TestImmutable:
+    """Nothing the library checked can be changed afterwards.
+
+    The fitted tables, ``DataTable`` and ``clean()`` are covered where they
+    are tested; this covers the rest.
+    """
+
+    def test_tables_posteriors_and_mappings_refuse_writes(self, heart_net, tmp_path):
+        x = Variable("x", "01")
+        direct = Cpt(x, (), [[0.5, 0.5]])
+        assert_frozen(direct.table, "Cpt(...)")
+        assert direct.prob(0) == 0.5
+        save_model(heart_net, tmp_path / "heart.model")
+        loaded = load_model(tmp_path / "heart.model")
+        for name, cpt in loaded.cpts.items():
+            assert_frozen(cpt.table, f"load_model {name}")
+        assert_frozen(posterior_ve(loaded, "target", {"thal": 2}).probabilities, "Posterior")
+        # a CPT stored under another name would skip the parent check
+        with pytest.raises(TypeError):
+            loaded.cpts["target"] = loaded.cpts["thal"]
+        sepsets = {("a", "c"): (), ("b", "c"): ()}
+        skeleton = Skeleton(("a", "b", "c"), frozenset({("a", "b")}), sepsets)
+        with pytest.raises(TypeError):
+            skeleton.sepsets["a", "c"] = frozenset({"b"})
+        with pytest.raises(TypeError):
+            skeleton.sepsets["a", "b"] = frozenset()
+
+    def test_networks_and_skeletons_still_copy_and_pickle(self, heart_net):
+        # a mapping proxy cannot be pickled; both rebuild through their checks
+        skeleton = Skeleton(("a", "b"), frozenset(), {("b", "a"): {"c"}})
+        for copied in (copy.deepcopy(skeleton), pickle.loads(pickle.dumps(skeleton))):
+            assert copied == skeleton
+            with pytest.raises(TypeError):
+                copied.sepsets["a", "b"] = frozenset()
+        for copied in (copy.deepcopy(heart_net), pickle.loads(pickle.dumps(heart_net))):
+            assert copied.dag == heart_net.dag and list(copied.cpts) == list(heart_net.cpts)
+            for name, cpt in copied.cpts.items():
+                assert cpt.table.tobytes() == heart_net.cpts[name].table.tobytes(), name
+            with pytest.raises(TypeError):
+                copied.cpts["target"] = copied.cpts["thal"]
 
 
 class TestJointProbability:

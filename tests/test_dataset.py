@@ -29,6 +29,8 @@ from heartbn.errors import (
     UnknownCategoryError,
 )
 
+from oracles import assert_frozen
+
 EXPECTED_CARDINALITIES = {
     "sex": 2, "cp": 4, "fbs": 2, "restecg": 3, "exang": 2, "slope": 3,
     "ca": 4, "thal": 3, "target": 2, "ageC": 3, "trestbpsC": 3, "cholC": 3,
@@ -123,7 +125,7 @@ class TestClean:
     def test_returns_read_only_array_in_raw_column_order(self):
         table = clean((make_row(), make_row(age="41.0", cp="2.0", target="3")))
         assert table.dtype == np.float64 and table.shape == (2, len(RAW_COLUMNS))
-        assert not table.flags.writeable
+        assert_frozen(table, "clean")
         assert table[1].tolist() == [
             41.0, 1.0, 1.0, 130.0, 250.0, 0.0, 2.0, 160.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0,
         ]
@@ -248,7 +250,8 @@ class TestDataTable:
         schema = (Variable("a", "01"), Variable("b", "012"), Variable("c", "012"))
         if named is None:
             table = DataTable(schema, np.array(rows))
-            assert table.cards.tolist() == [2, 3, 3] and not table.cards.flags.writeable
+            assert table.cards.tolist() == [2, 3, 3]
+            assert_frozen(table.cards, "cards")
         else:
             with pytest.raises(ValueError, match=f"column '{named}' has state indices"):
                 DataTable(schema, np.array(rows))
@@ -270,7 +273,8 @@ class TestDataTable:
         for how, table in tables.items():
             rows = table.rows
             assert rows.flags.f_contiguous and not rows.flags.c_contiguous, how
-            assert not rows.flags.writeable, how
+            assert_frozen(rows, how)
+            assert_frozen(table.cards, how)
             with pytest.raises(ValueError):
                 rows[0, 0] = 0
 

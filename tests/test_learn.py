@@ -46,6 +46,7 @@ from heartbn.evaluation import fit_model
 import oracles
 from oracles import (
     all_dags,
+    assert_frozen,
     bdeu_sequential,
     bic_row_loglik,
     ci_test_per_stratum,
@@ -413,9 +414,9 @@ class TestFitAgainstPerNodeOracle:
                 self.assert_bitwise_equal(star, expected)
 
     def test_one_family_per_batch(self):
-        # from 16,385 rows on, each stacked count holds a single family
+        # from 8,193 rows on, each stacked count holds a single family
         net = random_net(np.random.default_rng(3), 5, max_card=3, edge_prob=0.6)
-        data = sample_table(net, 16_385, 3)
+        data = sample_table(net, 8_193, 3)
         assert learn._batch_size(data) == 1
         for fit, cell_prior in self.FITS:
             expected = oracles.fit_dirichlet_per_node(net.dag, data, cell_prior)
@@ -448,7 +449,7 @@ class TestFitChecksEachBatchOnce:
             train, _ = split(heart_table, 0.8, seed)
             for fit in self.FITS:
                 for name, cpt in fit(train).cpts.items():
-                    assert not cpt.table.flags.writeable, name
+                    assert_frozen(cpt.table, name)
                     lines.append(f"{name} {cpt.table.shape} {cpt.table.tobytes().hex()}")
         assert digest(lines) == "f167d64c91405fd4"
 
@@ -1120,7 +1121,7 @@ class TestSkeleton:
                     assert set(w) <= neighbors[a] - {b} or set(w) <= neighbors[b] - {a}, seed
 
     @pytest.mark.parametrize(
-        "budget, step", [(learn._ROW_BUDGET, 138), (2370, 10)], ids=["default", "ten-per-batch"]
+        "budget, step", [(learn._ROW_BUDGET, 69), (2370, 10)], ids=["default", "ten-per-batch"]
     )
     def test_level_zero_counts_each_pair_once_in_order(
         self, heart_table, monkeypatch, budget, step
@@ -1174,9 +1175,10 @@ class TestSkeleton:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
     def test_batches_fault_in_no_fresh_pages(self):
-        # the first count raises glibc's mmap and trim thresholds; without
-        # that the kernel's temporaries are mapped and unmapped per batch, and
-        # these 20 skeletons and hill climbs take about 9,800 minor faults
+        # a heart batch's temporaries stay under glibc's default mmap
+        # threshold; at twice the row budget they are mapped and unmapped per
+        # batch, and these 20 skeletons and hill climbs take about 7,500 minor
+        # faults instead of about 100
         code = (
             "import resource\n"
             "from heartbn import (\n"
@@ -1200,12 +1202,14 @@ class TestSkeleton:
         assert result.returncode == 0, result.stderr
         assert int(result.stdout) < 1000
 
-    def test_matches_sequential_reference_across_batch_sizes(self):
-        # 237, 4,000, 9,000 and 16,385 rows put 138, 8, 3 and 1 tests in a
-        # batch.  The first case of each of the first three sizes was found
-        # by seeded search: there a pair whose endpoint lost a neighbor
-        # earlier in the level must list its subsets again, and listing them
-        # from the neighborhoods at the level's start changes the skeleton.
+    def test_matches_sequential_reference_across_batch_sizes(self, monkeypatch):
+        # At the row budget 2**15 the cases were searched at, 237, 4,000,
+        # 9,000 and 16,385 rows put 138, 8, 3 and 1 tests in a batch.  The
+        # first case of each of the first three sizes was found by seeded
+        # search: there a pair whose endpoint lost a neighbor earlier in the
+        # level must list its subsets again, and listing them from the
+        # neighborhoods at the level's start changes the skeleton.
+        monkeypatch.setattr(learn, "_ROW_BUDGET", 1 << 15)
         cases = [
             (8, 237, 2), (8, 237, 0), (7, 4000, 2), (7, 4000, 0), (7, 9000, 1), (6, 9000, 0),
             (6, 16_385, 0),
