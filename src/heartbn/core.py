@@ -5,7 +5,8 @@ one conditional probability table per node.  Everything here is immutable
 after construction, so values can be shared freely across threads: every
 array the library hands out lies in its own ``bytes`` copy (:func:`_frozen`),
 so neither it nor any view or base of it can be made writable again, and a
-network's CPTs and a skeleton's separating sets are read-only mappings.
+network's CPTs and a skeleton's separating sets are read-only mappings.  A
+fit and a model file check all their CPTs as one batch (:func:`_cpt_batch`).
 """
 
 from __future__ import annotations
@@ -222,49 +223,12 @@ def markov_blanket(dag: Dag, node: str) -> set[str]:
     return blanket
 
 
-def _check_tables(
-    families: Sequence[tuple[Variable, tuple[Variable, ...]]],
-    shapes: Sequence[tuple[int, ...]],
-    flat: np.ndarray,
-) -> None:
-    """Raise a ``ValueError`` naming the first table that breaks a CPT rule.
-
-    Table i is for ``families[i]``, a (variable, parents) pair, has shape
-    ``shapes[i]`` and lies in the float array ``flat`` after the tables
-    before it.  First every shape must be (q, r): q the product of the
-    parents' cards, r the variable's.  Then, table by table, every entry
-    must lie in [0, 1] and every row sum to 1 within :data:`ROW_SUM_TOL`;
-    a table breaking both gets the first message.  A NaN entry is not
-    outside [0, 1] (no comparison holds for it), but its row's sum is not 1.
-    """
-    expected = [
-        (math.prod(p.cardinality for p in parents), variable.cardinality)
-        for variable, parents in families
-    ]
-    for (variable, _), got, want in zip(families, shapes, expected):
-        if tuple(got) != want:
-            raise ValueError(f"CPT for {variable.name!r} must have shape {want}, got {tuple(got)}")
-    q, r = np.array(expected, dtype=np.intp).reshape(-1, 2).T
-    widths = r.repeat(q)  # one entry per row
-    deviations = np.abs(np.add.reduceat(flat, widths.cumsum() - widths) - 1.0)
-    # fmin and fmax skip NaN; max does not, and NaN <= ROW_SUM_TOL is false
-    if (
-        np.fmin.reduce(flat) < 0.0
-        or np.fmax.reduce(flat) > 1.0
-        or not deviations.max() <= ROW_SUM_TOL
-    ):
-        tables = np.arange(len(families))
-        outside = (flat < 0.0) | (flat > 1.0)
-        first_outside = tables.repeat(q * r)[outside].min(initial=len(families))
-        unnormalized = ~(deviations <= ROW_SUM_TOL)
-        first = min(first_outside, tables.repeat(q)[unnormalized].min(initial=len(families)))
-        name = families[first][0].name
-        if first == first_outside:
-            raise ValueError(f"CPT for {name!r} has entries outside [0, 1]")
-        raise ValueError(f"CPT rows for {name!r} must each sum to 1")
+def _table_shape(variable: Variable, parents: Sequence[Variable]) -> tuple[int, int]:
+    """(q, r): the product of the parents' cards and the variable's."""
+    return math.prod(p.cardinality for p in parents), variable.cardinality
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cpt:
     """Conditional probability table P(variable | parents).
 
@@ -274,8 +238,8 @@ class Cpt:
     ``config_index((s1, s2))`` for parents (A, B) is ``s1 * card(B) + s2``.
     A node without parents has exactly one configuration row.
 
-    A Cpt is a batch of one of :func:`_cpt_batch`, which checks the table
-    and makes it read-only.
+    The table must have that (q, r) shape; it is then a batch of one of
+    :func:`_cpt_batch`, which checks its entries and makes it read-only.
     """
 
     variable: Variable
@@ -283,9 +247,16 @@ class Cpt:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        (cpt,) = _cpt_batch([(self.variable, tuple(self.parents))], [table.shape], table.ravel())
+        parents, table = tuple(self.parents), np.asarray(self.table, dtype=float)
+        shape = _table_shape(self.variable, parents)
+        if table.shape != shape:
+            name = self.variable.name
+            raise ValueError(f"CPT for {name!r} must have shape {shape}, got {table.shape}")
+        (cpt,) = _cpt_batch([(self.variable, parents)], table.ravel())
         self.__dict__.update(vars(cpt))
+
+    def __reduce__(self):  # copy and pickle rebuild it, so its table stays frozen
+        return Cpt, (self.variable, self.parents, self.table)
 
     @property
     def n_configs(self) -> int:
@@ -313,18 +284,32 @@ class Cpt:
 
 
 def _cpt_batch(
-    families: Sequence[tuple[Variable, tuple[Variable, ...]]],
-    shapes: Sequence[tuple[int, int]],
-    flat: np.ndarray,
+    families: Sequence[tuple[Variable, tuple[Variable, ...]]], flat: np.ndarray
 ) -> list[Cpt]:
-    """The :class:`Cpt` of each family over its (q, r) table, laid end to end in ``flat``.
+    """The :class:`Cpt` of each (variable, parents) family over its table in ``flat``.
 
-    The one route that checks a table and assembles a Cpt: the tables are
-    checked together, each a view of one :func:`_frozen` copy of ``flat``.
-    ``parents`` must be tuples.
+    The one route that checks CPT entries.  ``flat`` holds the tables end to
+    end, each shaped by its family (:func:`_table_shape`).  Every entry must
+    lie in [0, 1] and every row sum to 1 within :data:`ROW_SUM_TOL`, else a
+    ``ValueError`` names the first table that breaks a rule, the first rule
+    if both (a NaN entry breaks only the second).  Each table is a view of
+    one :func:`_frozen` copy of ``flat``; ``parents`` must be tuples.
     """
+    shapes = [_table_shape(variable, parents) for variable, parents in families]
     flat = _frozen(flat)
-    _check_tables(families, shapes, flat)
+    q, r = np.array(shapes, dtype=np.intp).reshape(-1, 2).T
+    widths = r.repeat(q)  # one entry per row
+    deviations = np.abs(np.add.reduceat(flat, widths.cumsum() - widths) - 1.0)
+    outside = (flat < 0.0) | (flat > 1.0)
+    unnormalized = ~(deviations <= ROW_SUM_TOL)  # NaN <= ROW_SUM_TOL is false
+    if outside.any() or unnormalized.any():
+        tables = np.arange(len(families))
+        first_outside = tables.repeat(q * r)[outside].min(initial=len(families))
+        first = min(first_outside, tables.repeat(q)[unnormalized].min(initial=len(families)))
+        name = families[first][0].name
+        if first == first_outside:
+            raise ValueError(f"CPT for {name!r} has entries outside [0, 1]")
+        raise ValueError(f"CPT rows for {name!r} must each sum to 1")
     cpts, start = [], 0
     for (variable, parents), (q, r) in zip(families, shapes):
         cpt = object.__new__(Cpt)

@@ -89,7 +89,7 @@ def cleveland_path() -> Path:
     return Path(str(resources.files("heartbn").joinpath("data/processed.cleveland.data")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataTable:
     """Fully categorical table: a schema of Variables plus state-index rows.
 
@@ -121,6 +121,9 @@ class DataTable:
             raise ValueError(f"column {self.names[bad.argmax()]!r} has state indices out of range")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cards", cards)
+
+    def __reduce__(self):  # copy and pickle rebuild it, so its arrays stay frozen
+        return DataTable, (self.schema, self.rows)
 
     @property
     def n_rows(self) -> int:

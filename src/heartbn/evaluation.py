@@ -44,21 +44,11 @@ def confusion(predicted: Sequence[int], actual: Sequence[int]) -> dict[str, int]
     """Count ``{"tp", "fp", "fn", "tn"}`` for binary labels (positive class = 1)."""
     if len(predicted) != len(actual):
         raise ValueError("predicted and actual must have equal length")
-    tp = fp = fn = tn = 0
-    for p, a in zip(predicted, actual):
-        if p not in (0, 1) or a not in (0, 1):
-            raise ValueError("labels must be binary (0 or 1)")
-        if a == 1:
-            if p == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == 1:
-                fp += 1
-            else:
-                tn += 1
-    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+    pairs = list(zip(predicted, actual))
+    if not all(p in (0, 1) and a in (0, 1) for p, a in pairs):
+        raise ValueError("labels must be binary (0 or 1)")
+    cells = {"tp": (1, 1), "fp": (1, 0), "fn": (0, 1), "tn": (0, 0)}  # (predicted, actual)
+    return {name: pairs.count(cell) for name, cell in cells.items()}
 
 
 def metrics(cm: dict[str, int]) -> dict[str, float]:

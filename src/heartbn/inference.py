@@ -30,7 +30,7 @@ from .errors import SchemaMismatchError, ZeroEvidenceError
 _EINSUM_GROUP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posterior:
     """A normalized distribution over one variable's states."""
 
@@ -44,6 +44,9 @@ class Posterior:
         if not (np.all((probs >= 0.0) & (probs <= 1.0)) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("posterior must be a distribution over the states")
         object.__setattr__(self, "probabilities", probs)
+
+    def __reduce__(self):  # copy and pickle rebuild it, so its array stays frozen
+        return Posterior, (self.variable, self.probabilities)
 
     def __getitem__(self, state: int) -> float:
         return float(self.probabilities[int(state)])

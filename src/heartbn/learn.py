@@ -8,9 +8,10 @@ a = ess / (r * q) (a uniform prior of total weight ``ess`` spread over each
 CPT), and Naive Bayes uses a = pseudo.  A parent configuration with no
 weight at all becomes a uniform row.  A fit resolves each family's names
 once and estimates each count batch in one elementwise pass, entry for entry
-bitwise as one family at a time; the batch then becomes CPTs by the one
-route every :class:`~heartbn.core.Cpt` takes, :func:`~heartbn.core._cpt_batch`,
-which checks its tables once and leaves each a read-only view of one copy.
+bitwise as one family at a time; all the batches' estimates then become CPTs
+in one call of the route every :class:`~heartbn.core.Cpt` takes,
+:func:`~heartbn.core._cpt_batch`, which checks the tables together and
+leaves each a read-only view of one copy.
 
 Structure: :func:`hill_climb` greedily optimizes a decomposable score (BIC
 or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
@@ -50,7 +51,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Cpt, Dag, DiscreteBayesNet, _cpt_batch, _reachable, build_dag
+from .core import Dag, DiscreteBayesNet, _cpt_batch, _reachable, build_dag
 from .dataset import DataTable
 from .errors import (
     ConflictingOrientationWarning,
@@ -168,7 +169,7 @@ def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
         (data.schema[child], tuple(data.schema[j] for j in parents if j >= 0))
         for *parents, child in orders.tolist()
     ]
-    cpts: list[Cpt] = []
+    tables = [np.empty(0)]  # a network without nodes has no tables
     for flat, shapes in _family_counts(data, orders):
         q, r = shapes.T
         a = np.full(len(shapes), cell_prior(q, r), dtype=float)  # one per family, then per cell
@@ -177,10 +178,8 @@ def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
         denominators = (totals + (a * r).repeat(q)).repeat(widths)  # over each row's cells
         uniform = (1.0 / widths).repeat(widths)
         numerators = flat + a.repeat(q * r)
-        estimates = np.divide(numerators, denominators, out=uniform, where=denominators > 0)
-        batch = families[len(cpts) : len(cpts) + len(shapes)]
-        cpts += _cpt_batch(batch, shapes.tolist(), estimates)
-    return DiscreteBayesNet(dag, dict(zip(dag.nodes, cpts)))
+        tables.append(np.divide(numerators, denominators, out=uniform, where=denominators > 0))
+    return DiscreteBayesNet(dag, dict(zip(dag.nodes, _cpt_batch(families, np.concatenate(tables)))))
 
 
 def fit_mle(dag: Dag, data: DataTable) -> DiscreteBayesNet:

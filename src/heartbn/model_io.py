@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import Cpt, Dag, DiscreteBayesNet, Variable, build_dag
+from .core import Dag, DiscreteBayesNet, Variable, _cpt_batch, _table_shape, build_dag
 
 FORMAT_VERSION = 1
 
@@ -47,15 +47,19 @@ def save_model(net: DiscreteBayesNet, path) -> None:
 
 
 def model_from_document(doc: dict) -> DiscreteBayesNet:
-    """The network of a model document; ``ValueError`` if the document has the wrong shape."""
+    """The network of a model document; ``ValueError`` if the document has the wrong shape.
+
+    Any node's cell-count or number error comes before any node's probability error.
+    """
     if not isinstance(doc, dict):
         raise ValueError("a model document is a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    if not isinstance(doc.get("nodes"), list):
+    nodes = doc.get("nodes")
+    if not isinstance(nodes, list):
         raise ValueError("a model document's nodes are a list")
-    for i, node in enumerate(doc["nodes"]):
+    for i, node in enumerate(nodes):
         if not (
             isinstance(node, dict)
             and isinstance(node.get("name"), str)
@@ -66,32 +70,27 @@ def model_from_document(doc: dict) -> DiscreteBayesNet:
             raise ValueError(
                 f"model node {i} needs a string name and lists of states, parent names and cpt cells"
             )
-    variables: dict[str, Variable] = {}
-    for node in doc["nodes"]:
-        variables[node["name"]] = Variable(node["name"], tuple(node["states"]))
-    names = [node["name"] for node in doc["nodes"]]
-    edges = []
-    for node in doc["nodes"]:
-        for parent in node["parents"]:
-            edges.append((parent, node["name"]))
-    dag = build_dag(tuple(names), tuple(edges))
-    cpts = {}
-    for node in doc["nodes"]:
+    variables = {node["name"]: Variable(node["name"], tuple(node["states"])) for node in nodes}
+    dag = build_dag(
+        [node["name"] for node in nodes],
+        [(parent, node["name"]) for node in nodes for parent in node["parents"]],
+    )
+    families, cells = [], []
+    for node in nodes:
         var = variables[node["name"]]
         parents = tuple(variables[p] for p in node["parents"])
-        shape = (math.prod(p.cardinality for p in parents), var.cardinality)
-        cells = len(node["cpt"])
-        if cells != math.prod(shape):
-            raise ValueError(f"model node {var.name!r} has {cells} cpt cells, not {math.prod(shape)}")
+        size = math.prod(_table_shape(var, parents))
+        if len(node["cpt"]) != size:
+            raise ValueError(f"model node {var.name!r} has {len(node['cpt'])} cpt cells, not {size}")
         try:
             for cell in node["cpt"]:
                 if isinstance(cell, bool):  # an int to isinstance and float() alike
                     raise ValueError(f"{str(cell).lower()} is a JSON boolean")
-            table = np.array([float(cell) for cell in node["cpt"]], dtype=float)
+                cells.append(float(cell))
         except ValueError as exc:
             raise ValueError(f"model node {var.name!r}: a cpt cell is not a number ({exc})") from None
-        cpts[var.name] = Cpt(var, parents, table.reshape(shape))
-    return DiscreteBayesNet(dag, cpts)
+        families.append((var, parents))
+    return DiscreteBayesNet(dag, dict(zip(dag.nodes, _cpt_batch(families, np.array(cells)))))
 
 
 def load_model(path) -> DiscreteBayesNet:

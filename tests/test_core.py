@@ -8,7 +8,9 @@ import pytest
 
 from heartbn import (
     Cpt,
+    DataTable,
     DiscreteBayesNet,
+    Posterior,
     Skeleton,
     Variable,
     build_dag,
@@ -202,9 +204,15 @@ class TestCpt:
         assert cpt.config_index((1, 2)) == 5
 
     def test_shape_validated(self):
-        x = Variable("x", ("0", "1"))
-        with pytest.raises(ValueError):
-            Cpt(x, (), np.array([[0.2, 0.3, 0.5]]))
+        # the shape comes from the family; a batch takes it from there, so
+        # only a table handed to Cpt(...) can have the wrong one
+        x, a = Variable("x", ("0", "1")), Variable("a", ("0", "1", "2"))
+        for parents, table, message in [
+            ((), [[0.2, 0.3, 0.5]], "CPT for 'x' must have shape (1, 2), got (1, 3)"),
+            ((a,), np.full((2, 3), 1 / 3), "CPT for 'x' must have shape (3, 2), got (2, 3)"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                Cpt(x, parents, table)
 
     def test_rows_must_normalize(self):
         x = Variable("x", ("0", "1"))
@@ -246,27 +254,29 @@ class TestCpt:
         table = np.array([row, [0.25, 0.75]])
         tables = [np.array([[0.5, 0.5]]), table, np.full((2, 3), 1 / 3)]
         families = [(a, ()), (x, (a,)), (b, (a,))]
-        shapes, flat = [t.shape for t in tables], np.concatenate(tables, axis=None)
+        flat = np.concatenate(tables, axis=None)
         if message is None:
             assert Cpt(x, (a,), table).table.tolist() == table.tolist()
-            core._check_tables(families, shapes, flat)
+            cpts = core._cpt_batch(families, flat)
+            assert [cpt.table.tolist() for cpt in cpts] == [t.tolist() for t in tables]
         else:
             with pytest.raises(ValueError, match=re.escape(message)) as single:
                 Cpt(x, (a,), table)
             with pytest.raises(ValueError) as batch:
-                core._check_tables(families, shapes, flat)
+                core._cpt_batch(families, flat)
             assert str(batch.value) == str(single.value) and "'x'" in str(single.value)
+
+    def test_a_batch_of_no_tables(self):
+        assert core._cpt_batch([], np.empty(0)) == []
 
     @pytest.mark.parametrize(
         "tables, message",
         [
             # x breaks only the row rule; y, later, breaks the range rule
             ([[[0.5, 0.6]], [[-0.5, 1.5]]], "CPT rows for 'x' must each sum to 1"),
-            # x is misshapen; y, later, breaks the range rule
-            ([[[0.5, 0.25, 0.25]], [[-0.5, 1.5]]],
-             "CPT for 'x' must have shape (1, 2), got (1, 3)"),
-            # shapes are checked first: y's beats x's entries
-            ([[[np.nan, 2.0]], [[0.5], [0.5]]], "CPT for 'y' must have shape (1, 2), got (2, 1)"),
+            # x is valid, so the later table is named, for either rule
+            ([[[0.5, 0.5]], [[0.5, 0.6]]], "CPT rows for 'y' must each sum to 1"),
+            ([[[0.5, 0.5]], [[np.nan, 2.0]]], "CPT for 'y' has entries outside [0, 1]"),
             # a NaN does not hide x's entry above 1; y, later, breaks the row rule
             ([[[np.nan, 2.0]], [[0.5, 0.6]]], "CPT for 'x' has entries outside [0, 1]"),
         ],
@@ -276,7 +286,7 @@ class TestCpt:
         arrays = [np.array(t, dtype=float) for t in tables]
         flat = np.concatenate(arrays, axis=None)
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            core._check_tables([(x, ()), (y, ())], [t.shape for t in arrays], flat)
+            core._cpt_batch([(x, ()), (y, ())], flat)
 
 
 class TestDiscreteBayesNet:
@@ -326,8 +336,9 @@ class TestImmutable:
         with pytest.raises(TypeError):
             skeleton.sepsets["a", "b"] = frozenset()
 
-    def test_networks_and_skeletons_still_copy_and_pickle(self, heart_net):
-        # a mapping proxy cannot be pickled; both rebuild through their checks
+    def test_networks_and_skeletons_still_copy_and_pickle(self, heart_net, heart_table):
+        # a mapping proxy cannot be pickled, and numpy rebuilds an array as a
+        # writable copy; all of them rebuild through their checks
         skeleton = Skeleton(("a", "b"), frozenset(), {("b", "a"): {"c"}})
         for copied in (copy.deepcopy(skeleton), pickle.loads(pickle.dumps(skeleton))):
             assert copied == skeleton
@@ -337,8 +348,37 @@ class TestImmutable:
             assert copied.dag == heart_net.dag and list(copied.cpts) == list(heart_net.cpts)
             for name, cpt in copied.cpts.items():
                 assert cpt.table.tobytes() == heart_net.cpts[name].table.tobytes(), name
+                assert_frozen(cpt.table, f"copied {name}")
             with pytest.raises(TypeError):
                 copied.cpts["target"] = copied.cpts["thal"]
+        posterior = posterior_ve(heart_net, "target", {"thal": 2})
+        rebuilds = {"deepcopy": copy.deepcopy, "pickle": lambda v: pickle.loads(pickle.dumps(v))}
+        for how, rebuilt in rebuilds.items():
+            cpt = rebuilt(heart_net.cpts["thal"])
+            assert cpt.table.tobytes() == heart_net.cpts["thal"].table.tobytes()
+            assert_frozen(cpt.table, f"{how} Cpt")
+            table = rebuilt(heart_table)
+            assert table.rows.tobytes() == heart_table.rows.tobytes()
+            assert_frozen(table.rows, f"{how} DataTable rows")
+            assert_frozen(table.cards, f"{how} DataTable cards")
+            copied = rebuilt(posterior)
+            assert copied.probabilities.tobytes() == posterior.probabilities.tobytes()
+            assert_frozen(copied.probabilities, f"{how} Posterior")
+
+    def test_equality_is_identity_for_holders_of_arrays(self, heart_net, heart_table):
+        # a value-wise == compared arrays inside a tuple and raised ValueError
+        x = Variable("x", "01")
+        for make in (
+            lambda: Cpt(x, (), [[0.5, 0.5]]),
+            lambda: DataTable((x,), [[0], [1]]),
+            lambda: Posterior(x, [0.5, 0.5]),
+        ):
+            a, b = make(), make()
+            assert a == a and a != b and len({a, b}) == 2
+        assert heart_table == heart_table
+        # networks still compare their CPT mappings, now Cpt by Cpt identity
+        assert DiscreteBayesNet(heart_net.dag, dict(heart_net.cpts)) == heart_net
+        assert copy.deepcopy(heart_net) != heart_net
 
 
 class TestJointProbability:

@@ -28,13 +28,15 @@ from heartbn import (
     hill_climb,
     hybrid_learn,
     learn_skeleton,
+    load_model,
     nb_fit,
     orient,
+    save_model,
     score,
     split,
     topological_order,
 )
-from heartbn import core, learn
+from heartbn import core, learn, model_io
 from heartbn.errors import (
     ConflictingOrientationWarning,
     CycleDetectedError,
@@ -432,7 +434,7 @@ class TestFitAgainstPerNodeOracle:
 
 
 class TestFitChecksEachBatchOnce:
-    """A fit checks each count batch's tables once, by the rules and messages of Cpt."""
+    """A fit checks all its tables in one batch, by the rules and messages of Cpt."""
 
     FITS = (
         lambda data: fit_mle(heart_network(), data),
@@ -453,24 +455,33 @@ class TestFitChecksEachBatchOnce:
                     lines.append(f"{name} {cpt.table.shape} {cpt.table.tobytes().hex()}")
         assert digest(lines) == "f167d64c91405fd4"
 
-    def test_one_check_per_count_batch(self, heart_table, monkeypatch):
+    def test_one_check_per_network(self, heart_table, monkeypatch, tmp_path):
         checked = []
 
-        def spy(families, shapes, flat):
+        def spy(families, flat):
             checked.append(len(families))
-            return check(families, shapes, flat)
+            return check(families, flat)
 
-        check = core._check_tables
-        monkeypatch.setattr(core, "_check_tables", spy)
+        check = core._cpt_batch
+        for module in (core, learn, model_io):
+            monkeypatch.setattr(module, "_cpt_batch", spy)
         for fit in self.FITS:
             fit(heart_table)
         assert learn._batch_size(heart_table) >= 14
         assert checked == [14] * 4
         checked.clear()
         monkeypatch.setattr(learn, "_ROW_BUDGET", 4 * heart_table.n_rows)  # four families a batch
-        for fit in self.FITS:
-            fit(heart_table)
-        assert checked == [4, 4, 4, 2] * 4
+        nets = [fit(heart_table) for fit in self.FITS]
+        assert checked == [14] * 4
+        checked.clear()
+        save_model(nets[0], tmp_path / "heart.model")
+        load_model(tmp_path / "heart.model")
+        assert checked == [14]
+
+    def test_empty_network(self, heart_table):
+        for fit in (fit_mle, lambda dag, data: fit_bayesian(dag, data, 10.0)):
+            net = fit(build_dag((), ()), heart_table)
+            assert net.dag.nodes == () and dict(net.cpts) == {}
 
     def test_a_bad_estimate_names_its_node(self):
         # a negative per-cell prior makes the unseen cell of b's table

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,26 @@ class TestModelRoundTrip:
         node = {"name": "a", "states": ["0", "1"], "parents": [], "cpt": cpt}
         with pytest.raises(ValueError, match=message):
             model_from_document({"format_version": 1, "nodes": [node]})
+
+    def test_empty_network(self, tmp_path):
+        net = model_from_document({"format_version": 1, "nodes": []})
+        assert net.dag.nodes == () and dict(net.cpts) == {}
+        save_model(net, tmp_path / "empty.model")
+        assert load_model(tmp_path / "empty.model").dag.nodes == ()
+
+    def test_cell_errors_come_before_probability_errors(self):
+        # the tables are checked as one batch once every node's cells are read,
+        # so b's cell count is reported although a, earlier, has a bad row
+        a = {"name": "a", "states": ["0", "1"], "parents": [], "cpt": ["0.5", "0.6"]}
+        b = {"name": "b", "states": ["0", "1"], "parents": ["a"], "cpt": ["1", "0"]}
+        with pytest.raises(ValueError, match=re.escape("model node 'b' has 2 cpt cells, not 4")):
+            model_from_document({"format_version": 1, "nodes": [a, b]})
+        b["cpt"] = ["1", "0", "0.5", "0.5"]
+        with pytest.raises(ValueError, match=re.escape("CPT rows for 'a' must each sum to 1")):
+            model_from_document({"format_version": 1, "nodes": [a, b]})
+        a["cpt"], b["cpt"][0] = ["0.5", "0.5"], "-1"
+        with pytest.raises(ValueError, match=re.escape("CPT for 'b' has entries outside [0, 1]")):
+            model_from_document({"format_version": 1, "nodes": [a, b]})
 
     def test_nb_model_uses_same_format(self, heart_table, tmp_path):
         train, _ = split(heart_table, 0.8, seed=0)
