@@ -7,16 +7,18 @@ array the library hands out lies in its own ``bytes`` copy (:func:`_frozen`),
 so neither it nor any view or base of it can be made writable again, and a
 network's CPTs and a skeleton's separating sets are read-only mappings.  A
 fit and a model file check all their CPTs as one batch (:func:`_cpt_batch`).
+Every graph walk is :func:`_reachable`, d-separation's too.  :func:`_state`
+checks each state index a caller passes: an ``int`` or numpy integer, not a
+bool, in range; anything else (``1.5``, ``True``, ``"2"``) is a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -152,8 +154,8 @@ def topological_order(dag: Dag) -> list[str]:
     return order
 
 
-def _reachable(step: Mapping[str, Iterable[str]], starts: Iterable[str]) -> set[str]:
-    """``starts`` together with every node reached from them through ``step``.
+def _reachable(step: Mapping[Hashable, Iterable], starts: Iterable) -> set:
+    """``starts`` together with every state reached from them through ``step``.
 
     With ``step`` mapping each node to its parents this is the ancestral set
     of ``starts``; with children, their descendants.
@@ -173,9 +175,9 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
 
     A serial or diverging connection through a node blocks when that node is
     conditioned on; a converging connection blocks unless the collider or one
-    of its descendants is conditioned on.  Implemented as reachability over
-    (node, direction) states, which is equivalent to enumerating paths but
-    linear in the graph size.
+    of its descendants is conditioned on.  The walk is :func:`_reachable` over
+    (node, up) states, up if the trail entered from a child (Koller & Friedman
+    2009, Algorithm 3.1): linear in the graph size, unlike path enumeration.
     """
     xs, ys, zs = set(x), set(y), set(z)
     for n in xs | ys | zs:
@@ -185,32 +187,16 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
     if not xs or not ys:
         return True
 
-    # Ancestors of z (including z): colliders in this set are unblocked.
+    # From a child a trail goes on unless n is observed; from a parent, down
+    # unless n is observed, and up again, n a collider, if n is in anc.
     anc = _reachable(dag._parents, zs)
-
-    # Walk (node, direction): "up" = arrived from a child, "down" = from a parent.
-    visited: set[tuple[str, str]] = set()
-    agenda: deque[tuple[str, str]] = deque((s, "up") for s in xs)
-    while agenda:
-        node, direction = agenda.popleft()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node not in zs and node in ys:
-            return False
-        if direction == "up" and node not in zs:
-            for p in dag._parents[node]:
-                agenda.append((p, "up"))
-            for c in dag._children[node]:
-                agenda.append((c, "down"))
-        elif direction == "down":
-            if node not in zs:
-                for c in dag._children[node]:
-                    agenda.append((c, "down"))
-            if node in anc:
-                for p in dag._parents[node]:
-                    agenda.append((p, "up"))
-    return True
+    step = {}
+    for n in dag.nodes:
+        up = [(p, True) for p in dag._parents[n]]
+        down = [] if n in zs else [(c, False) for c in dag._children[n]]
+        step[n, True] = [] if n in zs else up + down
+        step[n, False] = down + (up if n in anc else [])
+    return ys.isdisjoint(n for n, _ in _reachable(step, [(n, True) for n in xs]))
 
 
 def markov_blanket(dag: Dag, node: str) -> set[str]:
@@ -221,6 +207,15 @@ def markov_blanket(dag: Dag, node: str) -> set[str]:
         blanket.update(dag._parents[child])
     blanket.discard(node)
     return blanket
+
+
+def _state(variable: Variable, state) -> int:
+    """``state`` as an index of ``variable``: an int or numpy integer, not a bool, in range."""
+    if not isinstance(state, (int, np.integer)) or isinstance(state, bool):
+        raise ValueError(f"state {state!r} of {variable.name!r} is not an integer state index")
+    if not 0 <= state < variable.cardinality:
+        raise ValueError(f"state {state} out of range for {variable.name!r}")
+    return int(state)
 
 
 def _table_shape(variable: Variable, parents: Sequence[Variable]) -> tuple[int, int]:
@@ -267,20 +262,14 @@ class Cpt:
             raise ValueError("one state per parent required")
         idx = 0
         for parent, s in zip(self.parents, parent_states):
-            s = int(s)
-            if not 0 <= s < parent.cardinality:
-                raise ValueError(f"state {s} out of range for {parent.name!r}")
-            idx = idx * parent.cardinality + s
+            idx = idx * parent.cardinality + _state(parent, s)
         return idx
 
     def row(self, parent_states: Sequence[int] = ()) -> np.ndarray:
         return self.table[self.config_index(parent_states)]
 
     def prob(self, state: int, parent_states: Sequence[int] = ()) -> float:
-        state = int(state)
-        if not 0 <= state < self.variable.cardinality:
-            raise ValueError(f"state {state} out of range for {self.variable.name!r}")
-        return float(self.table[self.config_index(parent_states), state])
+        return float(self.table[self.config_index(parent_states), _state(self.variable, state)])
 
 
 def _cpt_batch(
@@ -355,12 +344,8 @@ class DiscreteBayesNet:
         return {name: cpt.variable for name, cpt in self.cpts.items()}
 
     def variable(self, name: str) -> Variable:
-        if name not in self.cpts:
-            raise UnknownNodeError(f"unknown node {name!r}")
-        return self.cpts[name].variable
+        return self.cpts[self.dag._check(name)].variable
 
     def validate_assignment(self, assignment: Mapping[str, int]) -> None:
         for name, state in assignment.items():
-            var = self.variable(name)
-            if not 0 <= int(state) < var.cardinality:
-                raise ValueError(f"state {state} out of range for {name!r}")
+            _state(self.variable(name), state)

@@ -93,8 +93,9 @@ def cleveland_path() -> Path:
 class DataTable:
     """Fully categorical table: a schema of Variables plus state-index rows.
 
-    ``rows`` is a read-only int64 array stored column by column.  Column
-    names must be distinct: a repeated one raises :class:`SchemaMismatchError`.
+    ``rows`` is a read-only int64 array stored column by column, built from
+    integers or whole-valued floats; any other cell raises ``ValueError``.
+    Column names must be distinct: a repeated one raises :class:`SchemaMismatchError`.
     """
 
     schema: tuple[Variable, ...]
@@ -111,15 +112,17 @@ class DataTable:
             repeated = sorted({name for name in self.names if self.names.count(name) > 1})
             raise SchemaMismatchError(f"column names must be distinct, not {repeated}")
         object.__setattr__(self, "_index", index)
-        # column-major: the counting kernels gather whole columns
-        rows = _frozen(np.asarray(self.rows, dtype=np.int64), order="F")
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind not in "iuf" or not np.array_equal(rows, np.floor(rows)):
+            raise ValueError("rows must hold whole-number state indices")
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise ValueError("rows must be a 2-D array with one column per variable")
         cards = _frozen(np.array([v.cardinality for v in self.schema], dtype=np.int64))
         bad = (rows.min(axis=0, initial=0) < 0) | (rows.max(axis=0, initial=0) >= cards)
         if bad.any():
             raise ValueError(f"column {self.names[bad.argmax()]!r} has state indices out of range")
-        object.__setattr__(self, "rows", rows)
+        # column-major: the counting kernels gather whole columns
+        object.__setattr__(self, "rows", _frozen(rows.astype(np.int64, copy=False), order="F"))
         object.__setattr__(self, "cards", cards)
 
     def __reduce__(self):  # copy and pickle rebuild it, so its arrays stay frozen

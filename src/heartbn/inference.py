@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Cpt, DiscreteBayesNet, Variable, _frozen, _reachable
+from .core import Cpt, DiscreteBayesNet, Variable, _frozen, _reachable, _state
 from .dataset import DataTable
 from .errors import SchemaMismatchError, ZeroEvidenceError
 
@@ -49,7 +49,7 @@ class Posterior:
         return Posterior, (self.variable, self.probabilities)
 
     def __getitem__(self, state: int) -> float:
-        return float(self.probabilities[int(state)])
+        return float(self.probabilities[_state(self.variable, state)])
 
 
 def _check_query(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int]) -> None:

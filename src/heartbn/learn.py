@@ -529,8 +529,8 @@ class Skeleton:
         sepsets = {tuple(sorted(pair)): frozenset(s) for pair, s in self.sepsets.items()}
         object.__setattr__(self, "sepsets", MappingProxyType(sepsets))
         all_pairs = {tuple(sorted(p)) for p in itertools.combinations(self.nodes, 2)}
-        if set(self.sepsets) != all_pairs - self.edges:
-            raise ValueError("sepsets must cover exactly the non-adjacent node pairs")
+        if not self.edges <= all_pairs or set(self.sepsets) != all_pairs - self.edges:
+            raise ValueError("edges must be pairs of the nodes, sepsets exactly the other pairs")
 
     def __reduce__(self):  # copy and pickle rebuild it: a mapping proxy cannot be pickled
         return Skeleton, (self.nodes, self.edges, dict(self.sepsets))

@@ -256,6 +256,24 @@ class TestDataTable:
             with pytest.raises(ValueError, match=f"column '{named}' has state indices"):
                 DataTable(schema, np.array(rows))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.5]], np.array([[1.7]]), [["1"]], [[True]], [[np.nan]], [[None]]],
+        ids=["half", "1.7", "text", "bool", "nan", "none"],
+    )
+    def test_cells_must_be_whole_state_indices(self, rows):
+        # a cast to int64 would read 0.5 as state 0, and 1.7 and "1" as state 1
+        with pytest.raises(ValueError, match="rows must hold whole-number state indices"):
+            DataTable((Variable("a", "012"),), rows)
+
+    @pytest.mark.parametrize(
+        "rows", [[[2], [0]], np.array([[2], [0]], dtype=np.uint8), np.array([[2.0], [-0.0]])]
+    )
+    def test_integers_and_whole_floats_accepted(self, rows):
+        table = DataTable((Variable("a", "012"),), rows)
+        assert table.rows.dtype == np.int64
+        assert table.column("a").tolist() == [2, 0]
+
     def test_rows_column_major_and_read_only(self, tmp_path):
         # the counting kernels gather whole columns, so every way of making
         # a table must store it column by column

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,42 @@ class TestPosterior:
     def test_rejects_non_distributions(self, probabilities):
         with pytest.raises(ValueError):
             Posterior(Variable("v", ("0", "1")), probabilities)
+
+
+class TestStateRule:
+    """Every state index a caller passes is an int or numpy integer, not a bool, in range."""
+
+    # entry point -> (the variable whose state it takes, a call with that state)
+    ENTRY_POINTS = {
+        "classify": ("B", lambda net, s: classify(net, "A", {"B": s})[1].probabilities),
+        "posterior_ve": ("B", lambda net, s: posterior_ve(net, "A", {"B": s}).probabilities),
+        "posterior_enumeration": (
+            "B",
+            lambda net, s: posterior_enumeration(net, "A", {"B": s}).probabilities,
+        ),
+        "Cpt.prob": ("B", lambda net, s: net.cpts["B"].prob(s, [0])),
+        "Cpt.row": ("A", lambda net, s: net.cpts["B"].row([s])),
+        "Posterior[]": ("A", lambda net, s: posterior_ve(net, "A", {})[s]),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [1.5, True, "2", -1, 2], ids=["1.5", "True", "'2'", "-1", "card"])
+    def test_refused_naming_variable_and_value(self, two_node_net, entry, bad):
+        # a cast would read 1.5 and True as state 1 and "2" as state 2, and
+        # Posterior[-1] would wrap to the last state
+        name, call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"state {re.escape(repr(bad))} .*'{name}'"):
+            call(two_node_net, bad)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_numpy_integers_accepted(self, two_node_net, entry):
+        _, call = self.ENTRY_POINTS[entry]
+        for state in (0, 1):
+            assert np.array_equal(call(two_node_net, np.int64(state)), call(two_node_net, state))
+
+    def test_out_of_range_message_unchanged(self, two_node_net):
+        with pytest.raises(ValueError, match=r"^state 5 out of range for 'B'$"):
+            posterior_ve(two_node_net, "A", {"B": np.int64(5)})
 
 
 class TestEnumeration:

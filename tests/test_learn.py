@@ -1336,6 +1336,17 @@ class TestOrient:
         dag = orient(skeleton)
         assert set(dag.edges) == {("A", "C"), ("B", "C")}
 
+    @pytest.mark.parametrize(
+        "edge", [("a", "z"), ("a", "a"), ("a", "b", "c")], ids=["unknown", "loop", "triple"]
+    )
+    def test_skeleton_edges_must_be_pairs_of_its_nodes(self, edge):
+        from heartbn import Skeleton
+
+        # such an edge passes a check of the sepsets alone, and orient then
+        # dies with a bare KeyError on an unknown node
+        with pytest.raises(ValueError, match="edges must be pairs of the nodes"):
+            Skeleton(("a", "b", "c"), {edge}, dict.fromkeys([("a", "b"), ("a", "c"), ("b", "c")], ()))
+
     def test_chain_skeleton_falls_back_lexicographic(self):
         from heartbn import Skeleton
 
