@@ -7,9 +7,11 @@ array the library hands out lies in its own ``bytes`` copy (:func:`_frozen`),
 so neither it nor any view or base of it can be made writable again, and a
 network's CPTs and a skeleton's separating sets are read-only mappings.  A
 fit and a model file check all their CPTs as one batch (:func:`_cpt_batch`).
-Every graph walk is :func:`_reachable`, d-separation's too.  :func:`_state`
-checks each state index a caller passes: an ``int`` or numpy integer, not a
-bool, in range; anything else (``1.5``, ``True``, ``"2"``) is a ``ValueError``.
+A :class:`Dag` checks itself, however it is built.  Every graph walk is
+:func:`_reachable`, d-separation's too, and a set of names is never a bare
+string (:func:`_name_set`).  :func:`_state` checks each state index a caller
+passes: an ``int`` or numpy integer, not a bool, in range; anything else
+(``1.5``, ``True``, ``"2"``) is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -66,27 +68,43 @@ class Variable:
 
 @dataclass(frozen=True)
 class Dag:
-    """Directed acyclic graph over variable names.
+    """Directed acyclic graph over variable names, checked however it is built.
 
     ``nodes`` and ``edges`` keep declaration order; in particular
     ``parents(n)`` lists parents in the order their edges were declared,
-    which fixes the parent order of the node's CPT.
-    Construct through :func:`build_dag`, which validates.
+    which fixes the parent order of the node's CPT.  ``nodes`` may be names
+    or :class:`Variable` objects; names must be unique (``ValueError``).  An
+    undeclared endpoint raises :class:`UnknownNodeError`, a repeated edge
+    :class:`DuplicateEdgeError`, and a self-loop or any other cycle
+    :class:`CycleDetectedError`.
     """
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-    _parents: dict = field(repr=False, compare=False, default_factory=dict)
-    _children: dict = field(repr=False, compare=False, default_factory=dict)
+    _parents: dict = field(init=False, repr=False, compare=False)
+    _children: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parents: dict[str, list[str]] = {n: [] for n in self.nodes}
-        children: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
+        nodes = tuple(getattr(n, "name", n) for n in self.nodes)
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("node names must be unique")
+        edges = tuple((a, b) for a, b in self.edges)
+        parents: dict[str, list[str]] = {n: [] for n in nodes}
+        children: dict[str, list[str]] = {n: [] for n in nodes}
+        for a, b in edges:
+            if a not in parents or b not in parents:
+                raise UnknownNodeError(f"edge ({a!r}, {b!r}) references an undeclared node")
+            if a == b:
+                raise CycleDetectedError(f"self-loop on {a!r}")
+            if a in parents[b]:
+                raise DuplicateEdgeError(f"duplicate edge ({a!r}, {b!r})")
             parents[b].append(a)
             children[a].append(b)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_parents", {k: tuple(v) for k, v in parents.items()})
         object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
+        topological_order(self)  # raises CycleDetectedError on a cycle
 
     def _check(self, name: str) -> str:
         if name not in self._parents:
@@ -108,32 +126,8 @@ class Dag:
 
 
 def build_dag(nodes: Iterable, edges: Iterable[tuple[str, str]]) -> Dag:
-    """Validate and build a :class:`Dag`.
-
-    ``nodes`` may be names or :class:`Variable` objects.  Raises
-    :class:`UnknownNodeError` for undeclared endpoints,
-    :class:`DuplicateEdgeError` for repeated edges and
-    :class:`CycleDetectedError` if no topological order exists
-    (a self-loop is a cycle of length one).
-    """
-    names = tuple(getattr(n, "name", n) for n in nodes)
-    if len(set(names)) != len(names):
-        raise ValueError("node names must be unique")
-    known = set(names)
-    edge_list: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for a, b in edges:
-        if a not in known or b not in known:
-            raise UnknownNodeError(f"edge ({a!r}, {b!r}) references an undeclared node")
-        if a == b:
-            raise CycleDetectedError(f"self-loop on {a!r}")
-        if (a, b) in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({a!r}, {b!r})")
-        seen.add((a, b))
-        edge_list.append((a, b))
-    dag = Dag(names, tuple(edge_list))
-    topological_order(dag)  # raises CycleDetectedError on a cycle
-    return dag
+    """The :class:`Dag` over ``nodes`` and ``edges``, which checks itself."""
+    return Dag(nodes, edges)
 
 
 def topological_order(dag: Dag) -> list[str]:
@@ -170,6 +164,13 @@ def _reachable(step: Mapping[Hashable, Iterable], starts: Iterable) -> set:
     return found
 
 
+def _name_set(names: Iterable[str], argument: str) -> set[str]:
+    """``names`` as a set; a bare ``str`` is a ``TypeError``, not the set of its characters."""
+    if isinstance(names, str):
+        raise TypeError(f"{argument} must be a collection of names, not a str ({names!r})")
+    return set(names)
+
+
 def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) -> bool:
     """Return True iff every undirected path between ``x`` and ``y`` is blocked by ``z``.
 
@@ -179,7 +180,7 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
     (node, up) states, up if the trail entered from a child (Koller & Friedman
     2009, Algorithm 3.1): linear in the graph size, unlike path enumeration.
     """
-    xs, ys, zs = set(x), set(y), set(z)
+    xs, ys, zs = _name_set(x, "x"), _name_set(y, "y"), _name_set(z, "z")
     for n in xs | ys | zs:
         dag._check(n)
     if xs & ys or xs & zs or ys & zs:

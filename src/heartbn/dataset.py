@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Variable, _frozen
+from .core import Variable, _frozen, _name_set
 from .errors import (
     MalformedRowError,
     NonMonotoneCutpointsError,
@@ -148,7 +148,7 @@ class DataTable:
         return DataTable(self.schema, self.rows[np.asarray(indices, dtype=int)])
 
     def row_assignment(self, i: int, exclude: Iterable[str] = ()) -> dict[str, int]:
-        skip = set(exclude)
+        skip = _name_set(exclude, "exclude")
         return {
             v.name: int(self.rows[i, j])
             for j, v in enumerate(self.schema)
@@ -307,18 +307,18 @@ def write_table_csv(table: DataTable, path) -> None:
             fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
-def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
+def read_table_csv(path) -> DataTable:
     """Read a table written by :func:`write_table_csv`.
 
-    Without an explicit schema, the heart schema is used when the header
-    matches it; otherwise each column's states are inferred as 0..max.  A
-    cell is a state index below :data:`MAX_STATES` written in ASCII digits
-    0-9 only (no sign, space or digit separator).  An empty header name, one
-    with leading or trailing space, a data row with a cell too few or too
-    many, or any other cell, raises :class:`MalformedRowError` naming the
-    file, line and column; a file without data rows raises
-    :class:`SchemaMismatchError`.  A UTF-8 byte-order mark before the
-    header, as spreadsheet programs write, is skipped.
+    The heart schema is used when the header matches it; otherwise each
+    column's states are inferred as 0..max.  A cell is a state index below
+    :data:`MAX_STATES` written in ASCII digits 0-9 only (no sign, space or
+    digit separator).  An empty header name, one with leading or trailing
+    space, a data row with a cell too few or too many, or any other cell,
+    raises :class:`MalformedRowError` naming the file, line and column; a
+    file without data rows raises :class:`SchemaMismatchError`.  A UTF-8
+    byte-order mark before the header, as spreadsheet programs write, is
+    skipped.
     """
     rows = []
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -358,18 +358,13 @@ def read_table_csv(path, schema: Sequence[Variable] | None = None) -> DataTable:
     if not rows:
         raise SchemaMismatchError(f"{path}: a header and no data rows")
     data = np.array(rows, dtype=np.int64).reshape(len(rows), len(names))
-    if schema is None:
-        by_name = {v.name: v for v in heart_schema()}
-        if set(names) <= set(by_name):
-            schema = tuple(by_name[n] for n in names)
-        else:
-            schema = tuple(
-                Variable(n, _states(max(2, int(data[:, j].max()) + 1))) for j, n in enumerate(names)
-            )
+    by_name = {v.name: v for v in heart_schema()}
+    if set(names) <= set(by_name):
+        schema = tuple(by_name[n] for n in names)
     else:
-        schema = tuple(schema)
-        if tuple(v.name for v in schema) != names:
-            raise SchemaMismatchError("schema does not match the file header")
+        schema = tuple(
+            Variable(n, _states(max(2, int(data[:, j].max()) + 1))) for j, n in enumerate(names)
+        )
     return DataTable(schema, data)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from heartbn import (
     Cpt,
+    Dag,
     DataTable,
     DiscreteBayesNet,
     Posterior,
@@ -45,6 +46,14 @@ class TestVariable:
             Variable("x", ("a", "a"))
 
 
+def assert_refused(error, message, nodes, edges):
+    """``build_dag`` and a direct ``Dag(...)`` refuse the graph alike."""
+    for route in (build_dag, Dag):
+        with pytest.raises(error) as err:
+            route(nodes, edges)
+        assert str(err.value) == message, route
+
+
 class TestBuildDag:
     def test_two_node_chain(self):
         dag = build_dag(("A", "B"), (("A", "B"),))
@@ -52,28 +61,49 @@ class TestBuildDag:
         assert dag.children("A") == ("B",)
 
     def test_two_cycle_rejected(self):
-        with pytest.raises(CycleDetectedError):
-            build_dag(("A", "B"), (("A", "B"), ("B", "A")))
+        # a direct Dag(...) used to accept it, and fit_mle fitted it into a
+        # network whose saved model file load_model refused
+        assert_refused(
+            CycleDetectedError, "graph contains a directed cycle",
+            ("A", "B"), (("A", "B"), ("B", "A")),
+        )
 
     def test_self_loop_rejected(self):
-        with pytest.raises(CycleDetectedError):
-            build_dag(("A",), (("A", "A"),))
+        assert_refused(CycleDetectedError, "self-loop on 'A'", ("A",), (("A", "A"),))
 
     def test_longer_cycle_rejected(self):
-        with pytest.raises(CycleDetectedError):
-            build_dag("ABC", (("A", "B"), ("B", "C"), ("C", "A")))
+        assert_refused(
+            CycleDetectedError, "graph contains a directed cycle",
+            "ABC", (("A", "B"), ("B", "C"), ("C", "A")),
+        )
 
     def test_unknown_endpoint(self):
-        with pytest.raises(UnknownNodeError):
-            build_dag(("A",), (("A", "B"),))
+        # a direct Dag(...) died with a bare KeyError
+        assert_refused(
+            UnknownNodeError, "edge ('A', 'B') references an undeclared node", ("A",), (("A", "B"),)
+        )
 
     def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdgeError):
-            build_dag(("A", "B"), (("A", "B"), ("A", "B")))
+        assert_refused(
+            DuplicateEdgeError, "duplicate edge ('A', 'B')", ("A", "B"), (("A", "B"), ("A", "B"))
+        )
 
     def test_duplicate_names(self):
-        with pytest.raises(ValueError):
-            build_dag(("A", "A"), ())
+        # a direct Dag(...) kept the repeated node
+        assert_refused(ValueError, "node names must be unique", ("A", "A"), ())
+
+    def test_direct_construction_reads_variables_and_lists_as_build_dag_does(self):
+        nodes = (Variable("A", "01"), "B", Variable("C", "xyz"))
+        dag = Dag(nodes, [["A", "B"], ["C", "B"]])
+        assert dag == build_dag(nodes, (("A", "B"), ("C", "B")))
+        assert dag.nodes == ("A", "B", "C") and dag.edges == (("A", "B"), ("C", "B"))
+        assert dag.parents("B") == ("A", "C") and dag.children("C") == ("B",)
+
+    def test_parent_maps_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            Dag(("A", "B"), (("A", "B"),), {"B": ("A",)})
+        with pytest.raises(TypeError):
+            Dag(("A", "B"), (), _parents={"B": ("A",)})
 
 
 class TestTopologicalOrder:
@@ -171,6 +201,26 @@ class TestDSeparation:
 
     def test_empty_set_is_trivially_separated(self, heart_dag):
         assert d_separated(heart_dag, set(), {"target"}, {"thal"})
+
+
+@pytest.mark.parametrize(
+    "argument, name, query, answer",
+    [
+        ("x", "ab", lambda dag, table, names: d_separated(dag, names, {"c"}, ()), True),
+        ("y", "ab", lambda dag, table, names: d_separated(dag, {"c"}, names, ()), True),
+        ("z", "c", lambda dag, table, names: d_separated(dag, {"a"}, {"b"}, names), True),
+        ("exclude", "target", lambda dag, table, names: "target" in table.row_assignment(0, names), False),
+    ],
+    ids=["x", "y", "z", "exclude"],
+)
+def test_a_bare_string_is_not_a_set_of_names(argument, name, query, answer, heart_table):
+    # a str used to be read as the set of its characters: d_separated(dag,
+    # "ab", {"c"}, ()) answered for {a, b}, not node "ab", and
+    # row_assignment(i, exclude="target") kept target
+    dag = build_dag(["a", "b", "c", "ab"], [("a", "c"), ("c", "b")])
+    with pytest.raises(TypeError, match=f"^{argument} must be a collection of names, not a str"):
+        query(dag, heart_table, name)
+    assert query(dag, heart_table, {name}) is answer
 
 
 class TestMarkovBlanket:

@@ -369,12 +369,6 @@ class TestCsvRoundTrip:
         path.write_text(f"a,b\n0,{MAX_STATES - 1}\n1,0\n")
         assert [v.cardinality for v in read_table_csv(path).schema] == [2, MAX_STATES]
 
-    def test_explicit_schema_mismatch(self, heart_table, tmp_path):
-        path = tmp_path / "table.csv"
-        write_table_csv(heart_table, path)
-        with pytest.raises(SchemaMismatchError):
-            read_table_csv(path, schema=(Variable("x", "01"),))
-
     @pytest.mark.parametrize(
         "bad_line, line_number, message",
         [
