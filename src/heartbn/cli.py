@@ -66,30 +66,36 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="raw comma-separated file ('?' = missing)")
     p.add_argument("--output", required=True, help="destination CSV with header row")
     p.add_argument("--cutpoints", help="JSON file {attribute: [thresholds]}")
+    p.set_defaults(run=_cmd_preprocess)
 
     p = sub.add_parser("learn", help="fit a model and write a model file", parents=[model])
     p.add_argument("--out", required=True, help="destination model file")
+    p.set_defaults(run=_cmd_learn)
 
     p = sub.add_parser("evaluate", help="repeated-split evaluation report", parents=[model])
     p.add_argument("--ratio", type=_checked(float, ds._check_ratio), default=0.8)
     seeds = _checked(_parse_seeds, _check_seeds)
     p.add_argument("--seeds", required=True, type=seeds, help="comma-separated seed list")
     p.add_argument("--report", required=True, help="destination JSON report")
+    p.set_defaults(run=_cmd_evaluate)
 
     p = sub.add_parser("predict", help="classify from evidence")
     p.add_argument("--model", required=True)
     p.add_argument("--evidence", required=True, help='e.g. "thal=2,cp=3"')
     p.add_argument("--target", default="target", help="class variable name")
+    p.set_defaults(run=_cmd_predict)
 
     p = sub.add_parser("dsep", help="test d-separation in a model's graph")
     p.add_argument("--model", required=True)
     p.add_argument("--x", required=True, help="comma-separated node set")
     p.add_argument("--y", required=True, help="comma-separated node set")
     p.add_argument("--given", default="", help="comma-separated conditioning set")
+    p.set_defaults(run=_cmd_dsep)
 
     p = sub.add_parser("export-dot", help="write the model's graph as DOT")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_export_dot)
     return parser
 
 
@@ -175,16 +181,6 @@ def _cmd_export_dot(args) -> None:
     export_dot(net.dag, args.out)
 
 
-_COMMANDS = {
-    "preprocess": _cmd_preprocess,
-    "learn": _cmd_learn,
-    "evaluate": _cmd_evaluate,
-    "predict": _cmd_predict,
-    "dsep": _cmd_dsep,
-    "export-dot": _cmd_export_dot,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -195,8 +191,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():  # the filters still decide which warnings show
         warnings.showwarning = lambda text, *_: print(f"{prefix}: warning: {text}", file=sys.stderr)
         try:
-            _COMMANDS[args.command](args)
-        except (HeartBnError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            args.run(args)
+        except (HeartBnError, OSError, ValueError, KeyError) as exc:
             print(f"{prefix}: {exc}", file=sys.stderr)
             return DATA_ERROR
     return 0

@@ -7,7 +7,8 @@ array the library hands out lies in its own ``bytes`` copy (:func:`_frozen`),
 so neither it nor any view or base of it can be made writable again, and a
 network's CPTs and a skeleton's separating sets are read-only mappings.  A
 fit and a model file check all their CPTs as one batch (:func:`_cpt_batch`).
-A :class:`Dag` checks itself, however it is built.  Every graph walk is
+A :class:`Dag` checks itself, however it is built, and a network checks
+each family whole, the parents' states too.  Every graph walk is
 :func:`_reachable`, d-separation's too, and a set of names is never a bare
 string (:func:`_name_set`).  :func:`_state` checks each state index a caller
 passes: an ``int`` or numpy integer, not a bool, in range; anything else
@@ -315,7 +316,9 @@ class DiscreteBayesNet:
     """A :class:`Dag` plus one :class:`Cpt` per node.
 
     The joint distribution is the chain-rule product of per-node tables:
-    P(x1..xn) = prod_i P(xi | parents(xi)).
+    P(x1..xn) = prod_i P(xi | parents(xi)).  Each node's CPT must hold its
+    whole family, else ``ValueError``: a variable of the node's name, then
+    its DAG parents in order, each the same :class:`Variable` as that parent's CPT.
     """
 
     dag: Dag
@@ -328,13 +331,10 @@ class DiscreteBayesNet:
             extra = set(cpts) - set(self.dag.nodes)
             raise ValueError(f"CPTs must cover exactly the DAG nodes (missing {missing}, extra {extra})")
         for name, cpt in cpts.items():
-            if cpt.variable.name != name:
-                raise ValueError(f"CPT stored under {name!r} is for {cpt.variable.name!r}")
-            declared = tuple(p.name for p in cpt.parents)
-            if declared != self.dag.parents(name):
-                raise ValueError(
-                    f"CPT parents for {name!r} are {declared}, DAG says {self.dag.parents(name)}"
-                )
+            got = (cpt.variable.name, cpt.parents)
+            family = (name, tuple(cpts[p].variable for p in self.dag.parents(name)))
+            if got != family:
+                raise ValueError(f"CPT stored under {name!r} has family {got}, the network's is {family}")
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
 
     def __reduce__(self):  # copy and pickle rebuild it: a mapping proxy cannot be pickled

@@ -145,7 +145,11 @@ class DataTable:
         return self.rows[:, self.index(name)]
 
     def take(self, indices: Sequence[int]) -> "DataTable":
-        return DataTable(self.schema, self.rows[np.asarray(indices, dtype=int)])
+        """The rows at ``indices``, which must be non-negative integers, else ``ValueError``."""
+        picks = np.asarray(indices)
+        if picks.size and (picks.dtype.kind not in "iu" or picks.min() < 0):
+            raise ValueError(f"row indices must be non-negative integers, not {picks.dtype} {picks}")
+        return DataTable(self.schema, self.rows[picks.astype(int)])
 
     def row_assignment(self, i: int, exclude: Iterable[str] = ()) -> dict[str, int]:
         skip = _name_set(exclude, "exclude")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -93,27 +93,6 @@ def posterior_enumeration(
     return Posterior(q_var, totals / normalizer)
 
 
-def _min_degree_order(scopes: Sequence[tuple[str, ...]], eliminate: set[str]) -> list[str]:
-    """Min-degree elimination order over the factor interaction graph, ties by name."""
-    neighbors: dict[str, set[str]] = {}
-    for scope in scopes:
-        for name in scope:
-            group = neighbors.setdefault(name, set())
-            group.update(n for n in scope if n != name)
-    order: list[str] = []
-    remaining = set(eliminate)
-    while remaining:
-        # the neighbor sets only ever hold names not yet eliminated
-        best = min(remaining, key=lambda n: (len(neighbors[n]), n))
-        order.append(best)
-        best_neighbors = neighbors.pop(best)
-        for a in best_neighbors:
-            neighbors[a].discard(best)
-            neighbors[a].update(b for b in best_neighbors if b != a)
-        remaining.discard(best)
-    return order
-
-
 def _cpt_factor(cpt: Cpt) -> tuple[np.ndarray, tuple[str, ...]]:
     """A CPT as a ``(values, scope)`` factor: one axis per parent, then the child's."""
     family = cpt.parents + (cpt.variable,)
@@ -151,9 +130,10 @@ def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int])
     Only the query, the evidence and their ancestors take part: every other
     node's CPT sums out to one (barren-node pruning).  Each CPT is sliced on
     the evidence; a slice left constant is checked for zero and dropped.
-    Hidden variables are summed out in min-degree order (ties broken by
-    name), one einsum each, and each intermediate is rescaled to a maximum
-    of one, so long products of small probabilities do not underflow.  A
+    Hidden variables are summed out one einsum each, picked as they go by
+    fewest neighbours in the factor interaction graph (min-degree, ties
+    broken by name); each intermediate is rescaled to a maximum of one, so
+    long products of small probabilities do not underflow.  A
     zero constant, an all-zero intermediate or a zero normalizer signals
     impossible evidence.
     """
@@ -170,8 +150,15 @@ def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int])
         elif values == 0.0:
             raise ZeroEvidenceError("evidence has probability zero")
 
+    # each variable's neighbours in the factor interaction graph, itself included
+    neighbours: dict[str, set[str]] = {}
+    for _, scope in factors:
+        for name in scope:
+            neighbours.setdefault(name, set()).update(scope)
     hidden = relevant - {query} - set(evidence)
-    for name in _min_degree_order([scope for _, scope in factors], hidden):
+    while hidden:
+        name = min(hidden, key=lambda n: (len(neighbours[n]), n))
+        hidden.remove(name)
         related = [f for f in factors if name in f[1]]
         factors = [f for f in factors if name not in f[1]]
         keep = tuple(dict.fromkeys(n for _, scope in related for n in scope if n != name))
@@ -181,6 +168,9 @@ def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int])
             raise ZeroEvidenceError("evidence has probability zero")
         if keep:
             factors.append((values / peak, keep))
+        for n in keep:  # the new factor joins them all
+            neighbours[n].discard(name)
+            neighbours[n].update(keep)
 
     values = _sum_product(factors, (query,))
     normalizer = values.sum()

@@ -292,7 +292,8 @@ def hill_climb(
     largest computed gain, if that gain exceeds :data:`MIN_IMPROVEMENT`,
     rejecting moves that would create a cycle, and stops at a local optimum
     or after :data:`MAX_MOVES` accepted moves.  ``allowed`` limits edges to
-    the given unordered pairs.  The search is deterministic.  When ``trace``
+    the given unordered pairs, each a frozenset of two column names, else
+    :class:`SchemaMismatchError`.  The search is deterministic.  When ``trace``
     is given, the running score is appended after every accepted move.
 
     The search is incremental.  The empty graph's families are scored in one
@@ -320,7 +321,9 @@ def hill_climb(
     columns = np.array([data.index(name) for name in names])
     pairs_ok = ~np.eye(n, dtype=bool)
     if allowed is not None:
-        bad = sorted(sorted(pair) for pair in allowed if len(pair) != 2 or not pair <= set(names))
+        # a pair that is not a frozenset is shown as given: a tuple as a tuple
+        bad = sorted((sorted(p) if isinstance(p, frozenset) else p for p in allowed
+                      if not isinstance(p, frozenset) or len(p) != 2 or not p <= set(names)), key=str)
         if bad:
             raise SchemaMismatchError(f"allowed pairs must name two data columns, not {bad}")
         pairs_ok &= np.array([[frozenset((a, b)) in allowed for a in names] for b in names])

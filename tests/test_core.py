@@ -352,6 +352,21 @@ class TestDiscreteBayesNet:
         with pytest.raises(ValueError):
             DiscreteBayesNet(dag, good)
 
+    def test_parent_states_must_be_the_parents_own(self):
+        # b's CPT over a 3-state a used to be accepted: posterior_ve then died
+        # with a broadcast error, enumeration read 2 of b's 3 parent rows and
+        # save_model wrote a file that load_model refused
+        a2, a3, b = Variable("a", "01"), Variable("a", "012"), Variable("b", "01")
+        cpts = {"a": Cpt(a2, (), [[0.5, 0.5]]), "b": Cpt(b, (a3,), np.full((3, 2), 0.5))}
+        with pytest.raises(ValueError, match=r"CPT stored under 'b' has family .*'0', '1', '2'"):
+            DiscreteBayesNet(build_dag((a2, b), (("a", "b"),)), cpts)
+
+    def test_cpt_for_another_variable_rejected(self):
+        a, b = Variable("a", "01"), Variable("b", "01")
+        cpts = {"a": Cpt(b, (), [[0.5, 0.5]]), "b": Cpt(a, (), [[0.5, 0.5]])}
+        with pytest.raises(ValueError, match="CPT stored under 'a' has family"):
+            DiscreteBayesNet(build_dag((a, b), ()), cpts)
+
     def test_missing_cpt_rejected(self):
         a, b = Variable("a", "01"), Variable("b", "01")
         dag = build_dag((a, b), ())

@@ -274,6 +274,19 @@ class TestDataTable:
         assert table.rows.dtype == np.int64
         assert table.column("a").tolist() == [2, 0]
 
+    @pytest.mark.parametrize(
+        "indices", [[0.7], [True, False], ["1"], [-1], np.array([2, -3])],
+        ids=["float", "bool", "text", "negative", "negative-array"],
+    )
+    def test_take_refuses_anything_but_non_negative_integer_rows(self, indices):
+        # a cast to int read 0.7 as row 0, [True, False] as rows 1 and 0 and
+        # "1" as row 1; -1 wrapped to the last row
+        table = DataTable((Variable("a", "012"),), [[0], [1], [2]])
+        with pytest.raises(ValueError, match="row indices must be non-negative integers"):
+            table.take(indices)
+        assert table.take([]).n_rows == 0
+        assert table.take(np.array([2, 0], dtype=np.uint8)).column("a").tolist() == [2, 0]
+
     def test_rows_column_major_and_read_only(self, tmp_path):
         # the counting kernels gather whole columns, so every way of making
         # a table must store it column by column

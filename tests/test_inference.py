@@ -18,9 +18,10 @@ from heartbn import (
     posterior_ve,
     split,
 )
+from heartbn import inference
 from heartbn.errors import SchemaMismatchError, UnknownNodeError, ZeroEvidenceError
 from heartbn.evaluation import METHODS, fit_model
-from heartbn.inference import _min_degree_order, _sum_product
+from heartbn.inference import _sum_product
 
 from oracles import nb_posterior_logspace, random_net, sample_rows, wide_nb_case
 
@@ -233,13 +234,33 @@ class TestVariableElimination:
 
 
 class TestEliminationOrder:
-    def test_min_degree_with_ties_by_name(self):
-        # the 4-cycle x-y-z-w with a leaf v on x and the kept query q on y:
-        # v goes first (degree 1), then w, x, z tie at degree 2 and w wins
-        # by name; eliminating w joins x and z
-        scopes = [("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"), ("x", "v"), ("q", "y")]
-        order = _min_degree_order(scopes, {"v", "w", "x", "y", "z"})
-        assert order == ["v", "w", "x", "z", "y"]
+    def test_min_degree_with_ties_by_name(self, monkeypatch):
+        # the 4-cycle x-y-z-w with a leaf v on x and the kept query q on y,
+        # each pair joined by an observed child: v goes first (degree 1),
+        # then w, x, z tie at degree 2 and w wins by name; eliminating w
+        # joins x and z
+        pairs = [("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"), ("x", "v"), ("q", "y")]
+        roots = {n: Variable(n, "01") for n in "qvwxyz"}
+        children = {a + b: Variable(a + b, "01") for a, b in pairs}
+        cpts = {n: Cpt(v, (), [[0.4, 0.6]]) for n, v in roots.items()}
+        for a, b in pairs:
+            table = [[0.9, 0.1], [0.3, 0.7], [0.5, 0.5], [0.2, 0.8]]
+            cpts[a + b] = Cpt(children[a + b], (roots[a], roots[b]), table)
+        dag = build_dag((*roots, *children), [(n, a + b) for a, b in pairs for n in (a, b)])
+        net = DiscreteBayesNet(dag, cpts)
+
+        summed_out = []
+
+        def spy(factors, keep):
+            summed_out.extend(sorted({n for _, scope in factors for n in scope} - set(keep)))
+            return _sum_product(factors, keep)
+
+        monkeypatch.setattr(inference, "_sum_product", spy)
+        evidence = dict.fromkeys(children, 1)
+        posterior = posterior_ve(net, "q", evidence)
+        assert summed_out == ["v", "w", "x", "z", "y"]
+        expected = posterior_enumeration(net, "q", evidence).probabilities
+        assert np.allclose(posterior.probabilities, expected, rtol=0, atol=1e-12)
 
 
 class TestConcurrentQueries:

@@ -309,6 +309,15 @@ class TestHillClimb:
             hill_climb(xy_from_net(seed=3), allowed={frozenset(pair), frozenset(("A", "B"))})
 
 
+    @pytest.mark.parametrize("pair", [("A", "B"), "AB"], ids=["tuple", "str"])
+    def test_allowed_pair_that_is_not_a_frozenset_rejected(self, pair, monkeypatch):
+        # the set comparison used to die with a bare TypeError
+        monkeypatch.setattr(learn, "_stacked_counts", no_counting)
+        message = f"allowed pairs must name two data columns, not [{pair!r}]"
+        with pytest.raises(SchemaMismatchError, match=re.escape(message)):
+            hill_climb(xy_from_net(seed=3), allowed={pair, frozenset(("A", "B"))})
+
+
 class TestRepeatedColumnNames:
     """Columns (a, b, a) name one variable twice: no table holds them, so no learner sees them."""
 
