@@ -66,8 +66,9 @@ _BINS = {"age": 3, "trestbps": 3, "chol": 3, "thalach": 2, "oldpeak": 2}
 CONTINUOUS = tuple(_BINS)
 DISCRETIZED_NAME = {name: name + "C" for name in CONTINUOUS}
 
-# Bound on a state index in a table file: read_table_csv refuses a cell at
-# or above it, so one large cell cannot infer a huge column.
+# Bound on a state index in a table file whose columns are not all heart
+# columns: read_table_csv refuses a cell at or above it, so one large cell
+# cannot infer a huge column.
 MAX_STATES = 1000
 
 
@@ -314,15 +315,16 @@ def write_table_csv(table: DataTable, path) -> None:
 def read_table_csv(path) -> DataTable:
     """Read a table written by :func:`write_table_csv`.
 
-    The heart schema is used when the header matches it; otherwise each
-    column's states are inferred as 0..max.  A cell is a state index below
-    :data:`MAX_STATES` written in ASCII digits 0-9 only (no sign, space or
-    digit separator).  An empty header name, one with leading or trailing
-    space, a data row with a cell too few or too many, or any other cell,
-    raises :class:`MalformedRowError` naming the file, line and column; a
-    file without data rows raises :class:`SchemaMismatchError`.  A UTF-8
-    byte-order mark before the header, as spreadsheet programs write, is
-    skipped.
+    The header decides the schema: the heart variables when it names heart
+    columns only, otherwise each column's states inferred as 0..max.  A cell
+    is a state index below its column's bound, written in ASCII digits 0-9
+    only (no sign, space or digit separator); the bound is the heart
+    variable's number of states, else :data:`MAX_STATES`.  An empty header
+    name, one with leading or trailing space, a data row with a cell too few
+    or too many, or any other cell, raises :class:`MalformedRowError` naming
+    the file, line and column; a file without data rows raises
+    :class:`SchemaMismatchError`.  A UTF-8 byte-order mark before the
+    header, as spreadsheet programs write, is skipped.
     """
     rows = []
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -337,6 +339,9 @@ def read_table_csv(path) -> DataTable:
                 raise MalformedRowError(
                     1, f"{path}, column {column}: header name {name!r} has surrounding space"
                 )
+        by_name = {v.name: v for v in heart_schema()}
+        heart = set(names) <= set(by_name)
+        bounds = [by_name[name].cardinality if heart else MAX_STATES for name in names]
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -348,22 +353,21 @@ def read_table_csv(path) -> DataTable:
                     lineno, f"{path}, column {column}: {len(cells)} cells for {len(names)} columns"
                 )
             row = []
-            for column, cell in enumerate(cells, start=1):
+            for column, (cell, bound) in enumerate(zip(cells, bounds), start=1):
                 if not _is_index_text(cell):
                     raise MalformedRowError(
                         lineno, f"{path}, column {column}: {cell!r} is not a state index (digits 0-9)"
                     )
                 row.append(int(cell))
-                if row[-1] >= MAX_STATES:
+                if row[-1] >= bound:
                     raise MalformedRowError(
-                        lineno, f"{path}, column {column}: state index {cell} is not below {MAX_STATES}"
+                        lineno, f"{path}, column {column}: state index {cell} is not below {bound}"
                     )
             rows.append(row)
     if not rows:
         raise SchemaMismatchError(f"{path}: a header and no data rows")
     data = np.array(rows, dtype=np.int64).reshape(len(rows), len(names))
-    by_name = {v.name: v for v in heart_schema()}
-    if set(names) <= set(by_name):
+    if heart:
         schema = tuple(by_name[n] for n in names)
     else:
         schema = tuple(

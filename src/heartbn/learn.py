@@ -18,11 +18,12 @@ or BDeu) over add/delete/reverse moves; :func:`learn_skeleton` removes edges
 by chi-squared independence tests and :func:`orient` turns the result into a
 DAG; :func:`hybrid_learn` restricts the hill climb to the learned skeleton.
 
-Tests: a p-value is the chi-squared survival function in closed form
-(:func:`_chi2_sf`, from ``math`` alone), so the PC path loads no scipy;
-only BDeu's ``gammaln`` imports it, on first use.  :func:`learn_skeleton`
-compares each statistic with a critical value cached per (dof, alpha) and
-computes a p-value only next to it; :func:`ci_test` reports one.
+Tests: one rule, :func:`_decide`, decides every test that :func:`ci_test`
+and :func:`learn_skeleton` reach: no degrees of freedom raise
+:class:`InsufficientDataError`, else independence is p > alpha.  The
+p-value is the chi-squared survival function in closed form (:func:`_chi2_sf`,
+from ``math`` alone), so the PC path loads no scipy; only BDeu's
+``gammaln`` imports it, on first use.
 
 Counting: one kernel, :func:`_stacked_counts`, counts a batch of families
 (or CI tests) with one ``np.bincount``.  A layout is the list of columns it
@@ -41,7 +42,6 @@ climb's start is one score call, the skeleton's level 0 one pass.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -422,35 +422,12 @@ def _chi2_sf(statistic: float, dof: int) -> float:
     return total
 
 
-@functools.lru_cache(maxsize=1024)
-def _critical(dof: int, alpha: float) -> tuple[float, float]:
-    """Adjacent floats lo < hi with _chi2_sf(lo) > alpha >= _chi2_sf(hi), found by bisection."""
-    lo, hi = 0.0, float(max(dof, 1))
-    while _chi2_sf(hi, dof) > alpha:
-        lo, hi = hi, 2.0 * hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return lo, hi
-        if _chi2_sf(mid, dof) > alpha:
-            lo = mid
-        else:
-            hi = mid
-
-
-def _independent(statistic: float, dof: int, alpha: float) -> bool:
-    """``_chi2_sf(statistic, dof) > alpha``, computed only near the cached critical value.
-
-    Off a relative margin of 1e-9 around the bracket of :func:`_critical`,
-    far wider than the survival function's rounding, the comparison with
-    the bracket decides; inside it the p-value does.
-    """
-    lo, hi = _critical(dof, alpha)
-    if statistic < lo * (1.0 - 1e-9):
-        return True
-    if statistic > hi * (1.0 + 1e-9):
-        return False
-    return _chi2_sf(statistic, dof) > alpha
+def _decide(statistic: float, dof: int, alpha: float, z) -> tuple[float, bool]:
+    """(p-value, p-value > alpha) of a reached test; without dof, every stratum of ``z()`` is empty."""
+    if dof == 0:
+        raise InsufficientDataError(f"every stratum of {z()} is empty")
+    p_value = _chi2_sf(statistic, dof)
+    return p_value, p_value > alpha
 
 
 def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int]]:
@@ -463,8 +440,8 @@ def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int]]:
     margins a weighted ``np.bincount``; all are sums of integer counts, so
     exact.  Expected counts are gathered per cell, and each test's
     deviations are summed as one run, so a test's figures are bitwise the
-    same in any batch.  No p-value is computed here: the skeleton compares
-    statistics with critical values (:func:`_independent`).
+    same in any batch.  No p-value is computed here: :func:`_decide` turns
+    a reached test's figures into one.
     """
     r_x, r_y = data.cards[tests[:, 0]], data.cards[tests[:, 1]]
     # z with its last variable fastest, then x, then y fastest of all
@@ -498,20 +475,19 @@ def ci_test(
 ) -> CITestResult:
     """Pearson chi-squared test of x independent of y within each stratum of z.
 
-    Vectorized over strata: strata with zero counts are dropped, each kept
-    one adds (r_x - 1)(r_y - 1) degrees of freedom, and the p-value is the
-    chi-squared survival function (:func:`_chi2_sf`, no scipy).  Independence
-    is declared when the p-value exceeds ``alpha``.  x, y and z must be
-    distinct.  This is a batch of one for :func:`learn_skeleton`'s kernel.
+    Vectorized over strata: strata with zero counts are dropped, and each
+    kept one adds (r_x - 1)(r_y - 1) degrees of freedom.  :func:`_decide`
+    decides, as in :func:`learn_skeleton`: the p-value is the chi-squared
+    survival function (:func:`_chi2_sf`, no scipy), independence is declared
+    when it exceeds ``alpha``, and a test without degrees of freedom raises
+    :class:`InsufficientDataError`.  x, y and z must be distinct.  This is
+    a batch of one for :func:`learn_skeleton`'s kernel.
     """
     _require_distinct(x, y, *z)
     test = np.array([[data.index(x), data.index(y), *map(data.index, z)]])
     _check_alpha(alpha)
     ((statistic, dof),) = _ci_batch(data, test)
-    if dof == 0:
-        raise InsufficientDataError(f"every stratum of {tuple(z)} is empty")
-    p_value = _chi2_sf(statistic, dof)
-    return CITestResult(statistic, dof, p_value, p_value > alpha)
+    return CITestResult(statistic, dof, *_decide(statistic, dof, alpha, lambda: tuple(z)))
 
 
 @dataclass(frozen=True)
@@ -560,10 +536,10 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
     listing: the subsets of x's neighborhood then y's, as they stand, each
     once.  Reaching an uncounted test counts one batch: the first uncounted
     tests of the listings of this pair and every later pair of the level,
-    listed then.  A test without degrees of freedom raises
-    :class:`InsufficientDataError` when reached, and a test is decided by
-    :func:`_independent`, which agrees with ``p > alpha`` everywhere, so the
-    result is exactly that of testing one at a time.
+    listed then.  A reached test is decided as :func:`ci_test` decides it
+    (:func:`_decide`: no degrees of freedom raise InsufficientDataError,
+    else it separates iff p > alpha), so the result is exactly that of
+    testing one at a time.
     """
     _check_alpha(alpha)
     names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
@@ -575,9 +551,7 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
 
     def separates(x: int, y: int, z: tuple[int, ...], statistic: float, dof: int) -> bool:
         """Decide a reached test; a separating z removes the edge x - y and is recorded."""
-        if dof == 0:
-            raise InsufficientDataError(f"every stratum of {tuple(names[v] for v in z)} is empty")
-        if not _independent(statistic, dof, alpha):
+        if not _decide(statistic, dof, alpha, lambda: tuple(names[v] for v in z))[1]:
             return False
         neighbors[x].remove(y)
         neighbors[y].remove(x)

@@ -49,6 +49,8 @@ def save_model(net: DiscreteBayesNet, path) -> None:
 def model_from_document(doc: dict) -> DiscreteBayesNet:
     """The network of a model document; ``ValueError`` if the document has the wrong shape.
 
+    State labels must be JSON strings (``[0, 1]`` is refused).
+
     Any node's cell-count or number error comes before any node's probability error.
     """
     if not isinstance(doc, dict):
@@ -64,11 +66,12 @@ def model_from_document(doc: dict) -> DiscreteBayesNet:
             isinstance(node, dict)
             and isinstance(node.get("name"), str)
             and all(isinstance(node.get(key), list) for key in ("states", "parents", "cpt"))
-            and all(isinstance(parent, str) for parent in node["parents"])
+            and all(isinstance(label, str) for key in ("states", "parents") for label in node[key])
             and all(isinstance(cell, (str, int, float)) for cell in node["cpt"])
         ):
             raise ValueError(
-                f"model node {i} needs a string name and lists of states, parent names and cpt cells"
+                f"model node {i} needs a string name, lists of string states and parent names,"
+                " and a list of cpt cells"
             )
     variables = {node["name"]: Variable(node["name"], tuple(node["states"])) for node in nodes}
     dag = build_dag(

@@ -159,6 +159,17 @@ class TestLearn:
         assert err.startswith(f"heartbn learn: line 4: {data}, column ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_heart_cell_beyond_its_states_is_data_error(self, tmp_path, capsys):
+        # sex has 2 states; this used to exit 2 naming the column only
+        data = tmp_path / "table.csv"
+        data.write_text("sex,target\n5,1\n")
+        out = tmp_path / "x.model"
+        assert main(["learn", "--data", str(data), "--method", "hc", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"heartbn learn: line 2: {data}, column 1: state index 5 is not below 2\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [

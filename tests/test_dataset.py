@@ -411,6 +411,26 @@ class TestCsvRoundTrip:
         assert str(err.value) == f"line {line_number}: {path}, {message}"
 
 
+    @pytest.mark.parametrize(
+        "text, line_number, message",
+        [
+            ("sex,target\n0,1\n5,1\n", 3, "column 1: state index 5 is not below 2"),
+            ("target,thal\n0,2\n1,3\n", 3, "column 2: state index 3 is not below 3"),
+            ("cp\n4\n", 2, "column 1: state index 4 is not below 4"),
+        ],
+    )
+    def test_heart_cell_beyond_its_states_names_file_line_and_column(
+        self, tmp_path, text, line_number, message
+    ):
+        # a header of heart columns takes their states; such a cell used to
+        # pass the reader, and DataTable refused it naming no file or line
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedRowError) as err:
+            read_table_csv(path)
+        assert str(err.value) == f"line {line_number}: {path}, {message}"
+
+
 class TestCutpointsFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cuts.json"

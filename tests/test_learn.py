@@ -660,21 +660,38 @@ class TestCiTest:
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
     def test_independent_decides_as_the_p_value(self, alpha):
-        # at the cached bracket, its float neighbours, 1e-8 either side of lo
-        # (absolute and relative, outside the 1e-9 margin) and random statistics
+        # the decision flips between adjacent floats lo < hi, where the p-value
+        # crosses alpha (found here by bisection); probed there, at their float
+        # neighbours, 1e-8 either side of lo (absolute and relative) and at
+        # random statistics; z is named only when a test has no dof
+        def critical(dof):
+            lo, hi = 0.0, float(dof)
+            while learn._chi2_sf(hi, dof) > alpha:
+                lo, hi = hi, 2.0 * hi
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                lo, hi = (mid, hi) if learn._chi2_sf(mid, dof) > alpha else (lo, mid)
+            return lo, hi
+
+        def unnamed():
+            raise AssertionError("z named for a test with degrees of freedom")
+
         rng = np.random.default_rng(int(alpha * 100))
         for dof in range(1, 201):
-            lo, hi = learn._critical(dof, alpha)
+            lo, hi = critical(dof)
             assert hi == np.nextafter(lo, np.inf)
-            assert learn._chi2_sf(lo, dof) > alpha >= learn._chi2_sf(hi, dof)
+            assert learn._decide(lo, dof, alpha, unnamed)[1]
+            assert not learn._decide(hi, dof, alpha, unnamed)[1]
             near = [
                 lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
                 lo - 1e-8, lo + 1e-8, lo * (1 - 1e-8), lo * (1 + 1e-8),
             ]
             for statistic in [*near, *rng.uniform(0.0, 2.0 * hi, 20)]:
                 statistic = float(statistic)
-                expected = learn._chi2_sf(statistic, dof) > alpha
-                assert learn._independent(statistic, dof, alpha) == expected, (dof, statistic)
+                p_value = learn._chi2_sf(statistic, dof)
+                decision = learn._decide(statistic, dof, alpha, unnamed)
+                assert decision == (p_value, p_value > alpha), (dof, statistic)
+        with pytest.raises(InsufficientDataError, match=r"every stratum of \('z',\) is empty"):
+            learn._decide(0.0, 0, alpha, lambda: ("z",))
 
     def test_import_loads_no_scipy_stats(self):
         src = Path(__file__).resolve().parents[1] / "src"

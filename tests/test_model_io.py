@@ -80,6 +80,13 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError, match=message):
             model_from_document({"format_version": 1, "nodes": [node]})
 
+    # integer, float and boolean labels used to load as the strings "0", "1.5", "True"
+    @pytest.mark.parametrize("states", [[0, 1], ["0", 1.5], [True, False], ["0", None]], ids=repr)
+    def test_state_labels_must_be_strings(self, states):
+        node = {"name": "a", "states": states, "parents": [], "cpt": ["0.5", "0.5"]}
+        with pytest.raises(ValueError, match="model node 0 needs .*string states"):
+            model_from_document({"format_version": 1, "nodes": [node]})
+
     def test_empty_network(self, tmp_path):
         net = model_from_document({"format_version": 1, "nodes": []})
         assert net.dag.nodes == () and dict(net.cpts) == {}
