@@ -1,7 +1,8 @@
 """Discrete Bayesian networks for the Cleveland heart-disease data.
 
 The package provides the graph/CPT data model, exact inference, parameter
-and structure learning, a Naive Bayes baseline, the preprocessing pipeline
+and structure learning, a Naive Bayes baseline (the star network that
+``nb_fit`` fits, classified like any other), the preprocessing pipeline
 for the bundled Cleveland table and a repeated-split evaluation harness.
 """
 
@@ -47,11 +48,11 @@ from .learn import (
     hill_climb,
     hybrid_learn,
     learn_skeleton,
+    nb_fit,
     orient,
     score,
 )
 from .model_io import export_dot, load_model, save_model, to_dot
-from .naive_bayes import nb_fit, nb_predict
 
 __all__ = [
     "Cpt",
@@ -91,14 +92,13 @@ __all__ = [
     "hill_climb",
     "hybrid_learn",
     "learn_skeleton",
+    "nb_fit",
     "orient",
     "score",
     "export_dot",
     "load_model",
     "save_model",
     "to_dot",
-    "nb_fit",
-    "nb_predict",
 ]
 
 __version__ = "0.1.0"

@@ -19,9 +19,8 @@ from .core import d_separated
 from .errors import HeartBnError
 from .evaluation import ESTIMATORS, METHODS, _check_seeds, fit_model, run_experiment
 from .inference import classify
-from .learn import SCORE_KINDS, _check_alpha, _check_ess
+from .learn import SCORE_KINDS, _check_alpha, _check_ess, _check_pseudo
 from .model_io import export_dot, load_model, save_model
-from .naive_bayes import _check_pseudo
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -120,10 +119,11 @@ def _parse_evidence(spec: str, net) -> dict[str, int]:
         if name in evidence:
             raise ValueError(f"evidence names {name!r} more than once")
         var = net.variable(name)
+        index = ds._index_below(state, var.cardinality)
         if state in var.states:
             evidence[name] = var.state_index(state)
-        elif ds._is_index_text(state) and int(state) < var.cardinality:
-            evidence[name] = int(state)  # fall back to a bare state index
+        elif index is not None:
+            evidence[name] = index  # fall back to a bare state index
         else:
             raise ValueError(
                 f"{state!r} is not a state of {name!r}: give one of the labels "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from numbers import Real
@@ -203,7 +204,7 @@ def load_raw(path) -> tuple[tuple[str, ...], ...]:
     :class:`MalformedRowError` with the 1-based line number otherwise.
     """
     rows: list[tuple[str, ...]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -304,6 +305,25 @@ def _is_index_text(text: str) -> bool:  # ASCII 0-9 only: no sign, space or othe
     return text.isascii() and text.isdigit()
 
 
+def _index_below(text: str, bound: int) -> int | None:
+    """The value of index text if below ``bound``, else None; leading zeros aside, text with
+    more digits than ``bound`` is refused unconverted, within Python's int digit limit."""
+    digits = text.lstrip("0") or "0"
+    short = _is_index_text(text) and len(digits) <= len(str(bound))
+    return int(digits) if short and int(digits) < bound else None
+
+
+@contextmanager
+def _reading(path, encoding: str = "utf-8"):
+    """The text file at ``path``, open; a ``ValueError`` while it is read, such as an
+    undecodable byte or a JSON syntax error, is raised again naming the file."""
+    with open(path, "r", encoding=encoding) as fh:
+        try:
+            yield fh
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def write_table_csv(table: DataTable, path) -> None:
     """Comma-separated state indices with a header row of variable names."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -323,11 +343,12 @@ def read_table_csv(path) -> DataTable:
     name, one with leading or trailing space, a data row with a cell too few
     or too many, or any other cell, raises :class:`MalformedRowError` naming
     the file, line and column; a file without data rows raises
-    :class:`SchemaMismatchError`.  A UTF-8 byte-order mark before the
+    :class:`SchemaMismatchError`, and a byte that is not UTF-8 a
+    ``ValueError`` naming the file.  A UTF-8 byte-order mark before the
     header, as spreadsheet programs write, is skipped.
     """
     rows = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with _reading(path, "utf-8-sig") as fh:
         header = fh.readline().strip()
         if not header:
             raise SchemaMismatchError(f"{path}: empty table file")
@@ -354,15 +375,11 @@ def read_table_csv(path) -> DataTable:
                 )
             row = []
             for column, (cell, bound) in enumerate(zip(cells, bounds), start=1):
-                if not _is_index_text(cell):
-                    raise MalformedRowError(
-                        lineno, f"{path}, column {column}: {cell!r} is not a state index (digits 0-9)"
-                    )
-                row.append(int(cell))
-                if row[-1] >= bound:
-                    raise MalformedRowError(
-                        lineno, f"{path}, column {column}: state index {cell} is not below {bound}"
-                    )
+                row.append(_index_below(cell, bound))
+                if row[-1] is None:
+                    problem = (f"state index {cell} is not below {bound}" if _is_index_text(cell)
+                               else f"{cell!r} is not a state index (digits 0-9)")
+                    raise MalformedRowError(lineno, f"{path}, column {column}: {problem}")
             rows.append(row)
     if not rows:
         raise SchemaMismatchError(f"{path}: a header and no data rows")
@@ -384,7 +401,7 @@ def save_cutpoints(cfg: CutpointConfig, path) -> None:
 
 
 def load_cutpoints(path) -> CutpointConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not all(isinstance(cuts, list) for cuts in doc.values()):
         raise NonMonotoneCutpointsError("a cutpoint file holds a JSON object of threshold lists")

@@ -2,12 +2,13 @@
 
 The positive class is state 1 (disease present).  :func:`fit_model` is the
 one dispatch from a model description to a fitted network, Naive Bayes
-included.  :func:`confusion` and :func:`metrics` return plain dicts, keyed
-in the order the report prints them.  ``run_experiment`` repeats a seeded
-train/test split, fits the requested model on the training rows,
-classifies all test rows at once with
-:func:`~heartbn.inference.classify_rows` using all non-target columns as
-evidence, sends only the rows whose evidence is impossible through a
+(:func:`~heartbn.learn.nb_fit`'s star network) included, and every model
+classifies through the same inference.  :func:`confusion` and
+:func:`metrics` return plain dicts, keyed in the order the report prints
+them.  ``run_experiment`` repeats a seeded train/test split, fits the
+requested model on the training rows, classifies all test rows at once
+with :func:`~heartbn.inference.classify_rows` using all non-target columns
+as evidence, sends only the rows whose evidence is impossible through a
 per-row fallback, and reports one confusion dict and metric dict per seed
 plus aggregates.
 """
@@ -24,10 +25,9 @@ from .errors import ZeroEvidenceError
 from .heart import heart_network
 from .inference import classify, classify_rows
 from .learn import (
-    _check_alpha, _check_ess, _check_score, fit_bayesian, fit_mle, hill_climb, hybrid_learn,
-    learn_skeleton, orient,
+    _check_alpha, _check_ess, _check_pseudo, _check_score, fit_bayesian, fit_mle, hill_climb,
+    hybrid_learn, learn_skeleton, nb_fit, orient,
 )
-from .naive_bayes import _check_pseudo, nb_fit
 
 MODEL_KINDS = ("bn-paper", "bn-learned", "nb")
 LEARNERS = ("hc", "pc", "hybrid")

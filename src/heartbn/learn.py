@@ -5,9 +5,11 @@ P(x | pa) = (N(x, pa) + a) / (N(pa) + a * r), for a child with r states and
 q parent configurations, where the per-cell prior ``a`` sets the method.
 :func:`fit_mle` uses a = 0 (relative frequencies), :func:`fit_bayesian` uses
 a = ess / (r * q) (a uniform prior of total weight ``ess`` spread over each
-CPT), and Naive Bayes uses a = pseudo.  A parent configuration with no
-weight at all becomes a uniform row.  A fit resolves each family's names
-once and estimates each count batch in one elementwise pass, entry for entry
+CPT), and :func:`nb_fit` uses a = pseudo on the Naive Bayes network, the
+star class -> each feature, which :func:`~heartbn.inference.classify`
+classifies like any network.  A parent configuration with no weight at all
+becomes a uniform row.  A fit resolves each family's names once and
+estimates each count batch in one elementwise pass, entry for entry
 bitwise as one family at a time; all the batches' estimates then become CPTs
 in one call of the route every :class:`~heartbn.core.Cpt` takes,
 :func:`~heartbn.core._cpt_batch`, which checks the tables together and
@@ -152,10 +154,12 @@ def count_table(data: DataTable, child: str, parents: tuple[str, ...] = ()) -> n
     return counts.reshape(shapes[0])
 
 
-def _require_nodes(dag: Dag, data: DataTable) -> None:
+def _dag_orders(dag: Dag, data: DataTable) -> np.ndarray:
+    """Layouts of every family of ``dag``, in node order; a node without a column is refused."""
     missing = set(dag.nodes) - set(data.names)
     if missing:
         raise SchemaMismatchError(f"data lacks columns for {sorted(missing)}")
+    return _orders(data, [(node, dag.parents(node)) for node in dag.nodes])
 
 
 def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
@@ -163,8 +167,7 @@ def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
 
     A family's variables are read off its count layout, so its names are resolved once.
     """
-    _require_nodes(dag, data)
-    orders = _orders(data, [(node, dag.parents(node)) for node in dag.nodes])
+    orders = _dag_orders(dag, data)
     families = [
         (data.schema[child], tuple(data.schema[j] for j in parents if j >= 0))
         for *parents, child in orders.tolist()
@@ -201,6 +204,25 @@ def fit_bayesian(dag: Dag, data: DataTable, ess: float) -> DiscreteBayesNet:
     """
     _check_ess(ess)
     return _fit_dirichlet(dag, data, lambda q, r: ess / (r * q))
+
+
+def _check_pseudo(pseudo: float) -> None:
+    if not 0.0 <= pseudo < math.inf:
+        raise ValueError("pseudo must be non-negative and finite")
+
+
+def nb_fit(data: DataTable, class_var: str, pseudo: float = 1.0) -> DiscreteBayesNet:
+    """The star network class -> each feature, its CPTs from (optionally smoothed) frequencies.
+
+    The class node comes first, then the features in column order.  Every
+    count N becomes (N + pseudo) / (total + pseudo * cardinality); pseudo = 0
+    is the plain relative frequency, and a class never seen with pseudo = 0
+    gets uniform conditionals.
+    """
+    _check_pseudo(pseudo)
+    features = tuple(name for name in data.names if name != class_var)
+    dag = build_dag((class_var,) + features, tuple((class_var, f) for f in features))
+    return _fit_dirichlet(dag, data, lambda q, r: pseudo)
 
 
 def _scores(flat: np.ndarray, shapes: np.ndarray, n_rows: int, kind: str, ess: float) -> list:
@@ -265,9 +287,8 @@ def family_score(
 
 def score(dag: Dag, data: DataTable, kind: str = "bic", ess: float = 10.0) -> float:
     """Total network score: the sum of its family scores, counted together."""
-    _require_nodes(dag, data)
+    orders = _dag_orders(dag, data)  # missing columns are refused before a bad kind
     _check_score(kind, ess)
-    orders = _orders(data, [(node, dag.parents(node)) for node in dag.nodes])
     return sum(_family_scores(data, orders, kind, ess))
 
 

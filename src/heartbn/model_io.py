@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .core import Dag, DiscreteBayesNet, Variable, _cpt_batch, _table_shape, build_dag
+from .dataset import _reading
 
 FORMAT_VERSION = 1
 
@@ -97,8 +98,9 @@ def model_from_document(doc: dict) -> DiscreteBayesNet:
 
 
 def load_model(path) -> DiscreteBayesNet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_document(json.load(fh))
+    with _reading(path) as fh:
+        doc = json.load(fh)
+    return model_from_document(doc)
 
 
 def to_dot(dag: Dag) -> str:

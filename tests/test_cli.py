@@ -251,8 +251,11 @@ class TestPredict:
         assert captured.err.count("\n") == 1 and "'thal'" in captured.err
 
     # an Arabic-Indic or a full-width digit is no index, as in a table file;
-    # "thal=\u0662" used to read as thal=2
-    @pytest.mark.parametrize("state", ["1.5", "", "3", "-1", "\u0662", "\uff12"])
+    # "thal=\u0662" used to read as thal=2, and 5,000 nines hit int()'s digit
+    # limit, whose message named neither the variable nor its states
+    @pytest.mark.parametrize(
+        "state", ["1.5", "", "3", "-1", "\u0662", "\uff12", pytest.param("9" * 5000, id="5000-nines")]
+    )
     def test_unknown_evidence_state_names_variable_and_states(self, pipeline, capsys, state):
         code = main(["predict", "--model", str(pipeline["model"]), "--evidence", f"thal={state}"])
         assert code == 2

@@ -11,6 +11,7 @@ from heartbn import (
     cleveland_path,
     discretize,
     load_cleveland,
+    load_model,
     load_raw,
     split,
 )
@@ -430,6 +431,20 @@ class TestCsvRoundTrip:
             read_table_csv(path)
         assert str(err.value) == f"line {line_number}: {path}, {message}"
 
+    def test_cell_past_the_int_digit_limit_names_file_line_and_column(self, tmp_path):
+        # int() used to refuse a cell of more than 4,300 digits first, with
+        # Python's own message, which names no file, line or column
+        path = tmp_path / "table.csv"
+        path.write_text(f"a,b\n0,{'9' * 5000}\n")
+        with pytest.raises(MalformedRowError) as err:
+            read_table_csv(path)
+        assert str(err.value) == f"line 2: {path}, column 2: state index {'9' * 5000} is not below 1000"
+
+    def test_leading_zeros_do_not_count_toward_the_int_digit_limit(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(f"a,b\n0,{'0' * 4999}1\n1,0\n")
+        assert read_table_csv(path).rows.tolist() == [[0, 1], [1, 0]]
+
 
 class TestCutpointsFile:
     def test_round_trip(self, tmp_path):
@@ -453,6 +468,29 @@ class TestCutpointsFile:
         path.write_text(text)
         with pytest.raises(NonMonotoneCutpointsError):
             load_cutpoints(path)
+
+
+@pytest.mark.parametrize(
+    "reader, content",
+    [
+        (load_raw, ",".join(make_row()).encode() + b"\n\xff\n"),
+        (read_table_csv, b"a,b\n0,1\n\xff,0\n"),
+        (load_cutpoints, b'{"age": [45.0, \xff]}'),
+        (load_cutpoints, b'{"age": [45.0, 64.0]'),
+        (load_model, b'{"format_version": 1, "nodes": [\xff]}'),
+        (load_model, b'{"format_version": 1, "nodes": ['),
+    ],
+    ids=["load_raw-byte", "read_table_csv-byte", "load_cutpoints-byte", "load_cutpoints-truncated",
+         "load_model-byte", "load_model-truncated"],
+)
+def test_unreadable_file_error_names_the_file(tmp_path, reader, content):
+    # a byte that is not UTF-8 or a JSON syntax error used to surface as the
+    # codec's or the json module's message alone, without the path
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_bundled_path_exists():

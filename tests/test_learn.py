@@ -210,6 +210,11 @@ class TestScore:
         with pytest.raises(ValueError):
             score(build_dag(("x",), ()), data, "aic")
 
+    def test_missing_columns_refused_before_a_bad_kind(self):
+        data = binary_table({"x": [0, 1]})
+        with pytest.raises(SchemaMismatchError, match=re.escape("data lacks columns for ['a', 'z']")):
+            score(build_dag(("z", "x", "a"), ()), data, "aic")
+
     @pytest.mark.parametrize("ess", [0.0, -1.0])
     def test_bdeu_rejects_nonpositive_ess(self, ess):
         data = binary_table({"x": [0, 1, 1], "y": [1, 1, 0]})

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from heartbn import (
-    DataTable, Variable, build_dag, classify, fit_mle, nb_fit, nb_predict, split,
-)
+from heartbn import DataTable, Variable, classify, nb_fit, split
 from heartbn.errors import SchemaMismatchError, UnknownNodeError, ZeroEvidenceError
 
 from oracles import nb_posterior_logspace, random_net, sample_rows, wide_nb_case
@@ -45,25 +43,25 @@ class TestNbFit:
 class TestNbPredict:
     def test_zero_likelihood_vetoes_class(self):
         net = nb_fit(small_table(), "c", pseudo=0.0)
-        label, posterior = nb_predict(net, {"x": 1})
+        label, posterior = classify(net, "c", {"x": 1})
         assert label == 1
         assert np.allclose(posterior.probabilities, [0.0, 1.0])
 
     def test_empty_evidence_is_prior_argmax(self):
         net = nb_fit(small_table(), "c", pseudo=0.0)
-        label, posterior = nb_predict(net, {})
+        label, posterior = classify(net, "c", {})
         assert label == 0  # tie at 0.5/0.5 breaks toward the lower index
         assert np.allclose(posterior.probabilities, net.cpts["c"].table[0])
 
     def test_class_variable_rejected_in_evidence(self):
         net = nb_fit(small_table(), "c")
         with pytest.raises(ValueError):
-            nb_predict(net, {"c": 1})
+            classify(net, "c", {"c": 1})
 
     def test_unknown_feature_rejected(self):
         net = nb_fit(small_table(), "c")
         with pytest.raises(UnknownNodeError):
-            nb_predict(net, {"zzz": 0})
+            classify(net, "c", {"zzz": 0})
 
     def test_zero_evidence(self):
         # state 2 of x never occurs, so both classes have zero likelihood
@@ -71,23 +69,7 @@ class TestNbPredict:
         rows = np.array([[0, 0], [1, 1]], dtype=np.int64)
         net = nb_fit(DataTable(schema, rows), "c", pseudo=0.0)
         with pytest.raises(ZeroEvidenceError):
-            nb_predict(net, {"x": 2})
-
-    @pytest.mark.parametrize(
-        "nodes, edges",
-        [
-            (("c", "x", "y"), (("c", "x"), ("c", "y"), ("x", "y"))),
-            (("c", "x", "y"), (("c", "x"),)),
-            (("x", "c", "y"), (("c", "x"), ("c", "y"))),
-        ],
-        ids=["feature-feature-edge", "feature-without-class-edge", "class-not-first"],
-    )
-    def test_non_star_network_rejected(self, nodes, edges):
-        schema = (Variable("c", "01"), Variable("x", "01"), Variable("y", "01"))
-        data = DataTable(schema, [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
-        net = fit_mle(build_dag(nodes, edges), data)
-        with pytest.raises(ValueError, match="star"):
-            nb_predict(net, {"y": 1})
+            classify(net, "c", {"x": 2})
 
 
 class TestStarNetEquivalence:
@@ -108,14 +90,12 @@ class TestStarNetEquivalence:
         cases.append(wide_nb_case(rng))
         for net, evidence in cases:
             class_var = net.dag.nodes[0]  # nb_fit puts the class node first
-            nb_label, nb_post = nb_predict(net, evidence)
-            net_label, net_post = classify(net, class_var, evidence)
+            label, post = classify(net, class_var, evidence)
             reference = nb_posterior_logspace(net, class_var, evidence)
-            assert np.abs(nb_post.probabilities - net_post.probabilities).max() <= 1e-10
-            assert np.abs(nb_post.probabilities - reference).max() <= 1e-10
+            assert np.abs(post.probabilities - reference).max() <= 1e-10
             margin = np.sort(reference)[-1] - np.sort(reference)[-2]
             if margin > 1e-9:  # labels must agree unless the posterior is tied
-                assert nb_label == net_label == int(np.argmax(reference))
+                assert label == int(np.argmax(reference))
 
     def test_star_net_shape(self):
         star = nb_fit(small_table(), "c")
@@ -141,11 +121,11 @@ class TestProperties:
             "c",
         )
         evidence = {"x": 2, "y": 1}
-        base = nb_predict(net, evidence)
-        same = nb_predict(extended, evidence)
+        base = classify(net, "c", evidence)
+        same = classify(extended, "c", evidence)
         assert np.abs(base[1].probabilities - same[1].probabilities).max() == 0.0
         # observing the duplicate shifts the posterior (double counting)
-        doubled = nb_predict(extended, {**evidence, "x_copy": 2})
+        doubled = classify(extended, "c", {**evidence, "x_copy": 2})
         assert np.abs(doubled[1].probabilities - base[1].probabilities).max() > 1e-6
 
     def test_more_smoothing_moves_toward_uniform(self):
