@@ -10,7 +10,6 @@ shown, prints one line to standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 
@@ -156,9 +155,7 @@ def _cmd_learn(args) -> None:
 def _cmd_evaluate(args) -> None:
     table = ds.read_table_csv(args.data)
     report = run_experiment(table, ratio=args.ratio, seeds=args.seeds, **_model_options(args))
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    ds._write_json(report, args.report)
 
 
 def _cmd_predict(args) -> None:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import Variable, _frozen, _name_set
 from .errors import (
+    HeartBnError,
     MalformedRowError,
     NonMonotoneCutpointsError,
     SchemaMismatchError,
@@ -198,22 +199,13 @@ DEFAULT_CUTPOINTS = CutpointConfig()
 
 
 def load_raw(path) -> tuple[tuple[str, ...], ...]:
-    """Read a comma-separated table as rows of 14 string cells.
+    """Read a comma-separated table as rows of 14 string cells, each stripped of space.
 
-    Blank lines are skipped; an empty file yields zero rows.  Raises
-    :class:`MalformedRowError` with the 1-based line number otherwise.
+    Blank lines are skipped; an empty file yields zero rows.  A line of another
+    number of cells raises :class:`MalformedRowError` naming the file, line and column.
     """
-    rows: list[tuple[str, ...]] = []
     with _reading(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = tuple(cell.strip() for cell in line.split(","))
-            if len(fields) != N_FIELDS:
-                raise MalformedRowError(lineno, f"expected {N_FIELDS} fields, got {len(fields)}")
-            rows.append(fields)
-    return tuple(rows)
+        return tuple(tuple(cell.strip() for cell in cells) for _, cells in _records(fh, N_FIELDS, 1))
 
 
 def load_cleveland() -> tuple[tuple[str, ...], ...]:
@@ -315,21 +307,47 @@ def _index_below(text: str, bound: int) -> int | None:
 
 @contextmanager
 def _reading(path, encoding: str = "utf-8"):
-    """The text file at ``path``, open; a ``ValueError`` while it is read, such as an
-    undecodable byte or a JSON syntax error, is raised again naming the file."""
+    """The text file at ``path``, open; a :class:`HeartBnError` or ``ValueError`` raised while
+    it is open gets ``"<path>: "`` in front of its message.  A ``HeartBnError`` keeps its type
+    and attributes; a ``ValueError`` (an undecodable byte, a JSON syntax error) is raised anew."""
     with open(path, "r", encoding=encoding) as fh:
         try:
             yield fh
+        except HeartBnError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _records(lines: Iterable[str], width: int, start: int):
+    """(line number, cells) for each non-blank line, numbered from ``start``; a line of
+    other than ``width`` cells raises :class:`MalformedRowError` at its first odd column."""
+    for lineno, line in enumerate(lines, start=start):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:  # the error names the first column past the shorter count
+            raise MalformedRowError(lineno, min(len(cells), width) + 1,
+                                    f"{len(cells)} cells for {width} columns")
+        yield lineno, cells
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_json(doc, path) -> None:
+    """``doc`` as JSON indented by two spaces, with a final newline."""
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
 def write_table_csv(table: DataTable, path) -> None:
     """Comma-separated state indices with a header row of variable names."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(table.names) + "\n")
-        for row in table.rows:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+    lines = [",".join(table.names), *(",".join(map(str, row)) for row in table.rows.tolist())]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_table_csv(path) -> DataTable:
@@ -342,70 +360,56 @@ def read_table_csv(path) -> DataTable:
     variable's number of states, else :data:`MAX_STATES`.  An empty header
     name, one with leading or trailing space, a data row with a cell too few
     or too many, or any other cell, raises :class:`MalformedRowError` naming
-    the file, line and column; a file without data rows raises
-    :class:`SchemaMismatchError`, and a byte that is not UTF-8 a
-    ``ValueError`` naming the file.  A UTF-8 byte-order mark before the
-    header, as spreadsheet programs write, is skipped.
+    the line and column; a file without data rows or with a repeated name
+    :class:`SchemaMismatchError`, and a byte that is not UTF-8 a ``ValueError``;
+    each message starts with the file's path.  A UTF-8 byte-order mark before
+    the header, as spreadsheet programs write, is skipped.
     """
-    rows = []
     with _reading(path, "utf-8-sig") as fh:
         header = fh.readline().strip()
         if not header:
-            raise SchemaMismatchError(f"{path}: empty table file")
+            raise SchemaMismatchError("empty table file")
         names = tuple(header.split(","))
         for column, name in enumerate(names, start=1):
             if not name:
-                raise MalformedRowError(1, f"{path}, column {column}: empty header name")
+                raise MalformedRowError(1, column, "empty header name")
             if name != name.strip():
-                raise MalformedRowError(
-                    1, f"{path}, column {column}: header name {name!r} has surrounding space"
-                )
+                raise MalformedRowError(1, column, f"header name {name!r} has surrounding space")
         by_name = {v.name: v for v in heart_schema()}
         heart = set(names) <= set(by_name)
         bounds = [by_name[name].cardinality if heart else MAX_STATES for name in names]
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(names):
-                column = min(len(cells), len(names)) + 1
-                raise MalformedRowError(
-                    lineno, f"{path}, column {column}: {len(cells)} cells for {len(names)} columns"
-                )
-            row = []
-            for column, (cell, bound) in enumerate(zip(cells, bounds), start=1):
-                row.append(_index_below(cell, bound))
-                if row[-1] is None:
-                    problem = (f"state index {cell} is not below {bound}" if _is_index_text(cell)
-                               else f"{cell!r} is not a state index (digits 0-9)")
-                    raise MalformedRowError(lineno, f"{path}, column {column}: {problem}")
+        rows = []
+        for lineno, cells in _records(fh, len(names), 2):
+            row = [_index_below(cell, bound) for cell, bound in zip(cells, bounds)]
+            if None in row:
+                j = row.index(None)
+                cell, bound = cells[j], bounds[j]
+                problem = (f"state index {cell} is not below {bound}" if _is_index_text(cell)
+                           else f"{cell!r} is not a state index (digits 0-9)")
+                raise MalformedRowError(lineno, j + 1, problem)
             rows.append(row)
-    if not rows:
-        raise SchemaMismatchError(f"{path}: a header and no data rows")
-    data = np.array(rows, dtype=np.int64).reshape(len(rows), len(names))
-    if heart:
-        schema = tuple(by_name[n] for n in names)
-    else:
+        if not rows:
+            raise SchemaMismatchError("a header and no data rows")
+        data = np.array(rows, dtype=np.int64).reshape(len(rows), len(names))
         schema = tuple(
-            Variable(n, _states(max(2, int(data[:, j].max()) + 1))) for j, n in enumerate(names)
+            by_name[n] if heart else Variable(n, _states(max(2, int(data[:, j].max()) + 1)))
+            for j, n in enumerate(names)
         )
-    return DataTable(schema, data)
+        return DataTable(schema, data)
 
 
 def save_cutpoints(cfg: CutpointConfig, path) -> None:
-    doc = {attr: list(getattr(cfg, attr)) for attr in CONTINUOUS}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json({attr: list(getattr(cfg, attr)) for attr in CONTINUOUS}, path)
 
 
 def load_cutpoints(path) -> CutpointConfig:
+    """The JSON object of threshold lists that :func:`save_cutpoints` writes; an error in
+    it is a :class:`NonMonotoneCutpointsError` or ``ValueError`` naming the file."""
     with _reading(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or not all(isinstance(cuts, list) for cuts in doc.values()):
-        raise NonMonotoneCutpointsError("a cutpoint file holds a JSON object of threshold lists")
-    unknown = set(doc) - set(CONTINUOUS)
-    if unknown:
-        raise NonMonotoneCutpointsError(f"unknown attributes in cutpoint file: {sorted(unknown)}")
-    return CutpointConfig(**doc)
+        if not isinstance(doc, dict) or not all(isinstance(cuts, list) for cuts in doc.values()):
+            raise NonMonotoneCutpointsError("a cutpoint file holds a JSON object of threshold lists")
+        unknown = set(doc) - set(CONTINUOUS)
+        if unknown:
+            raise NonMonotoneCutpointsError(f"unknown attributes in cutpoint file: {sorted(unknown)}")
+        return CutpointConfig(**doc)

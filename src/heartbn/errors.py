@@ -32,8 +32,8 @@ class InsufficientDataError(HeartBnError):
 class MalformedRowError(HeartBnError):
     """A data row has the wrong number of cells, or a cell that cannot be read."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int, column: int, message: str):
+        super().__init__(f"line {line_number}, column {column}: {message}")
         self.line_number = line_number
 
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .core import Dag, DiscreteBayesNet, Variable, _cpt_batch, _table_shape, build_dag
-from .dataset import _reading
+from .dataset import _reading, _write_json, _write_text
 
 FORMAT_VERSION = 1
 
@@ -42,9 +42,7 @@ def model_document(net: DiscreteBayesNet) -> dict:
 
 
 def save_model(net: DiscreteBayesNet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_document(net), fh, indent=2)
-        fh.write("\n")
+    _write_json(model_document(net), path)
 
 
 def model_from_document(doc: dict) -> DiscreteBayesNet:
@@ -57,7 +55,7 @@ def model_from_document(doc: dict) -> DiscreteBayesNet:
     if not isinstance(doc, dict):
         raise ValueError("a model document is a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:  # True == 1 in Python
         raise ValueError(f"unsupported model format version {version!r}")
     nodes = doc.get("nodes")
     if not isinstance(nodes, list):
@@ -98,9 +96,10 @@ def model_from_document(doc: dict) -> DiscreteBayesNet:
 
 
 def load_model(path) -> DiscreteBayesNet:
+    """The network of a model file; any error in its content is a ``ValueError`` or
+    :class:`HeartBnError` (a cycle, say) whose message starts with the file's path."""
     with _reading(path) as fh:
-        doc = json.load(fh)
-    return model_from_document(doc)
+        return model_from_document(json.load(fh))
 
 
 def to_dot(dag: Dag) -> str:
@@ -118,5 +117,4 @@ def to_dot(dag: Dag) -> str:
 
 
 def export_dot(dag: Dag, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_dot(dag))
+    _write_text(path, to_dot(dag))

@@ -156,7 +156,7 @@ class TestLearn:
         out = tmp_path / "x.model"
         assert main(["learn", "--data", str(data), "--method", "nb", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"heartbn learn: line 4: {data}, column ") and err.count("\n") == 1
+        assert err.startswith(f"heartbn learn: {data}: line 4, column ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_heart_cell_beyond_its_states_is_data_error(self, tmp_path, capsys):
@@ -166,16 +166,16 @@ class TestLearn:
         out = tmp_path / "x.model"
         assert main(["learn", "--data", str(data), "--method", "hc", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"heartbn learn: line 2: {data}, column 1: state index 5 is not below 2\n"
+            f"heartbn learn: {data}: line 2, column 1: state index 5 is not below 2\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("a, b\n1,0\n", "line 1: {data}, column 2: header name ' b' has surrounding space"),
+            ("a, b\n1,0\n", "{data}: line 1, column 2: header name ' b' has surrounding space"),
             ("a,b\n", "{data}: a header and no data rows"),
-            ("a,,b\n1,0,1\n", "line 1: {data}, column 2: empty header name"),
+            ("a,,b\n1,0,1\n", "{data}: line 1, column 2: empty header name"),
         ],
     )
     def test_unusable_header_is_data_error(self, tmp_path, capsys, text, message):
@@ -211,7 +211,7 @@ class TestLearn:
         out = tmp_path / "x.model"
         assert main(["learn", "--data", str(data), "--method", method, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "heartbn learn: column names must be distinct, not ['thal']\n"
+            f"heartbn learn: {data}: column names must be distinct, not ['thal']\n"
         )
         assert not out.exists()
 
@@ -276,7 +276,7 @@ class TestPredict:
         assert main(["predict", "--model", str(model), "--evidence", "a=1"]) == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert captured.err.startswith("heartbn predict: model node 'a'")
+        assert captured.err.startswith(f"heartbn predict: {model}: model node 'a'")
         assert captured.err.count("\n") == 1
 
 

@@ -341,7 +341,7 @@ class TestCsvRoundTrip:
             read_table_csv(path)
         assert err.value.line_number == 1
         message = f"column {column}: header name {name} has surrounding space"
-        assert str(err.value) == f"line 1: {path}, {message}"
+        assert str(err.value) == f"{path}: line 1, {message}"
 
     @pytest.mark.parametrize("header, column", [("a,,b", 2), ("a,b,", 3), (",a", 1)])
     def test_empty_header_name_rejected(self, tmp_path, header, column):
@@ -352,7 +352,7 @@ class TestCsvRoundTrip:
         with pytest.raises(MalformedRowError) as err:
             read_table_csv(path)
         assert err.value.line_number == 1
-        assert str(err.value) == f"line 1: {path}, column {column}: empty header name"
+        assert str(err.value) == f"{path}: line 1, column {column}: empty header name"
 
     @pytest.mark.parametrize("header", ["a,b", "thal,cp"])
     def test_byte_order_mark_skipped(self, tmp_path, header):
@@ -409,7 +409,7 @@ class TestCsvRoundTrip:
         with pytest.raises(MalformedRowError) as err:
             read_table_csv(path)
         assert err.value.line_number == line_number
-        assert str(err.value) == f"line {line_number}: {path}, {message}"
+        assert str(err.value) == f"{path}: line {line_number}, {message}"
 
 
     @pytest.mark.parametrize(
@@ -429,7 +429,7 @@ class TestCsvRoundTrip:
         path.write_text(text)
         with pytest.raises(MalformedRowError) as err:
             read_table_csv(path)
-        assert str(err.value) == f"line {line_number}: {path}, {message}"
+        assert str(err.value) == f"{path}: line {line_number}, {message}"
 
     def test_cell_past_the_int_digit_limit_names_file_line_and_column(self, tmp_path):
         # int() used to refuse a cell of more than 4,300 digits first, with
@@ -438,7 +438,7 @@ class TestCsvRoundTrip:
         path.write_text(f"a,b\n0,{'9' * 5000}\n")
         with pytest.raises(MalformedRowError) as err:
             read_table_csv(path)
-        assert str(err.value) == f"line 2: {path}, column 2: state index {'9' * 5000} is not below 1000"
+        assert str(err.value) == f"{path}: line 2, column 2: state index {'9' * 5000} is not below 1000"
 
     def test_leading_zeros_do_not_count_toward_the_int_digit_limit(self, tmp_path):
         path = tmp_path / "table.csv"

@@ -42,6 +42,11 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def test_boolean_version_rejected(self):
+        # true used to read as version 1, since True == 1 in Python
+        with pytest.raises(ValueError, match="^unsupported model format version True$"):
+            model_from_document({"format_version": True, "nodes": []})
+
     @pytest.mark.parametrize(
         "doc",
         [
