@@ -26,10 +26,9 @@ DATA_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 on usage problems."""
+    """argparse variant that exits 1 on usage problems, with one line on standard error."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
@@ -85,9 +84,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dsep", help="test d-separation in a model's graph")
     p.add_argument("--model", required=True)
-    p.add_argument("--x", required=True, help="comma-separated node set")
-    p.add_argument("--y", required=True, help="comma-separated node set")
-    p.add_argument("--given", default="", help="comma-separated conditioning set")
+    nodes = _checked(_names, _check_nodes)
+    p.add_argument("--x", required=True, type=nodes, help="comma-separated node set")
+    p.add_argument("--y", required=True, type=nodes, help="comma-separated node set")
+    p.add_argument("--given", default="", type=_names, help="comma-separated conditioning set")
     p.set_defaults(run=_cmd_dsep)
 
     p = sub.add_parser("export-dot", help="write the model's graph as DOT")
@@ -107,10 +107,9 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_evidence(spec: str, net) -> dict[str, int]:
+    """Comma-separated name=state items, spaces stripped; empty items skipped."""
     evidence: dict[str, int] = {}
-    if not spec.strip():
-        return evidence
-    for item in spec.split(","):
+    for item in filter(str.strip, spec.split(",")):
         if "=" not in item:
             raise ValueError(f"evidence item {item!r} is not name=state")
         name, _, state = item.partition("=")
@@ -133,6 +132,11 @@ def _parse_evidence(spec: str, net) -> dict[str, int]:
 
 def _names(spec: str) -> set[str]:
     return {part.strip() for part in spec.split(",") if part.strip()}
+
+
+def _check_nodes(names: set[str]) -> None:
+    if not names:
+        raise ValueError("must name one or more nodes")
 
 
 def _cmd_preprocess(args) -> None:
@@ -168,14 +172,12 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_dsep(args) -> None:
-    net = load_model(args.model)
-    result = d_separated(net.dag, _names(args.x), _names(args.y), _names(args.given))
-    print("true" if result else "false")
+    separated = d_separated(load_model(args.model).dag, args.x, args.y, args.given)
+    print("true" if separated else "false")
 
 
 def _cmd_export_dot(args) -> None:
-    net = load_model(args.model)
-    export_dot(net.dag, args.out)
+    export_dot(load_model(args.model).dag, args.out)
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class Dag:
 
     def descendants(self, name: str) -> set[str]:
         """All nodes reachable from ``name`` by directed paths (excluding itself)."""
-        return _reachable(self._children, self.children(name))
+        return _reachable(self.children, self.children(name))
 
 
 def build_dag(nodes: Iterable, edges: Iterable[tuple[str, str]]) -> Dag:
@@ -149,16 +149,16 @@ def topological_order(dag: Dag) -> list[str]:
     return order
 
 
-def _reachable(step: Mapping[Hashable, Iterable], starts: Iterable) -> set:
+def _reachable(step: Callable[[Hashable], Iterable], starts: Iterable) -> set:
     """``starts`` together with every state reached from them through ``step``.
 
-    With ``step`` mapping each node to its parents this is the ancestral set
-    of ``starts``; with children, their descendants.
+    With ``step`` giving a node's parents this is the ancestral set of
+    ``starts``; with children, their descendants.
     """
     found = set(starts)
     stack = list(found)
     while stack:
-        for n in step[stack.pop()]:
+        for n in step(stack.pop()):
             if n not in found:
                 found.add(n)
                 stack.append(n)
@@ -184,20 +184,20 @@ def d_separated(dag: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) 
     xs, ys, zs = _name_set(x, "x"), _name_set(y, "y"), _name_set(z, "z")
     for n in xs | ys | zs:
         dag._check(n)
-    if xs & ys or xs & zs or ys & zs:
-        raise ValueError("x, y and z must be pairwise disjoint")
+    if shared := xs & ys | xs & zs | ys & zs:
+        raise ValueError(f"x, y and z must be pairwise disjoint, but share {sorted(shared)}")
     if not xs or not ys:
         return True
 
     # From a child a trail goes on unless n is observed; from a parent, down
     # unless n is observed, and up again, n a collider, if n is in anc.
-    anc = _reachable(dag._parents, zs)
-    step = {}
-    for n in dag.nodes:
-        up = [(p, True) for p in dag._parents[n]]
-        down = [] if n in zs else [(c, False) for c in dag._children[n]]
-        step[n, True] = [] if n in zs else up + down
-        step[n, False] = down + (up if n in anc else [])
+    anc = _reachable(dag.parents, zs)
+
+    def step(state: tuple[str, bool]) -> list:  # called when the walk first reaches state
+        n, up = state
+        ups = [(p, True) for p in dag._parents[n]] if (n not in zs if up else n in anc) else []
+        return ups + ([] if n in zs else [(c, False) for c in dag._children[n]])
+
     return ys.isdisjoint(n for n, _ in _reachable(step, [(n, True) for n in xs]))
 
 

@@ -138,7 +138,7 @@ def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int])
     impossible evidence.
     """
     _check_query(net, query, evidence)
-    relevant = _reachable(net.dag._parents, (query, *evidence))
+    relevant = _reachable(net.dag.parents, (query, *evidence))
     factors = []
     for name in net.dag.nodes:
         if name not in relevant:

@@ -8,10 +8,10 @@ a = ess / (r * q) (a uniform prior of total weight ``ess`` spread over each
 CPT), and :func:`nb_fit` uses a = pseudo on the Naive Bayes network, the
 star class -> each feature, which :func:`~heartbn.inference.classify`
 classifies like any network.  A parent configuration with no weight at all
-becomes a uniform row.  A fit resolves each family's names once and
-estimates each count batch in one elementwise pass, entry for entry
-bitwise as one family at a time; all the batches' estimates then become CPTs
-in one call of the route every :class:`~heartbn.core.Cpt` takes,
+becomes a uniform row.  A fit resolves each family's names once, counts
+all its families in one kernel call and estimates them in one elementwise
+pass, entry for entry bitwise as one family at a time; the estimates then
+become CPTs in one call of the route every :class:`~heartbn.core.Cpt` takes,
 :func:`~heartbn.core._cpt_batch`, which checks the tables together and
 leaves each a read-only view of one copy.
 
@@ -27,19 +27,19 @@ p-value is the chi-squared survival function in closed form (:func:`_chi2_sf`,
 from ``math`` alone), so the PC path loads no scipy; only BDeu's
 ``gammaln`` imports it, on first use.
 
-Counting: one kernel, :func:`_stacked_counts`, counts a batch of families
-(or CI tests) with one ``np.bincount``.  A layout is the list of columns it
-reads, slowest first, the last varying fastest and -1 marking an unused
-slot: a family's parents then its child (from parent lists for the fits
-and :func:`score`, from parent masks in :func:`hill_climb`), a CI test's
-conditioning set, then x, then y.  The kernel alone turns layouts into
-place values and sizes; it codes the batch with one exact float64 matrix
-product, each member from its own offset, and every member fills exactly
-its own cells: a CI test's q * r_x * r_y, with no padding to its batch's
-largest.  :func:`_scores` sums each family's terms as one 1-D array, so a
-score is bitwise the same in any batch; :func:`count_table`,
-:func:`family_score` and :func:`ci_test` are batches of one.  The hill
-climb's start is one score call, the skeleton's level 0 one pass.
+Counting: one kernel, :func:`_stacked_counts`, counts a batch of any
+number of families (or CI tests) and alone splits it into runs of
+:func:`_batch_size`, one ``np.bincount`` each.  A layout is the list of
+columns it reads, slowest first, the last varying fastest and -1 marking
+an unused slot: a family's parents then its child (from parent lists for
+the fits and :func:`score`, from parent masks in :func:`hill_climb`), a CI
+test's conditioning set, then x, then y.  The kernel codes a run with one
+exact float64 matrix product, each member from its own offset, and every
+member fills exactly its own cells: a CI test's q * r_x * r_y, with no
+padding.  :func:`_scores` sums each family's terms as one 1-D array, so a
+score is bitwise the same in any batch.  A fit, a score call and the
+skeleton's level 0 are one batch each; :func:`count_table`,
+:func:`family_score` and :func:`ci_test` are batches of one.
 """
 
 from __future__ import annotations
@@ -75,48 +75,54 @@ MAX_MOVES = 200
 # Largest conditioning set learn_skeleton tests.
 MAX_SEPSET = 3
 
-# Rows one stacked bincount may count: 69 families or CI tests a batch on a
+# Rows one stacked bincount may count: 69 families or CI tests a run on a
 # 237-row heart split, whose 237 x 69 codes stay under glibc's 128 KiB mmap
 # threshold, and one at a time from 8,193 rows up (so on 20,000).
 _ROW_BUDGET = 1 << 14
 
 
 def _batch_size(data: DataTable) -> int:
-    """Families or CI tests per stacked bincount."""
+    """Members (families or CI tests) per run: the most whose codes one ``np.bincount`` may hold."""
     return max(1, _ROW_BUDGET // max(data.n_rows, 1))
 
 
 def _stacked_counts(data: DataTable, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Count many code layouts over the same rows with one ``np.bincount``.
+    """Count any number of code layouts over the same rows, one ``np.bincount`` per run.
 
     Row i of ``orders`` is member i's layout: the data columns it reads,
     slowest first, the last varying fastest, with -1 marking an unused
     slot.  A column's place value is the product of the cards of the used
     slots after it, and member i's counts fill the next ``sizes[i]`` cells,
-    the product of all its cards.  Returns ``(counts, sizes)``.  A batch's
-    codes are one float64 matrix product, exact because every code stays
-    below 2**53 (a larger layout is refused).  A lone member (a batch of one
-    on many rows) adds up only the int64 columns it reads, which at 20,000
-    rows takes half the time of a product over them.
+    the product of all its cards.  Returns ``(counts, sizes)``.  A run of
+    :func:`_batch_size` members is coded with one float64 matrix product,
+    exact because every code stays below 2**53 (a larger total is refused).
+    A lone member (every run on many rows) adds up only the int64 columns
+    it reads, which at 20,000 rows takes half the time of a product.
     """
     dims = np.where(orders < 0, 1.0, data.cards[orders])
     spans = np.multiply.accumulate(dims[:, ::-1], axis=1)[:, ::-1]  # product of dims[:, j:]
     sizes = spans[:, 0]
-    ends = np.add.accumulate(sizes)
-    if ends[-1] > 2.0**53:
-        raise ValueError(f"{ends[-1]:.4g} cells exceed the 2**53 codes a float64 holds exactly")
+    starts = np.concatenate(([0.0], np.add.accumulate(sizes)))  # member i's cells from starts[i]
+    if starts[-1] > 2.0**53:
+        raise ValueError(f"{starts[-1]:.4g} cells exceed the 2**53 codes a float64 holds exactly")
     places = spans / dims
-    if len(orders) == 1:
-        codes = np.zeros(data.n_rows, dtype=np.intp)
-        for j, place in zip(orders[0].tolist(), places[0].tolist()):
-            if j >= 0:
-                codes += data.rows[:, j] * int(place)
-    else:
-        # place values by data column, plus a last column the unused slots fill
-        by_column = np.zeros((len(orders), len(data.cards) + 1))
-        by_column[np.arange(len(orders))[:, None], orders] = places
-        codes = (data.rows.astype(float) @ by_column[:, :-1].T + (ends - sizes)).astype(np.intp)
-    return np.bincount(codes.ravel(), minlength=int(ends[-1])), sizes.astype(np.int64)
+    step, counts = _batch_size(data), np.empty(int(starts[-1]), dtype=np.intp)
+    for first, last in ((i, min(i + step, len(orders))) for i in range(0, len(orders), step)):
+        cells = slice(int(starts[first]), int(starts[last]))
+        if last - first == 1:
+            codes = np.zeros(data.n_rows, dtype=np.intp)
+            for j, place in zip(orders[first].tolist(), places[first].tolist()):
+                if j >= 0:
+                    codes += data.rows[:, j] * int(place)
+        else:
+            # place values by data column, plus a last column the unused slots fill
+            by_column = np.zeros((last - first, len(data.cards) + 1))
+            by_column[np.arange(last - first)[:, None], orders[first:last]] = places[first:last]
+            offsets = starts[first:last] - starts[first]  # from the run's first cell
+            codes = (data.rows.astype(float) @ by_column[:, :-1].T + offsets).astype(np.intp)
+        counts[cells] = np.bincount(codes.ravel(), minlength=cells.stop - cells.start)
+        del codes  # freed before the next run codes its rows, so the heap top is reused
+    return counts, sizes.astype(np.int64)
 
 
 def _orders(data: DataTable, families: list[tuple[str, tuple[str, ...]]]) -> np.ndarray:
@@ -129,13 +135,11 @@ def _orders(data: DataTable, families: list[tuple[str, tuple[str, ...]]]) -> np.
     return np.array(rows, dtype=np.intp).reshape(len(families), width)
 
 
-def _family_counts(data: DataTable, orders: np.ndarray):
-    """Yield, per batch of families, the flat stacked counts and a (q, r) row per family."""
-    step = _batch_size(data)
-    for batch in (orders[start : start + step] for start in range(0, len(orders), step)):
-        flat, sizes = _stacked_counts(data, batch)
-        r = data.cards[batch[:, -1]]
-        yield flat, np.column_stack((sizes // r, r))
+def _family_counts(data: DataTable, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The families' counts end to end, and a (q, r) row per family."""
+    flat, sizes = _stacked_counts(data, orders)
+    r = data.cards[orders[:, -1]]
+    return flat, np.column_stack((sizes // r, r))
 
 
 def _require_distinct(*names: str) -> None:
@@ -150,7 +154,7 @@ def count_table(data: DataTable, child: str, parents: tuple[str, ...] = ()) -> n
     one column per child state.  The child and its parents must be distinct.
     """
     _require_distinct(child, *parents)
-    ((counts, shapes),) = _family_counts(data, _orders(data, [(child, parents)]))
+    counts, shapes = _family_counts(data, _orders(data, [(child, parents)]))
     return counts.reshape(shapes[0])
 
 
@@ -172,17 +176,16 @@ def _fit_dirichlet(dag: Dag, data: DataTable, cell_prior) -> DiscreteBayesNet:
         (data.schema[child], tuple(data.schema[j] for j in parents if j >= 0))
         for *parents, child in orders.tolist()
     ]
-    tables = [np.empty(0)]  # a network without nodes has no tables
-    for flat, shapes in _family_counts(data, orders):
-        q, r = shapes.T
-        a = np.full(len(shapes), cell_prior(q, r), dtype=float)  # one per family, then per cell
-        widths = r.repeat(q)  # one entry per parent configuration
-        totals = np.add.reduceat(flat, widths.cumsum() - widths)  # N(pa)
-        denominators = (totals + (a * r).repeat(q)).repeat(widths)  # over each row's cells
-        uniform = (1.0 / widths).repeat(widths)
-        numerators = flat + a.repeat(q * r)
-        tables.append(np.divide(numerators, denominators, out=uniform, where=denominators > 0))
-    return DiscreteBayesNet(dag, dict(zip(dag.nodes, _cpt_batch(families, np.concatenate(tables)))))
+    flat, shapes = _family_counts(data, orders)
+    q, r = shapes.T
+    a = np.full(len(shapes), cell_prior(q, r), dtype=float)  # one per family, then per cell
+    widths = r.repeat(q)  # one entry per parent configuration
+    totals = np.add.reduceat(flat, widths.cumsum() - widths)  # N(pa)
+    denominators = (totals + (a * r).repeat(q)).repeat(widths)  # over each row's cells
+    uniform = (1.0 / widths).repeat(widths)
+    numerators = flat + a.repeat(q * r)
+    tables = np.divide(numerators, denominators, out=uniform, where=denominators > 0)
+    return DiscreteBayesNet(dag, dict(zip(dag.nodes, _cpt_batch(families, tables))))
 
 
 def fit_mle(dag: Dag, data: DataTable) -> DiscreteBayesNet:
@@ -269,11 +272,7 @@ def _check_score(kind: str, ess: float) -> None:
 
 def _family_scores(data: DataTable, orders: np.ndarray, kind: str, ess: float) -> list[float]:
     """Scores of the families of ``orders``; callers check ``kind`` and ``ess`` first."""
-    return [
-        score
-        for flat, shapes in _family_counts(data, orders)
-        for score in _scores(flat, shapes, data.n_rows, kind, ess)
-    ]
+    return _scores(*_family_counts(data, orders), data.n_rows, kind, ess)
 
 
 def family_score(
@@ -454,15 +453,15 @@ def _decide(statistic: float, dof: int, alpha: float, z) -> tuple[float, bool]:
 def _ci_batch(data: DataTable, tests: np.ndarray) -> list[tuple[float, int]]:
     """(statistic, dof) of each column-index test (x, y, *z), one per row.
 
-    One stacked bincount lays each test's q * r_x * r_y cells end to end in
-    the layout (*z, x, y): y fastest, then x, then the strata, so a test's
-    q is its size over r_x * r_y and no cell is padded.  x margins and
-    stratum totals are sums of consecutive runs (``np.add.reduceat``), y
-    margins a weighted ``np.bincount``; all are sums of integer counts, so
-    exact.  Expected counts are gathered per cell, and each test's
-    deviations are summed as one run, so a test's figures are bitwise the
-    same in any batch.  No p-value is computed here: :func:`_decide` turns
-    a reached test's figures into one.
+    One kernel call (:func:`_stacked_counts`) lays each test's q * r_x * r_y
+    cells end to end in the layout (*z, x, y): y fastest, then x, then the
+    strata, so a test's q is its size over r_x * r_y and no cell is padded.
+    x margins and stratum totals are sums of consecutive cells
+    (``np.add.reduceat``), y margins a weighted ``np.bincount``; all are
+    sums of integer counts, so exact.  Expected counts are gathered per
+    cell, and each test's deviations are summed as one array, so a test's
+    figures are bitwise the same in any batch.  No p-value is computed
+    here: :func:`_decide` turns a reached test's figures into one.
     """
     r_x, r_y = data.cards[tests[:, 0]], data.cards[tests[:, 1]]
     # z with its last variable fastest, then x, then y fastest of all
@@ -551,20 +550,19 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
     Pairs and subsets are visited in lexicographic order, so the result is
     deterministic and independent of data row order.
 
-    Level 0 takes one pass: its tests, one per pair, depend on no removal,
-    so the pairs are counted in consecutive batches, as many as one
-    bincount holds, and decided in order.  From level 1 a pair walks its
-    listing: the subsets of x's neighborhood then y's, as they stand, each
-    once.  Reaching an uncounted test counts one batch: the first uncounted
-    tests of the listings of this pair and every later pair of the level,
-    listed then.  A reached test is decided as :func:`ci_test` decides it
-    (:func:`_decide`: no degrees of freedom raise InsufficientDataError,
-    else it separates iff p > alpha), so the result is exactly that of
-    testing one at a time.
+    Level 0 is one batch: its tests, one per pair, depend on no removal,
+    so all pairs are counted together and decided in order.  From level 1
+    a pair walks its listing: the subsets of x's neighborhood then y's, as
+    they stand, each once.  Reaching an uncounted test counts one batch:
+    the first :func:`_batch_size` uncounted tests of the listings of this
+    pair and every later pair of the level, listed then.  A reached test
+    is decided as :func:`ci_test` decides it (:func:`_decide`: no degrees
+    of freedom raise InsufficientDataError, else it separates iff
+    p > alpha), so the result is exactly that of testing one at a time.
     """
     _check_alpha(alpha)
     names = tuple(sorted(data.names))  # a node is its rank here, so ranks sort as names do
-    columns = np.array([data.index(name) for name in names])
+    columns = np.array([data.index(name) for name in names], dtype=np.intp)
     step = _batch_size(data)
     neighbors = [[m for m in range(len(names)) if m != n] for n in range(len(names))]
     sepsets: dict[tuple[str, str], frozenset[str]] = {}
@@ -585,10 +583,9 @@ def learn_skeleton(data: DataTable, alpha: float = 0.05) -> Skeleton:
         y_side = itertools.combinations([v for v in neighbors[y] if v != x], level)
         return dict.fromkeys(itertools.chain(x_side, y_side))
 
-    pairs = list(itertools.combinations(range(len(names)), 2))  # level 0: each pair's () test
-    for chunk in (pairs[start : start + step] for start in range(0, len(pairs), step)):
-        for (x, y), result in zip(chunk, _ci_batch(data, columns[np.array(chunk)])):
-            separates(x, y, (), *result)
+    pairs = np.transpose(np.triu_indices(len(names), 1))  # level 0: each pair's () test, in order
+    for (x, y), result in zip(pairs.tolist(), _ci_batch(data, columns[pairs])):
+        separates(x, y, (), *result)
     for level in range(1, MAX_SEPSET + 1):
         pairs = [(x, y) for x, near in enumerate(neighbors) for y in near if x < y]
         for k, (x, y) in enumerate(pairs):
@@ -671,7 +668,7 @@ def orient(skeleton: Skeleton) -> Dag:
     parent_sets: dict[str, set[str]] = {n: set() for n in skeleton.nodes}
     for pair in sorted(directed) + sorted(skeleton.edges - directed.keys()):
         parent, child = directed.get(pair, pair)
-        if child in _reachable(parent_sets, (parent,)):  # child is an ancestor of parent
+        if child in _reachable(parent_sets.__getitem__, (parent,)):  # an ancestor of parent
             if pair in directed:
                 warnings.warn(
                     f"orientation {parent} -> {child} would close a cycle; reversed",

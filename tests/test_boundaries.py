@@ -6,6 +6,11 @@ inputs, enumerated rather than sampled, so every run sees the same cases).
 A read either succeeds and its result round-trips through the matching
 writer, or raises a ``HeartBnError`` or ``ValueError`` whose message starts
 with the file's path.  Any other exception type fails the test.
+
+The command line's list options get the same pool: one name, state or seed
+of ``--evidence``, ``--seeds``, ``--given``, ``--x`` or ``--y`` at a time.
+A run exits 0, or exits 1 (usage) or 2 (data) with one line on standard
+error that names the option, or quotes a node or variable the text names.
 """
 
 import json
@@ -23,6 +28,8 @@ from heartbn import (
     clean,
     cleveland_path,
     discretize,
+    fit_mle,
+    heart_network,
     load_model,
     load_raw,
     save_model,
@@ -48,9 +55,9 @@ POOL = ("", " ", "-1", "1.5", "nan", "1e400", "\u0663", "0x1", "9" * 5000, '"', 
         None, ",", "null", "true", "[]")
 
 
-def mutants(text: str):
+def mutants(text: str, token_pattern: re.Pattern = TOKEN):
     """Copies of ``text`` with one token replaced, for every token and every text of the pool."""
-    tokens = list(TOKEN.finditer(text))
+    tokens = list(token_pattern.finditer(text))
     first_name = next(t.group() for t in tokens if t.group() not in ",:[]{}")
     for token in tokens:
         for new in POOL:
@@ -196,6 +203,50 @@ def test_content_error_names_the_file(tmp_path, capsys, command, text, message):
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"heartbn {argv[0]}: {path}: {message}\n"
+
+
+# an option's names, states and seeds; the start text of each list option
+CLI_TOKEN = re.compile(r"[^,=]+")
+CLI_OPTIONS = {
+    "--evidence": ("predict", "thal=2,cp=3"),
+    "--seeds": ("evaluate", "0,1"),
+    "--given": ("dsep", "target,cp"),
+    "--x": ("dsep", "slope"),
+    "--y": ("dsep", "exang"),
+}
+
+
+@pytest.mark.parametrize("option", list(CLI_OPTIONS))
+def test_mutated_option_runs_or_names_itself(tmp_path, capsys, heart_table, option):
+    command, text = CLI_OPTIONS[option]
+    model, data = tmp_path / "paper.model", tmp_path / "heart.csv"
+    save_model(fit_mle(heart_network(), heart_table), model)
+    write_table_csv(heart_table.take(range(60)), data)
+    argv = {
+        "predict": ["predict", "--model", str(model), "--evidence", text],
+        "evaluate": ["evaluate", "--data", str(data), "--method", "nb", "--seeds", text,
+                     "--report", str(tmp_path / "report.json")],
+        "dsep": ["dsep", "--model", str(model), "--x", "slope", "--y", "exang",
+                 "--given", "target,cp"],
+    }[command]
+    slot = argv.index(option) + 1
+    codes = set()
+    for value in mutants(text, CLI_TOKEN):
+        code = main([*argv[:slot], value, *argv[slot + 1:]])
+        err = capsys.readouterr().err
+        codes.add(code)
+        if code == 0:
+            assert not err, (value, err)
+            continue
+        assert err.endswith("\n") and err.count("\n") == 1, (value, err)
+        if code == 1:
+            assert err.startswith(f"heartbn {command}: error: argument {option}: "), (value, err)
+        else:  # the names of its items; a blank item is skipped, so it names nothing
+            names = {item.partition("=")[0].strip() for item in value.split(",") if item.strip()}
+            assert code == 2 and err.startswith(f"heartbn {command}: "), (value, err)
+            assert any(repr(name) in err for name in names), (value, err)
+    # the pool leaves some runs working and breaks others
+    assert 0 in codes and len(codes) > 1
 
 
 def evaluate_report(path, net):

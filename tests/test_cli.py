@@ -303,6 +303,26 @@ class TestDsep:
         assert code == 0
         assert capsys.readouterr().out.strip() == "false"
 
+    @pytest.mark.parametrize(
+        "option, text", [("--x", ","), ("--y", " "), ("--x", ""), ("--y", " , ,")]
+    )
+    def test_set_naming_no_node_is_usage_error(self, pipeline, capsys, option, text):
+        # d_separated answers True for an empty set, so these used to print true
+        names = {"--x": "thal", "--y": "target", option: text}
+        argv = ["dsep", "--model", str(pipeline["model"])]
+        assert main([*argv, *(item for pair in names.items() for item in pair)]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            f"heartbn dsep: error: argument {option}: {text!r}: must name one or more nodes\n"
+        )
+
+    @pytest.mark.parametrize("given", ["", ",", " "])
+    def test_empty_given_conditions_on_nothing(self, pipeline, capsys, given):
+        argv = ["dsep", "--model", str(pipeline["model"]), "--x", "thal", "--y", "target"]
+        assert main([*argv, "--given", given]) == 0
+        assert capsys.readouterr().out == "false\n"
+
 
     @pytest.mark.parametrize(
         "doc",
@@ -385,6 +405,43 @@ class TestEvidenceLabels:
         assert out[0] == "wet"
         expected = 0.2 * 0.95 / (0.2 * 0.95 + 0.8 * 0.1)
         assert float(out[2]) == pytest.approx(expected, abs=1e-6)
+
+    @staticmethod
+    def predict_rain(tmp_path, capsys, evidence: str) -> tuple[int, str, str]:
+        """(exit code, stdout, stderr) of predict rain from ``evidence`` on rain -> lawn."""
+        import numpy as np
+
+        from heartbn import Cpt, DiscreteBayesNet, Variable, build_dag, save_model
+
+        rain, lawn = Variable("rain", ("dry", "wet")), Variable("lawn", ("dry", "soaked"))
+        net = DiscreteBayesNet(
+            build_dag((rain, lawn), (("rain", "lawn"),)),
+            {
+                "rain": Cpt(rain, (), np.array([[0.8, 0.2]])),
+                "lawn": Cpt(lawn, (rain,), np.array([[0.9, 0.1], [0.05, 0.95]])),
+            },
+        )
+        save_model(net, tmp_path / "rain.model")
+        argv = ["predict", "--model", str(tmp_path / "rain.model"), "--target", "rain"]
+        code = main([*argv, "--evidence", evidence])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_bare_index_on_labelled_model_is_that_state(self, tmp_path, capsys):
+        # 1 is no label of lawn, so it is read as lawn's state 1, "soaked"
+        assert self.predict_rain(tmp_path, capsys, "lawn=1") == (
+            self.predict_rain(tmp_path, capsys, "lawn=soaked")
+        )
+        assert self.predict_rain(tmp_path, capsys, "lawn=1")[1].split()[0] == "wet"
+
+    @pytest.mark.parametrize("evidence", ["", " ", "\t"], ids=["empty", "space", "tab"])
+    def test_blank_evidence_is_the_prior(self, tmp_path, capsys, evidence):
+        assert self.predict_rain(tmp_path, capsys, evidence) == (0, "dry 0.8 0.2\n", "")
+
+    def test_item_without_equals_is_data_error(self, tmp_path, capsys):
+        assert self.predict_rain(tmp_path, capsys, "lawn") == (
+            2, "", "heartbn predict: evidence item 'lawn' is not name=state\n"
+        )
 
 
 class TestUsageErrors:

@@ -37,6 +37,15 @@ class TestVariable:
         assert v.cardinality == 3
         assert v.state_index("b") == 1
 
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="^variable name must be non-empty$"):
+            Variable("", ("a", "b"))
+
+    def test_unknown_label_names_the_variable_and_its_states(self):
+        with pytest.raises(ValueError) as err:
+            Variable("x", ("a", "b")).state_index("c")
+        assert str(err.value) == "'c' is not a state of 'x' (states: ('a', 'b'))"
+
     def test_needs_two_states(self):
         with pytest.raises(ValueError):
             Variable("x", ("only",))
@@ -160,6 +169,11 @@ class TestDSeparation:
         with pytest.raises(ValueError):
             d_separated(heart_dag, {"sex"}, {"sex"}, set())
 
+    def test_overlap_message_names_the_shared_nodes(self, heart_dag):
+        with pytest.raises(ValueError) as err:
+            d_separated(heart_dag, {"sex", "cp"}, {"target"}, {"cp", "sex"})
+        assert str(err.value) == "x, y and z must be pairwise disjoint, but share ['cp', 'sex']"
+
     def test_symmetry_random(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
@@ -252,6 +266,13 @@ class TestCpt:
         assert cpt.config_index((0, 2)) == 2
         assert cpt.config_index((1, 0)) == 3
         assert cpt.config_index((1, 2)) == 5
+
+    @pytest.mark.parametrize("parent_states", [(), (0,), (0, 1, 0)])
+    def test_config_index_needs_one_state_per_parent(self, parent_states):
+        a, b, x = Variable("a", "01"), Variable("b", "012"), Variable("x", "01")
+        cpt = Cpt(x, (a, b), np.tile([0.5, 0.5], (6, 1)))
+        with pytest.raises(ValueError, match="^one state per parent required$"):
+            cpt.config_index(parent_states)
 
     def test_shape_validated(self):
         # the shape comes from the family; a batch takes it from there, so

@@ -236,6 +236,15 @@ class TestDataTable:
             DataTable(schema, np.zeros((2, len(names)), dtype=np.int64))
         assert str(err.value) == f"column names must be distinct, not {repeated}"
 
+    @pytest.mark.parametrize(
+        "shape", [(4,), (2, 2, 2), (2, 3)], ids=["1-D", "3-D", "three-columns"]
+    )
+    def test_rows_must_be_2d_with_one_column_per_variable(self, shape):
+        schema = (Variable("a", "01"), Variable("b", "01"))
+        with pytest.raises(ValueError) as err:
+            DataTable(schema, np.zeros(shape, dtype=np.int64))
+        assert str(err.value) == "rows must be a 2-D array with one column per variable"
+
     def test_unknown_name_rejected(self):
         table = DataTable((Variable("a", "01"), Variable("b", "012")), np.array([[0, 2], [1, 0]]))
         assert table.index("b") == 1
@@ -321,6 +330,16 @@ class TestCsvRoundTrip:
         assert [v.cardinality for v in loaded.schema] == [
             v.cardinality for v in heart_table.schema
         ]
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n", "  \n0,1\n"], ids=["empty", "newline", "blank-header"]
+    )
+    def test_empty_file_names_itself(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaMismatchError) as err:
+            read_table_csv(path)
+        assert str(err.value) == f"{path}: empty table file"
 
     @pytest.mark.parametrize("header, repeated", [("a,b,a", "['a']"), ("thal,cp,thal", "['thal']")])
     def test_repeated_header_name_rejected(self, tmp_path, header, repeated):

@@ -5,7 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from heartbn import DataTable, Variable, confusion, metrics, run_experiment
+from heartbn import (
+    Cpt,
+    DataTable,
+    DiscreteBayesNet,
+    Variable,
+    build_dag,
+    confusion,
+    metrics,
+    run_experiment,
+)
 from heartbn import evaluation
 
 
@@ -139,6 +148,34 @@ class TestRunExperiment:
         report = run_experiment(DataTable(schema, rows), "nb", 0.9, [seed], pseudo=0.0)
         assert report["per_seed"][0]["zero_evidence_rows"] == 1
         assert evidence_sizes == [0]
+
+    def test_impossible_blanket_evidence_falls_back_to_the_prior(self, monkeypatch):
+        # f = 1 is impossible whatever the class, so dropping g, which lies
+        # outside the blanket {f}, still leaves impossible evidence
+        target, f, g = Variable("target", "01"), Variable("f", "01"), Variable("g", "01")
+        net = DiscreteBayesNet(
+            build_dag((target, f, g), (("target", "f"),)),
+            {
+                "target": Cpt(target, (), np.array([[0.3, 0.7]])),
+                "f": Cpt(f, (target,), np.array([[1.0, 0.0], [1.0, 0.0]])),
+                "g": Cpt(g, (), np.array([[0.5, 0.5]])),
+            },
+        )
+        queried = []
+        real_classify = evaluation.classify
+
+        def spy(net, class_var, evidence):
+            queried.append(dict(evidence))
+            return real_classify(net, class_var, evidence)
+
+        monkeypatch.setattr(evaluation, "classify", spy)
+        assert evaluation._fallback_classify(net, {"f": 1, "g": 0}) == 1
+        assert queried == [{"f": 1}, {}]
+
+    def test_unknown_estimator_rejected(self, heart_table):
+        with pytest.raises(ValueError) as err:
+            evaluation.fit_model(heart_table, "nb", None, "map", 10.0, 0.05, "bic", 1.0)
+        assert str(err.value) == "estimator must be one of ('mle', 'bayes')"
 
     def test_unknown_learner_rejected(self, heart_table):
         with pytest.raises(ValueError):

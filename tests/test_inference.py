@@ -47,6 +47,14 @@ class TestFactor:
         # evidence on the parent slices B's CPT down to its A=1 row
         assert np.allclose(posterior_ve(two_node_net, "B", {"A": 1}).probabilities, [0.1, 0.9])
 
+    def test_all_zero_fold_of_a_long_product_raises(self):
+        # the first fold of 16 holds [1, 0] and [0, 1] over "a": its product is all zero
+        factors = [(np.array([1.0, 0.0]), ("a",)), (np.array([0.0, 1.0]), ("a",))]
+        factors += [(np.array([0.5, 0.5]), ("b",))] * 15
+        assert len(factors) > inference._EINSUM_GROUP
+        with pytest.raises(ZeroEvidenceError, match="^evidence has probability zero$"):
+            _sum_product(factors, ("b",))
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Cpt(Variable("a", "01"), (), np.array([[-0.1, 1.1]]))
@@ -137,6 +145,24 @@ class TestVariableElimination:
     def test_two_node_posterior(self, two_node_net):
         post = posterior_ve(two_node_net, "A", {"B": 1})
         assert post[1] == pytest.approx(TWO_NODE_POSTERIOR, abs=1e-10)
+
+    def test_all_zero_elimination_product_raises(self):
+        # e1 = 1 needs h = 0 and e2 = 1 needs h = 1, yet each sliced CPT has a
+        # nonzero entry: only summing out h gives an all-zero product
+        q, h, e1, e2 = (Variable(name, "01") for name in ("q", "h", "e1", "e2"))
+        net = DiscreteBayesNet(
+            build_dag((q, h, e1, e2), (("h", "e1"), ("h", "e2"))),
+            {
+                "q": Cpt(q, (), np.array([[0.5, 0.5]])),
+                "h": Cpt(h, (), np.array([[0.5, 0.5]])),
+                "e1": Cpt(e1, (h,), np.array([[0.0, 1.0], [1.0, 0.0]])),
+                "e2": Cpt(e2, (h,), np.array([[1.0, 0.0], [0.0, 1.0]])),
+            },
+        )
+        with pytest.raises(ZeroEvidenceError, match="^evidence has probability zero$"):
+            posterior_ve(net, "q", {"e1": 1, "e2": 1})
+        with pytest.raises(ZeroEvidenceError):
+            posterior_enumeration(net, "q", {"e1": 1, "e2": 1})
 
     def test_matches_enumeration_on_random_nets(self):
         rng = np.random.default_rng(17)

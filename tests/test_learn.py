@@ -797,6 +797,37 @@ class TestKernel:
             assert counted.tolist() == count_codes_per_row(data.rows, places, np.array(sizes))
         assert n_rows == 20_000 or (unused >= 3 and lone >= 3 and last_beside_unused >= 3)
 
+    def test_one_call_counts_in_runs_of_batch_size(self, monkeypatch):
+        # seven members at three a run: one bincount per run, the last run a
+        # lone member, and every member's counts end to end as if counted alone
+        rng = np.random.default_rng(5)
+        cards = rng.integers(2, 6, size=5)
+        schema = tuple(Variable(f"v{i}", tuple(map(str, range(c)))) for i, c in enumerate(cards))
+        data = DataTable(schema, rng.integers(0, cards, size=(50, 5)))
+        monkeypatch.setattr(learn, "_ROW_BUDGET", 3 * data.n_rows)
+        assert learn._batch_size(data) == 3
+        orders = np.full((7, 4), -1)
+        places, sizes = np.zeros((7, 5)), []
+        for order, place in zip(orders, places):
+            read = rng.permutation(5)[: int(rng.integers(1, 4))]
+            order[np.sort(rng.permutation(4)[: len(read)])] = read
+            size = 1
+            for j in reversed(read.tolist()):
+                place[j] = size
+                size *= int(cards[j])
+            sizes.append(size)
+        runs, bincount = [], np.bincount  # (members, cells) of each bincount call
+
+        def spy(codes, minlength=0):
+            runs.append((codes.size // data.n_rows, minlength))
+            return bincount(codes, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        counted, counted_sizes = learn._stacked_counts(data, orders)
+        assert counted_sizes.tolist() == sizes
+        assert counted.tolist() == count_codes_per_row(data.rows, places, np.array(sizes))
+        assert runs == [(3, sum(sizes[:3])), (3, sum(sizes[3:6])), (1, sizes[6])]
+
     def test_layout_past_exact_float_codes_refused(self, monkeypatch):
         # 2**54 cells: codes past 2**53 are no longer exact float64 integers
         schema = tuple(Variable(f"v{i}", "01") for i in range(54))
@@ -1168,8 +1199,9 @@ class TestSkeleton:
     def test_level_zero_counts_each_pair_once_in_order(
         self, heart_table, monkeypatch, budget, step
     ):
-        # no level-0 test depends on a removal, so level 0 counts the sorted
-        # pairs in consecutive batches, before any test of level 1
+        # no level-0 test depends on a removal, so level 0 counts every sorted
+        # pair in one batch, in order, before any test of level 1; the kernel
+        # splits that batch into runs of _batch_size (TestKernel)
         train, _ = split(heart_table, 0.8, 0)
         monkeypatch.setattr(learn, "_ROW_BUDGET", budget)
         real_batch = learn._ci_batch
@@ -1182,10 +1214,8 @@ class TestSkeleton:
         monkeypatch.setattr(learn, "_ci_batch", spy)
         assert learn_skeleton(train) == pc_skeleton_sequential(train)
         assert learn._batch_size(train) == step
-        pairs = list(itertools.combinations(sorted(train.names), 2))
-        chunks = [pairs[start : start + step] for start in range(0, len(pairs), step)]
-        assert batches[: len(chunks)] == chunks
-        assert all(len(test) > 2 for batch in batches[len(chunks) :] for test in batch)
+        assert batches[0] == list(itertools.combinations(sorted(train.names), 2))
+        assert all(len(test) > 2 for batch in batches[1:] for test in batch)
 
     def test_ci_batches_count_no_padded_cell(self, heart_table, monkeypatch):
         # each test's table is laid out at its own q * r_x * r_y cells, in a
