@@ -98,12 +98,15 @@ def _build_parser() -> _Parser:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """Comma-separated seeds, each ASCII digits 0-9 once spaces are stripped; empty items skipped."""
-    items = [item.strip() for item in text.split(",") if item.strip()]
-    for item in items:
-        if not ds._is_index_text(item):
-            raise ValueError(f"seed {item!r} is not digits 0-9")
-    return [int(item) for item in items]
+    """Comma-separated seeds, spaces stripped and empty items skipped; a seed's digits are
+    counted, leading zeros aside, before it is converted."""
+    seeds = []
+    for item in (item.strip() for item in text.split(",") if item.strip()):
+        seed = ds._index_below(item, 10**100)
+        if seed is None:
+            raise ValueError(f"seed {item!r} is not a number of at most 100 digits 0-9")
+        seeds.append(seed)
+    return seeds
 
 
 def _parse_evidence(spec: str, net) -> dict[str, int]:
@@ -141,7 +144,7 @@ def _check_nodes(names: set[str]) -> None:
 
 def _cmd_preprocess(args) -> None:
     cutpoints = ds.load_cutpoints(args.cutpoints) if args.cutpoints else ds.DEFAULT_CUTPOINTS
-    table = ds.discretize(ds.clean(ds.load_raw(args.input)), cutpoints)
+    table = ds.discretize(ds._clean_file(args.input), cutpoints)
     ds.write_table_csv(table, args.output)
 
 

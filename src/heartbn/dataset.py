@@ -226,8 +226,21 @@ def clean(raw: Sequence[Sequence[str]] | np.ndarray) -> np.ndarray:
     """
     if isinstance(raw, np.ndarray):
         return raw
+    return _clean(enumerate(raw, start=1), "row {0}")
+
+
+def _clean_file(path) -> np.ndarray:
+    """:func:`clean` of :func:`load_raw`'s rows; an error names the file, line and column."""
+    with _reading(path) as fh:
+        rows = ((n, [cell.strip() for cell in cells]) for n, cells in _records(fh, N_FIELDS, 1))
+        return _clean(rows, "line {0}, column {1}")
+
+
+def _clean(rows: Iterable, where: str) -> np.ndarray:
+    """:func:`clean` of ``(number, cells)`` pairs; an error starts with ``where`` formatted
+    with the number and the cell's 1-based column."""
     kept: list[list[float]] = []
-    for rownum, fields in enumerate(raw, start=1):
+    for number, fields in rows:
         if MISSING in fields:
             continue
         out: list[float] = []
@@ -238,7 +251,8 @@ def clean(raw: Sequence[Sequence[str]] | np.ndarray) -> np.ndarray:
                 value = math.nan
             if not math.isfinite(value):
                 raise UnknownCategoryError(
-                    f"row {rownum}: {cell!r} in column {col!r} is not a finite number"
+                    f"{where.format(number, RAW_COLUMNS.index(col) + 1)}: "
+                    f"{cell!r} in column {col!r} is not a finite number"
                 )
             if col in CONTINUOUS:
                 out.append(value)
@@ -247,7 +261,8 @@ def clean(raw: Sequence[Sequence[str]] | np.ndarray) -> np.ndarray:
             mapping = _RECODE[col]
             if code != value or code not in mapping:
                 raise UnknownCategoryError(
-                    f"row {rownum}: code {cell!r} outside the domain of {col!r}"
+                    f"{where.format(number, RAW_COLUMNS.index(col) + 1)}: "
+                    f"code {cell!r} outside the domain of {col!r}"
                 )
             out.append(float(mapping[code]))
         kept.append(out)

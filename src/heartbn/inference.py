@@ -10,7 +10,9 @@ production path).  They agree to within 1e-10 and both raise
 other nodes are observed, which needs no elimination at all.
 
 Inside elimination a factor is a plain ``(values, scope)`` pair: an array
-with one axis per variable name in the ``scope`` tuple.
+with one axis per variable name in the ``scope`` tuple.  A factor left with
+no variable raises if zero and is dropped if not; any other product, all-zero
+or not, flows on to the final normalizer, which raises if zero.
 """
 
 from __future__ import annotations
@@ -104,19 +106,15 @@ def _sum_product(factors: list, keep: tuple[str, ...]) -> np.ndarray:
 
     The result has one axis per name in ``keep``.  Names are relabelled
     0, 1, ... for each einsum call, so one call sees only its own variables.
-    More than ``_EINSUM_GROUP`` factors are folded in groups, each fold
-    rescaled to a maximum of one so that a long product cannot underflow;
-    the result is then the product up to a positive constant, and an
-    all-zero fold raises :class:`ZeroEvidenceError`.
+    More than ``_EINSUM_GROUP`` factors are folded in groups, each fold with
+    a nonzero peak rescaled to a maximum of one so that a long product cannot
+    underflow; the result is then the product up to a positive constant.
     """
     while len(factors) > _EINSUM_GROUP:
         head = factors[:_EINSUM_GROUP]
         scope = tuple(dict.fromkeys(n for _, s in head for n in s))
         values = _sum_product(head, scope)
-        peak = values.max()
-        if peak == 0.0:
-            raise ZeroEvidenceError("evidence has probability zero")
-        factors = [(values / peak, scope)] + factors[_EINSUM_GROUP:]
+        factors = [(values / (values.max() or 1.0), scope)] + factors[_EINSUM_GROUP:]
     labels: dict[str, int] = {}
     operands: list = []
     for values, scope in factors:
@@ -124,18 +122,25 @@ def _sum_product(factors: list, keep: tuple[str, ...]) -> np.ndarray:
     return np.einsum(*operands, [labels[n] for n in keep])
 
 
+def _factor(values: np.ndarray, scope: tuple[str, ...]) -> list:
+    """``[(values, scope)]``; with no variable left, ``[]`` if nonzero, else it raises."""
+    if not scope and values == 0.0:
+        raise ZeroEvidenceError("evidence has probability zero")
+    return [(values, scope)] if scope else []
+
+
 def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int]) -> Posterior:
     """P(query | evidence) by variable elimination.
 
     Only the query, the evidence and their ancestors take part: every other
     node's CPT sums out to one (barren-node pruning).  Each CPT is sliced on
-    the evidence; a slice left constant is checked for zero and dropped.
-    Hidden variables are summed out one einsum each, picked as they go by
-    fewest neighbours in the factor interaction graph (min-degree, ties
-    broken by name); each intermediate is rescaled to a maximum of one, so
-    long products of small probabilities do not underflow.  A
-    zero constant, an all-zero intermediate or a zero normalizer signals
-    impossible evidence.
+    the evidence, and hidden variables are summed out one einsum each, picked
+    as they go by fewest neighbours in the factor interaction graph
+    (min-degree, ties broken by name).  A product with a nonzero peak is
+    rescaled to a maximum of one, so long products do not underflow.  A
+    fully observed family or an elimination that keeps no variable leaves a
+    constant: zero raises, else it is dropped.  Every other all-zero product
+    is kept unscaled, and the normalizer raises if it is zero.
     """
     _check_query(net, query, evidence)
     relevant = _reachable(net.dag.parents, (query, *evidence))
@@ -145,10 +150,7 @@ def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int])
             continue
         values, scope = _cpt_factor(net.cpts[name])
         values = values[tuple(int(evidence[n]) if n in evidence else slice(None) for n in scope)]
-        if values.ndim:
-            factors.append((values, tuple(n for n in scope if n not in evidence)))
-        elif values == 0.0:
-            raise ZeroEvidenceError("evidence has probability zero")
+        factors += _factor(values, tuple(n for n in scope if n not in evidence))
 
     # each variable's neighbours in the factor interaction graph, itself included
     neighbours: dict[str, set[str]] = {}
@@ -163,11 +165,7 @@ def posterior_ve(net: DiscreteBayesNet, query: str, evidence: Mapping[str, int])
         factors = [f for f in factors if name not in f[1]]
         keep = tuple(dict.fromkeys(n for _, scope in related for n in scope if n != name))
         values = _sum_product(related, keep)
-        peak = values.max()
-        if peak == 0.0:
-            raise ZeroEvidenceError("evidence has probability zero")
-        if keep:
-            factors.append((values / peak, keep))
+        factors += _factor(values / (values.max() or 1.0), keep)
         for n in keep:  # the new factor joins them all
             neighbours[n].discard(name)
             neighbours[n].update(keep)

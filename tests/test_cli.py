@@ -20,7 +20,7 @@ from heartbn import (
     orient,
     save_model,
 )
-from heartbn.cli import main
+from heartbn.cli import _parse_seeds, main
 from heartbn.dataset import RAW_COLUMNS, read_table_csv
 
 STRUCTURES = {
@@ -74,8 +74,25 @@ class TestPreprocess:
         raw.write_text(rows[0] + "\n" + ",".join(fields) + "\n")
         out = tmp_path / "out.csv"
         assert main(["preprocess", "--input", str(raw), "--output", str(out)]) == 2
+        column = RAW_COLUMNS.index(col) + 1
         assert capsys.readouterr().err == (
-            f"heartbn preprocess: row 2: {cell!r} in column {col!r} is not a finite number\n"
+            f"heartbn preprocess: {raw}: line 2, column {column}: "
+            f"{cell!r} in column {col!r} is not a finite number\n"
+        )
+        assert not out.exists()
+
+    def test_bad_code_names_its_file_line(self, tmp_path, capsys):
+        # the blank line 2 is skipped, so the bad cp code is on line 3 of the
+        # file but in the 2nd row; the error used to say "row 2"
+        rows = cleveland_path().read_text().splitlines()[:2]
+        fields = rows[1].split(",")
+        fields[RAW_COLUMNS.index("cp")] = "9.0"
+        raw = tmp_path / "raw.data"
+        raw.write_text(rows[0] + "\n\n" + ",".join(fields) + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["preprocess", "--input", str(raw), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"heartbn preprocess: {raw}: line 3, column 3: code '9.0' outside the domain of 'cp'\n"
         )
         assert not out.exists()
 
@@ -444,6 +461,9 @@ class TestEvidenceLabels:
         )
 
 
+NINES = "9" * 5000
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -490,6 +510,12 @@ class TestUsageErrors:
         assert capsys.readouterr().err.strip()
         assert not list(tmp_path.iterdir())
 
+    def test_seed_digit_bound(self):
+        # the bound counts digits after any leading zeros
+        assert _parse_seeds("9" * 100 + ", 0" + "0" * 5000 + "7") == [10**100 - 1, 7]
+        with pytest.raises(ValueError, match="^seed '1(0){100}' is not a number of at most"):
+            _parse_seeds("1" + "0" * 100)
+
     @pytest.mark.parametrize(
         "argv, rule",
         [
@@ -498,6 +524,10 @@ class TestUsageErrors:
             (["evaluate", "--method", "paper", "--seeds", "3,3"],
              "argument --seeds: '3,3': seeds must be one or more distinct non-negative "
              "integers, got [3, 3]"),
+            # 5,000 nines used to reach int(), which quoted Python's own digit limit
+            (["evaluate", "--method", "paper", "--seeds", NINES],
+             f"argument --seeds: {NINES!r}: seed {NINES!r} is not a number of at most 100 "
+             "digits 0-9"),
             (["learn", "--method", "paper", "--estimator", "bayes", "--ess", "0"],
              "argument --ess: '0': ess must be positive and finite"),
             (["learn", "--method", "pc", "--alpha", "0"],
@@ -505,7 +535,7 @@ class TestUsageErrors:
             (["learn", "--method", "nb", "--pseudo", "nan"],
              "argument --pseudo: 'nan': pseudo must be non-negative and finite"),
         ],
-        ids=["ratio", "seeds", "ess", "alpha", "pseudo"],
+        ids=["ratio", "seeds", "seed-digits", "ess", "alpha", "pseudo"],
     )
     def test_usage_error_quotes_the_library_rule(self, argv, rule, tmp_path, capsys):
         # the option is checked by the library function that uses its value

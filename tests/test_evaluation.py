@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ from heartbn import (
     run_experiment,
 )
 from heartbn import evaluation
+
+# perfbench heart-eval's five configurations: golden report file, model kind, learner
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+HEART_CONFIGS = [
+    ("paper_eval_s", "bn-paper", "hc"),
+    ("nb_eval_s", "nb", "hc"),
+    ("hc_eval_s", "bn-learned", "hc"),
+    ("pc_eval_s", "bn-learned", "pc"),
+    ("hybrid_eval_s", "bn-learned", "hybrid"),
+]
 
 
 class TestConfusion:
@@ -58,6 +69,11 @@ class TestMetrics:
         m = metrics(dict(tp=0, fp=0, fn=3, tn=7))
         assert m["precision"] == 0.0
         assert m["f1"] == 0.0
+
+    @pytest.mark.parametrize("tp, fp", [(1, 2), (2, 2), (1, 7)])
+    def test_precision_with_as_many_false_positives(self, tp, fp):
+        # fp >= tp > 0 is no degenerate case: precision is tp / (tp + fp)
+        assert metrics(dict(tp=tp, fp=fp, fn=1, tn=3))["precision"] == tp / (tp + fp)
 
     @pytest.mark.parametrize("tp", range(4))
     def test_degenerate_fields_name_the_zero_denominators(self, tp):
@@ -110,6 +126,15 @@ class TestRunExperiment:
         assert set(entry["confusion"]) == {"tp", "fp", "fn", "tn"}
         assert set(entry["metrics"]) == {"accuracy", "precision", "recall", "f1"}
         assert sum(entry["confusion"].values()) == 60
+
+    # the pc learner legitimately reports orientation conflicts on this data
+    @pytest.mark.filterwarnings("ignore::heartbn.errors.ConflictingOrientationWarning")
+    @pytest.mark.parametrize("label, kind, learner", HEART_CONFIGS)
+    def test_twenty_seed_report_matches_golden_bytes(self, heart_table, label, kind, learner):
+        # the benchmark records these files; the suite only reads them
+        report = run_experiment(heart_table, kind, 0.8, range(20), learner=learner)
+        golden = (GOLDEN / f"{label}.json").read_text(encoding="utf-8")
+        assert json.dumps(report, indent=2) + "\n" == golden
 
     def test_aggregate_mean_matches_per_seed(self, heart_table):
         report = run_experiment(heart_table, "bn-paper", 0.8, [0, 1, 2])

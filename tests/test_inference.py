@@ -14,6 +14,7 @@ from heartbn import (
     classify_rows,
     d_separated,
     markov_blanket,
+    nb_fit,
     posterior_enumeration,
     posterior_ve,
     split,
@@ -48,12 +49,17 @@ class TestFactor:
         assert np.allclose(posterior_ve(two_node_net, "B", {"A": 1}).probabilities, [0.1, 0.9])
 
     def test_all_zero_fold_of_a_long_product_raises(self):
-        # the first fold of 16 holds [1, 0] and [0, 1] over "a": its product is all zero
-        factors = [(np.array([1.0, 0.0]), ("a",)), (np.array([0.0, 1.0]), ("a",))]
-        factors += [(np.array([0.5, 0.5]), ("b",))] * 15
-        assert len(factors) > inference._EINSUM_GROUP
+        # x0 copies the class and x1 negates it, so no class state has
+        # x0 = x1 = 1; the first fold of 16 factors holds both slices and is
+        # all zero, and the product flows on to the normalizer, which raises
+        target = np.arange(40) % 2
+        features = np.random.default_rng(0).integers(0, 2, size=(40, 17))
+        features[:, 0], features[:, 1] = target, 1 - target
+        schema = tuple(Variable(n, "01") for n in ("c", *(f"x{i}" for i in range(17))))
+        net = nb_fit(DataTable(schema, np.column_stack([target, features])), "c", pseudo=0.0)
+        assert len(net.dag.nodes) > inference._EINSUM_GROUP
         with pytest.raises(ZeroEvidenceError, match="^evidence has probability zero$"):
-            _sum_product(factors, ("b",))
+            posterior_ve(net, "c", {f"x{i}": 1 for i in range(17)})
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -240,6 +246,25 @@ class TestVariableElimination:
         )
         post = posterior_ve(net, "n0", {f"n{i}": i % 2 for i in range(1, 800)})
         assert np.allclose(post.probabilities, [0.06 / 0.62, 0.56 / 0.62], rtol=0.0, atol=1e-12)
+
+    def test_long_hidden_chain_does_not_underflow(self):
+        # n0 -> h1 -> ... -> h200 with every h hidden and its child e
+        # observed; e = 1 has probability 1e-5 under both states of its h,
+        # so the evidence, 1e-1000, is far below the smallest double yet says
+        # nothing about n0.  The chain is eliminated from h200 back, one
+        # product per h, and n0 keeps its prior only if each is rescaled
+        hs = [Variable("n0", "01"), *(Variable(f"h{i}", "01") for i in range(1, 201))]
+        es = [Variable(f"e{i}", "01") for i in range(1, 201)]
+        cpts = {"n0": Cpt(hs[0], (), [[0.3, 0.7]])}
+        for parent, h, e in zip(hs, hs[1:], es):
+            cpts[h.name] = Cpt(h, (parent,), [[0.9, 0.1], [0.2, 0.8]])
+            cpts[e.name] = Cpt(e, (h,), [[1 - 1e-5, 1e-5], [1 - 1e-5, 1e-5]])
+        edges = [(a.name, b.name) for a, b in zip(hs, hs[1:])] + [
+            (h.name, e.name) for h, e in zip(hs[1:], es)
+        ]
+        net = DiscreteBayesNet(build_dag([*hs, *es], edges), cpts)
+        post = posterior_ve(net, "n0", {e.name: 1 for e in es})
+        assert np.allclose(post.probabilities, [0.3, 0.7], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n_features", [600, 1200])
     def test_wide_full_evidence_does_not_underflow(self, n_features):

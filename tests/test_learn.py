@@ -1129,6 +1129,19 @@ class TestSkeleton:
         assert not skeleton.has_edge("A", "B")
         assert skeleton.sepsets[("A", "B")] == frozenset()
 
+    def test_sepset_of_four_is_past_the_search(self):
+        # x reaches y through four mediators, so only {a, b, c, d} separates
+        # them; the search stops at MAX_SEPSET = 3 conditioning variables and
+        # keeps the edge
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 2, size=5000)
+        mediators = {m: np.where(rng.random(5000) < 0.2, 1 - x, x) for m in "abcd"}
+        y = (rng.random(5000) < 0.05 + 0.225 * sum(mediators.values())).astype(np.int64)
+        data = binary_table({"x": x, **mediators, "y": y})
+        assert ci_test(data, "x", "y", tuple("abcd")).independent
+        assert learn.MAX_SEPSET == 3
+        assert learn_skeleton(data).has_edge("x", "y")
+
     def test_row_order_invariance(self):
         data = chain_data(seed=43)
         shuffled = data.take(np.random.default_rng(7).permutation(data.n_rows))
@@ -1521,6 +1534,20 @@ class TestHybrid:
         restricted = score(hybrid_learn(data), data, "bic")
         unrestricted = score(hill_climb(data), data, "bic")
         assert restricted <= unrestricted + 1e-9
+
+
+class TestPaperNetworkAsGroundTruth:
+    """Rows sampled from the paper's network, fitted without a zero cell, have a known class."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_score_searches_land_in_the_true_class(self, heart_table, seed):
+        net = fit_bayesian(heart_network(), heart_table, 10.0)
+        assert all(cpt.table.min() > 0.0 for cpt in net.cpts.values())
+        truth = markov_class(heart_network())
+        assert (len(truth[0]), len(truth[1])) == (12, 1)
+        data = sample_table(net, 5000, seed)
+        assert markov_class(hill_climb(data)) == truth
+        assert markov_class(hybrid_learn(data)) == truth
 
 
 class TestHeartStructureFit:
