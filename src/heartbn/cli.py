@@ -16,7 +16,7 @@ import warnings
 from . import dataset as ds
 from .core import d_separated
 from .errors import HeartBnError
-from .evaluation import ESTIMATORS, METHODS, _check_seeds, fit_model, run_experiment
+from .evaluation import CLASS_COLUMN, ESTIMATORS, METHODS, _check_seeds, fit_model, run_experiment
 from .inference import classify
 from .learn import SCORE_KINDS, _check_alpha, _check_ess, _check_pseudo
 from .model_io import export_dot, load_model, save_model
@@ -30,6 +30,21 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _glued(argv: list[str]) -> list[str]:
+    """``argv`` with ``--option value`` written ``--option=value`` where the value starts with
+    ``-``, which argparse would read as an option name.  Every option here but ``--help`` takes
+    one value; ``-h`` and a token that starts with ``--`` stay option names."""
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (token.startswith("-") and not token.startswith("--") and token != "-h"
+                and prev.startswith("--") and "=" not in prev and prev not in ("--", "--help")):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _checked(convert, check):
@@ -79,7 +94,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("predict", help="classify from evidence")
     p.add_argument("--model", required=True)
     p.add_argument("--evidence", required=True, help='e.g. "thal=2,cp=3"')
-    p.add_argument("--target", default="target", help="class variable name")
+    p.add_argument("--target", default=CLASS_COLUMN, help="class variable name")
     p.set_defaults(run=_cmd_predict)
 
     p = sub.add_parser("dsep", help="test d-separation in a model's graph")
@@ -186,7 +201,7 @@ def _cmd_export_dot(args) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glued(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     prefix = f"heartbn {args.command}"

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,16 +39,23 @@ def _frozen(array: np.ndarray, order: str = "C") -> np.ndarray:
 class Variable:
     """A named categorical variable with an ordered list of state labels.
 
-    The state index of a label is its position in ``states``.
+    ``name`` is a non-empty ``str`` and ``states`` a sequence of ``str``
+    labels (a ``str`` is its characters), else ``ValueError``.  The state
+    index of a label is its position in ``states``.
     """
 
     name: str
     states: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(str(s) for s in self.states))
+        if not isinstance(self.name, str):
+            raise ValueError(f"variable name must be a str, not {self.name!r}")
         if not self.name:
             raise ValueError("variable name must be non-empty")
+        states = tuple(self.states) if isinstance(self.states, Sequence) else None
+        if states is None or not all(isinstance(s, str) for s in states):
+            raise ValueError(f"states of {self.name!r} must be str labels, not {self.states!r}")
+        object.__setattr__(self, "states", states)
         if len(self.states) < 2:
             raise ValueError(f"variable {self.name!r} needs at least 2 states")
         if len(set(self.states)) != len(self.states):
@@ -67,6 +74,18 @@ class Variable:
             ) from None
 
 
+def _node_names(nodes) -> tuple[str, ...]:
+    """``nodes``, each a :class:`Variable` or a non-empty ``str``, as distinct names, else
+    ``ValueError``; a ``str`` is the names of its characters, as in ``build_dag("ABC", ...)``."""
+    iterable = isinstance(nodes, Iterable)
+    names = tuple(n.name if isinstance(n, Variable) else n for n in nodes) if iterable else ()
+    if not iterable or not all(isinstance(n, str) and n for n in names):
+        raise ValueError(f"nodes must be Variables or non-empty names, not {nodes!r}")
+    if len(set(names)) != len(names):
+        raise ValueError("node names must be unique")
+    return names
+
+
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph over variable names, checked however it is built.
@@ -74,10 +93,11 @@ class Dag:
     ``nodes`` and ``edges`` keep declaration order; in particular
     ``parents(n)`` lists parents in the order their edges were declared,
     which fixes the parent order of the node's CPT.  ``nodes`` may be names
-    or :class:`Variable` objects; names must be unique (``ValueError``).  An
-    undeclared endpoint raises :class:`UnknownNodeError`, a repeated edge
-    :class:`DuplicateEdgeError`, and a self-loop or any other cycle
-    :class:`CycleDetectedError`.
+    or :class:`Variable` objects, ``edges`` (parent, child) pairs of names;
+    a name that is not a non-empty ``str``, a repeated name or an edge that
+    is no such pair is a ``ValueError``.  An undeclared endpoint raises
+    :class:`UnknownNodeError`, a repeated edge :class:`DuplicateEdgeError`,
+    and a self-loop or any other cycle :class:`CycleDetectedError`.
     """
 
     nodes: tuple[str, ...]
@@ -86,10 +106,13 @@ class Dag:
     _children: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = tuple(getattr(n, "name", n) for n in self.nodes)
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("node names must be unique")
-        edges = tuple((a, b) for a, b in self.edges)
+        nodes = _node_names(self.nodes)
+        edges = tuple(self.edges) if isinstance(self.edges, Iterable) else (self.edges,)
+        for edge in edges:
+            if not (isinstance(edge, (tuple, list)) and len(edge) == 2
+                    and isinstance(edge[0], str) and isinstance(edge[1], str)):
+                raise ValueError(f"edge {edge!r} is not a (parent, child) pair of names")
+        edges = tuple((a, b) for a, b in edges)
         parents: dict[str, list[str]] = {n: [] for n in nodes}
         children: dict[str, list[str]] = {n: [] for n in nodes}
         for a, b in edges:
@@ -220,6 +243,16 @@ def _state(variable: Variable, state) -> int:
     return int(state)
 
 
+def _numbers(values) -> np.ndarray | None:
+    """``values`` as an int or float array, or None for a ragged nesting or another dtype
+    (bool, str, object), which a cast would coerce."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged nesting
+        return None
+    return array if array.dtype.kind in "iuf" else None
+
+
 def _table_shape(variable: Variable, parents: Sequence[Variable]) -> tuple[int, int]:
     """(q, r): the product of the parents' cards and the variable's."""
     return math.prod(p.cardinality for p in parents), variable.cardinality
@@ -235,7 +268,9 @@ class Cpt:
     ``config_index((s1, s2))`` for parents (A, B) is ``s1 * card(B) + s2``.
     A node without parents has exactly one configuration row.
 
-    The table must have that (q, r) shape; it is then a batch of one of
+    ``variable`` and ``parents`` must be distinct :class:`Variable` objects
+    and the table numbers (not bools or strings) of that (q, r) shape, else
+    ``ValueError``; it is then a batch of one of
     :func:`_cpt_batch`, which checks its entries and makes it read-only.
     """
 
@@ -244,12 +279,22 @@ class Cpt:
     table: np.ndarray
 
     def __post_init__(self):
-        parents, table = tuple(self.parents), np.asarray(self.table, dtype=float)
-        shape = _table_shape(self.variable, parents)
+        if not isinstance(self.variable, Variable):
+            raise ValueError(f"CPT variable must be a Variable, not {self.variable!r}")
+        name, parents, table = self.variable.name, self.parents, _numbers(self.table)
+        if not isinstance(parents, (tuple, list)) or not all(
+            isinstance(v, Variable) for v in parents
+        ):
+            raise ValueError(f"CPT parents for {name!r} must be Variables, not {parents!r}")
+        family = [name, *(p.name for p in parents)]
+        if len(set(family)) != len(family):
+            raise ValueError(f"CPT for {name!r} repeats a name in its family {family}")
+        if table is None:
+            raise ValueError(f"CPT for {name!r} must be an array of numbers")
+        parents, shape = tuple(parents), _table_shape(self.variable, parents)
         if table.shape != shape:
-            name = self.variable.name
             raise ValueError(f"CPT for {name!r} must have shape {shape}, got {table.shape}")
-        (cpt,) = _cpt_batch([(self.variable, parents)], table.ravel())
+        (cpt,) = _cpt_batch([(self.variable, parents)], np.asarray(table, dtype=float).ravel())
         self.__dict__.update(vars(cpt))
 
     def __reduce__(self):  # copy and pickle rebuild it, so its table stays frozen
@@ -325,7 +370,11 @@ class DiscreteBayesNet:
     cpts: Mapping[str, Cpt]
 
     def __post_init__(self):
-        cpts = dict(self.cpts)
+        if not isinstance(self.dag, Dag):
+            raise ValueError(f"dag must be a Dag, not {self.dag!r}")
+        cpts = dict(self.cpts) if isinstance(self.cpts, Mapping) else None
+        if cpts is None or not all(isinstance(cpt, Cpt) for cpt in cpts.values()):
+            raise ValueError("cpts must map node names to Cpts")
         if set(cpts) != set(self.dag.nodes):
             missing = set(self.dag.nodes) - set(cpts)
             extra = set(cpts) - set(self.dag.nodes)

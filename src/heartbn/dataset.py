@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Variable, _frozen, _name_set
+from .core import Variable, _frozen, _name_set, _numbers
 from .errors import (
     HeartBnError,
     MalformedRowError,
@@ -108,15 +108,18 @@ class DataTable:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "schema", tuple(self.schema))
+        schema = self.schema
+        if not (isinstance(schema, (tuple, list)) and all(isinstance(v, Variable) for v in schema)):
+            raise ValueError(f"schema must be a tuple of Variables, not {schema!r}")
+        object.__setattr__(self, "schema", tuple(schema))
         object.__setattr__(self, "names", tuple(v.name for v in self.schema))
         index = {name: j for j, name in enumerate(self.names)}
         if len(index) < len(self.names):
             repeated = sorted({name for name in self.names if self.names.count(name) > 1})
             raise SchemaMismatchError(f"column names must be distinct, not {repeated}")
         object.__setattr__(self, "_index", index)
-        rows = np.asarray(self.rows)
-        if rows.dtype.kind not in "iuf" or not np.array_equal(rows, np.floor(rows)):
+        rows = _numbers(self.rows)
+        if rows is None or not np.array_equal(rows, np.floor(rows)):
             raise ValueError("rows must hold whole-number state indices")
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise ValueError("rows must be a 2-D array with one column per variable")
@@ -244,14 +247,14 @@ def _clean(rows: Iterable, where: str) -> np.ndarray:
         if MISSING in fields:
             continue
         out: list[float] = []
-        for col, cell in zip(RAW_COLUMNS, fields):
+        for column, (col, cell) in enumerate(zip(RAW_COLUMNS, fields), start=1):
             try:
                 value = float(cell)
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
                 raise UnknownCategoryError(
-                    f"{where.format(number, RAW_COLUMNS.index(col) + 1)}: "
+                    f"{where.format(number, column)}: "
                     f"{cell!r} in column {col!r} is not a finite number"
                 )
             if col in CONTINUOUS:
@@ -261,7 +264,7 @@ def _clean(rows: Iterable, where: str) -> np.ndarray:
             mapping = _RECODE[col]
             if code != value or code not in mapping:
                 raise UnknownCategoryError(
-                    f"{where.format(number, RAW_COLUMNS.index(col) + 1)}: "
+                    f"{where.format(number, column)}: "
                     f"code {cell!r} outside the domain of {col!r}"
                 )
             out.append(float(mapping[code]))

@@ -1,16 +1,16 @@
 """Model fitting, confusion counts, classification metrics and the repeated-split harness.
 
-The positive class is state 1 (disease present).  :func:`fit_model` is the
-one dispatch from a model description to a fitted network, Naive Bayes
-(:func:`~heartbn.learn.nb_fit`'s star network) included, and every model
-classifies through the same inference.  :func:`confusion` and
-:func:`metrics` return plain dicts, keyed in the order the report prints
-them.  ``run_experiment`` repeats a seeded train/test split, fits the
-requested model on the training rows, classifies all test rows at once
-with :func:`~heartbn.inference.classify_rows` using all non-target columns
-as evidence, sends only the rows whose evidence is impossible through a
-per-row fallback, and reports one confusion dict and metric dict per seed
-plus aggregates.
+The class variable is :data:`CLASS_COLUMN`, its positive class state 1
+(disease present).  :func:`fit_model` is the one dispatch from a model
+description to a fitted network, Naive Bayes (:func:`~heartbn.learn.nb_fit`'s
+star network) included, and every model classifies through the same
+inference.  :func:`confusion` and :func:`metrics` return plain dicts, keyed
+in the order the report prints them.  ``run_experiment`` repeats a seeded
+train/test split, fits the requested model on the training rows, classifies
+all test rows at once with :func:`~heartbn.inference.classify_rows` using all
+other columns as evidence, sends only the rows whose evidence is impossible
+through a per-row fallback, and reports one confusion dict and metric dict
+per seed plus aggregates.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .learn import (
     hybrid_learn, learn_skeleton, nb_fit, orient,
 )
 
+CLASS_COLUMN = "target"  # the class variable of every model fitted and evaluated here
 MODEL_KINDS = ("bn-paper", "bn-learned", "nb")
 LEARNERS = ("hc", "pc", "hybrid")
 ESTIMATORS = ("mle", "bayes")
@@ -51,33 +52,29 @@ def confusion(predicted: Sequence[int], actual: Sequence[int]) -> dict[str, int]
     return {name: pairs.count(cell) for name, cell in cells.items()}
 
 
+def _ratios(cm: dict[str, int]) -> dict[str, tuple[int, int]]:
+    """Precision's and recall's (numerator, denominator)."""
+    tp = cm["tp"]
+    return {"precision": (tp, tp + cm["fp"]), "recall": (tp, tp + cm["fn"])}
+
+
 def metrics(cm: dict[str, int]) -> dict[str, float]:
     """``{"accuracy", "precision", "recall", "f1"}`` of a :func:`confusion` dict;
-    degenerate ratios default to 0."""
+    the :func:`degenerate_fields` are 0."""
     tp, fp, fn, tn = cm["tp"], cm["fp"], cm["fn"], cm["tn"]
     total = tp + fp + fn + tn
     if total == 0:
         raise ValueError("empty confusion matrix")
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
+    precision, recall = (num / den if den > 0 else 0.0 for num, den in _ratios(cm).values())
+    f1 = 0.0 if "f1" in degenerate_fields(cm) else 2.0 * precision * recall / (precision + recall)
     return {"accuracy": (tp + tn) / total, "precision": precision, "recall": recall, "f1": f1}
 
 
 def degenerate_fields(cm: dict[str, int]) -> list[str]:
-    """Metric names whose denominator was zero (reported as 0 by convention)."""
-    out = []
-    if cm["tp"] + cm["fp"] == 0:
-        out.append("precision")
-    if cm["tp"] + cm["fn"] == 0:
-        out.append("recall")
-    if cm["tp"] == 0:  # precision and recall are both 0
-        out.append("f1")
-    return out
+    """Metric names whose denominator was zero (reported as 0 by convention); F1's,
+    precision + recall, is zero exactly when tp is."""
+    zero = [name for name, (_, den) in _ratios(cm).items() if den == 0]
+    return zero + (["f1"] if cm["tp"] == 0 else [])
 
 
 def _fallback_classify(net: DiscreteBayesNet, evidence: dict[str, int]) -> int:
@@ -90,21 +87,21 @@ def _fallback_classify(net: DiscreteBayesNet, evidence: dict[str, int]) -> int:
     blanket; if that drops nothing (a Naive Bayes blanket is every feature)
     or is still impossible, the class prior decides.
     """
-    blanket = markov_blanket(net.dag, "target")
+    blanket = markov_blanket(net.dag, CLASS_COLUMN)
     reduced = {k: v for k, v in evidence.items() if k in blanket}
     if len(reduced) < len(evidence):
         try:
-            return classify(net, "target", reduced)[0]
+            return classify(net, CLASS_COLUMN, reduced)[0]
         except ZeroEvidenceError:
             pass
-    return classify(net, "target", {})[0]
+    return classify(net, CLASS_COLUMN, {})[0]
 
 
 def fit_model(
     train: DataTable, model_kind: str, learner: str | None, estimator: str,
     ess: float, alpha: float, score_kind: str, pseudo: float,
 ) -> DiscreteBayesNet:
-    """Fit one network of ``model_kind`` on ``train`` with class variable ``target``.
+    """Fit one network of ``model_kind`` on ``train`` with class variable :data:`CLASS_COLUMN`.
 
     "nb" yields the fitted Naive Bayes star network.  ``learner`` is used
     only by "bn-learned".  Every value is validated before any work,
@@ -122,7 +119,7 @@ def fit_model(
     _check_pseudo(pseudo)
 
     if model_kind == "nb":
-        return nb_fit(train, "target", pseudo)
+        return nb_fit(train, CLASS_COLUMN, pseudo)
     if model_kind == "bn-paper":
         dag = heart_network()
     elif learner == "hc":
@@ -163,7 +160,7 @@ def run_experiment(
 
     The seeds, one or more distinct non-negative integers, are checked
     before the first split and run in ascending order.  Each seed's test
-    rows are classified from all non-target columns in one
+    rows are classified from all but :data:`CLASS_COLUMN` in one
     :func:`~heartbn.inference.classify_rows` call.  Rows whose evidence has
     probability zero under the fitted model go through :func:`_fallback_classify`
     (Markov blanket, then class prior) and are counted in ``zero_evidence_rows``.
@@ -174,11 +171,11 @@ def run_experiment(
     for seed in sorted(map(int, seeds)):
         train, test = split(table, ratio, seed)
         net = fit_model(train, model_kind, learner, estimator, ess, alpha, score_kind, pseudo)
-        predicted, _ = classify_rows(net, "target", test)
+        predicted, _ = classify_rows(net, CLASS_COLUMN, test)
         impossible = np.flatnonzero(predicted == -1)
         for i in impossible:
-            predicted[i] = _fallback_classify(net, test.row_assignment(i, exclude=("target",)))
-        cm = confusion(predicted.tolist(), [int(v) for v in test.column("target")])
+            predicted[i] = _fallback_classify(net, test.row_assignment(i, exclude=(CLASS_COLUMN,)))
+        cm = confusion(predicted.tolist(), [int(v) for v in test.column(CLASS_COLUMN)])
         per_seed.append(
             {
                 "seed": seed,

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Cpt, DiscreteBayesNet, Variable, _frozen, _reachable, _state
+from .core import ROW_SUM_TOL, Cpt, DiscreteBayesNet, Variable, _frozen, _reachable, _state
 from .dataset import DataTable
 from .errors import SchemaMismatchError, ZeroEvidenceError
 
@@ -43,7 +43,7 @@ class Posterior:
         probs = _frozen(np.asarray(self.probabilities, dtype=float))
         if probs.shape != (self.variable.cardinality,):
             raise ValueError("one probability per state required")
-        if not (np.all((probs >= 0.0) & (probs <= 1.0)) and abs(probs.sum() - 1.0) <= 1e-9):
+        if not (np.all((probs >= 0.0) & (probs <= 1.0)) and abs(probs.sum() - 1.0) <= ROW_SUM_TOL):
             raise ValueError("posterior must be a distribution over the states")
         object.__setattr__(self, "probabilities", probs)
 

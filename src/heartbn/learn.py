@@ -47,13 +47,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .core import Dag, DiscreteBayesNet, _cpt_batch, _reachable, build_dag
+from .core import Dag, DiscreteBayesNet, _cpt_batch, _node_names, _reachable, build_dag
 from .dataset import DataTable
 from .errors import (
     ConflictingOrientationWarning,
@@ -514,7 +514,9 @@ def ci_test(
 class Skeleton:
     """Undirected adjacency plus the separating sets found for removed edges.
 
-    Exactly the node pairs without an edge carry a separating set.
+    ``nodes`` are distinct non-empty names, ``edges`` pairs of them, and
+    exactly the node pairs without an edge carry a separating set, a
+    collection of other nodes; anything else is a ``ValueError``.
     """
 
     nodes: tuple[str, ...]
@@ -522,14 +524,28 @@ class Skeleton:
     sepsets: Mapping[tuple[str, str], frozenset[str]]  # read-only
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", frozenset(tuple(sorted(pair)) for pair in self.edges)
-        )
-        sepsets = {tuple(sorted(pair)): frozenset(s) for pair, s in self.sepsets.items()}
+        nodes = _node_names(self.nodes)
+        if not isinstance(self.sepsets, Mapping):
+            raise ValueError(f"sepsets must map node pairs to sets of names, not {self.sepsets!r}")
+        try:  # a str would be read as its letters
+            items = (*self.edges, *self.sepsets, *self.sepsets.values())
+            strings = any(isinstance(item, str) for item in items)
+            edges = frozenset(tuple(sorted(pair)) for pair in self.edges)
+            sepsets = {tuple(sorted(pair)): frozenset(s) for pair, s in self.sepsets.items()}
+        except TypeError:  # no collection, names that do not sort together, an unhashable name
+            strings = True
+        if strings:
+            raise ValueError("edges and sepsets must hold pairs and sets of node names")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "sepsets", MappingProxyType(sepsets))
         all_pairs = {tuple(sorted(p)) for p in itertools.combinations(self.nodes, 2)}
         if not self.edges <= all_pairs or set(self.sepsets) != all_pairs - self.edges:
             raise ValueError("edges must be pairs of the nodes, sepsets exactly the other pairs")
+        if not frozenset().union(*sepsets.values()) <= set(nodes) or any(
+            a in s or b in s for (a, b), s in sepsets.items()
+        ):
+            raise ValueError("a separating set must name nodes other than its pair")
 
     def __reduce__(self):  # copy and pickle rebuild it: a mapping proxy cannot be pickled
         return Skeleton, (self.nodes, self.edges, dict(self.sepsets))

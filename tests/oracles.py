@@ -19,8 +19,9 @@ DAG on a few nodes, and ``markov_class`` keys each by its skeleton and
 v-structures, which identify its Markov equivalence class; with the
 d-separation oracle it also checks structure learning run on a CI test
 that d-separation answers.  ``exact_optimum`` finds the best-scoring DAG
-on up to 8 columns by dynamic programming over column subsets, a bound
-for the hill climb.  The generators produce small random DAGs and
+by dynamic programming over column subsets, a bound for the hill climb: on
+up to 8 columns, or under BIC, which bounds the parent sets worth scoring,
+on all 14 heart columns.  The generators produce small random DAGs and
 networks for randomized comparisons, and two ancestral samplers draw rows
 from a network: one row at a time, or one node at a time for all rows.
 ``assert_frozen`` tries to make an array writable again, and then each
@@ -384,60 +385,81 @@ def markov_class(dag: Dag) -> tuple[frozenset, frozenset]:
 
 
 def exact_optimum(
-    data: DataTable, kind: str = "bic", ess: float = 10.0, allowed=None
+    data: DataTable, kind: str = "bic", ess: float = 10.0, allowed=None, bound: bool = True
 ) -> tuple[float, Dag]:
     """The highest total score of any DAG on the columns of ``data``, and a DAG that has it.
 
-    The dynamic program of Silander & Myllymaki (2006): every family is
-    scored once, in one ``_family_scores`` batch (at most 8 columns, so at
-    most 1,024 families and no pruning); then each child's best parent set
-    within every candidate set; then the best network on every column
-    subset, as the best network on the subset without one sink plus that
-    sink's best family among the rest.  With ``allowed``, a parent must form
-    one of its unordered pairs with the child.
+    The dynamic program of Silander & Myllymaki (2006): the candidate
+    families are scored in one ``_family_scores`` batch; then each child's
+    best parent set within every candidate set, as a running maximum over
+    subsets; then the best network on every column subset, as the best
+    network on the subset without one sink plus that sink's best family
+    among the rest.  With ``allowed``, a parent must form one of its
+    unordered pairs with the child.
+
+    A BIC family gains at most N log r in log-likelihood over the empty
+    family (a child's entropy is at most log r), so a parent set whose
+    penalty increase, (log N / 2)(q - 1)(r - 1), exceeds N log r scores
+    below the empty family, and so does every superset (after de Campos &
+    Ji 2011, with a looser bound).  With ``bound`` such sets are not
+    scored, which takes BIC to all 14 heart columns; BDeu, or BIC without
+    ``bound``, scores every family and stops at 8 columns.
     """
     from heartbn.learn import _family_scores, _orders
 
     names, n = data.names, len(data.names)
-    if n > 8:
-        raise ValueError("exact_optimum enumerates the families of at most 8 columns")
-    subsets = range(1 << n)
+    pruned = bound and kind == "bic"
+    if n > (16 if pruned else 8):
+        raise ValueError("exact_optimum takes at most 16 columns under the BIC bound, else 8")
+    cards, n_rows = data.cards.tolist(), data.n_rows
+    log_n = math.log(n_rows) if n_rows > 0 else 0.0
+
+    def never_best(child: int, q: int) -> bool:
+        r = cards[child]
+        return pruned and 0.5 * log_n * (q - 1) * (r - 1) > n_rows * math.log(r)
 
     def members(mask: int) -> tuple[str, ...]:
         return tuple(names[i] for i in range(n) if mask >> i & 1)
 
-    families = [
-        (child, mask)
-        for child in range(n)
-        for mask in subsets
-        if not mask >> child & 1
-        and (allowed is None or all({names[child], p} in allowed for p in members(mask)))
-    ]
-    orders = _orders(data, [(names[child], members(mask)) for child, mask in families])
-    local = dict(zip(families, _family_scores(data, orders, kind, ess)))
-    best_parents = {}  # (child, candidates) -> (score, parent mask)
+    families = []  # (child, parent mask); a pruned set's supersets are never reached
     for child in range(n):
-        for candidates in subsets:
-            if candidates >> child & 1:
-                continue
-            options = [
-                best_parents[child, candidates & ~(1 << u)] for u in range(n) if candidates >> u & 1
-            ]
-            if (child, candidates) in local:
-                options.append((local[child, candidates], candidates))
-            best_parents[child, candidates] = max(options)
-    best_network = {0: (0.0, ())}  # column subset -> (score, edges)
-    for subset in subsets[1:]:
-        options = []
+        options = [
+            p for p in range(n)
+            if p != child and (allowed is None or {names[child], names[p]} in allowed)
+        ]
+        stack = [(0, 1, 0)]  # (parent mask, q, first option that may join)
+        while stack:
+            mask, q, first = stack.pop()
+            families.append((child, mask))
+            for i in range(first, len(options)):
+                if not never_best(child, q * cards[options[i]]):
+                    stack.append((mask | 1 << options[i], q * cards[options[i]], i + 1))
+    orders = _orders(data, [(names[child], members(mask)) for child, mask in families])
+    local = np.full((n, 1 << n), -np.inf)
+    children, masks = np.array(families, dtype=np.intp).T
+    local[children, masks] = _family_scores(data, orders, kind, ess)
+    # best[c, s]: the best score of c's families with parents within s; arg: its parent mask
+    best, arg = local, np.tile(np.arange(1 << n), (n, 1))
+    for u in range(n):
+        pair, pair_arg = best.reshape(n, -1, 2, 1 << u), arg.reshape(n, -1, 2, 1 << u)
+        without = pair[:, :, 0] > pair[:, :, 1]
+        pair[:, :, 1] = np.where(without, pair[:, :, 0], pair[:, :, 1])
+        pair_arg[:, :, 1] = np.where(without, pair_arg[:, :, 0], pair_arg[:, :, 1])
+    best, arg = best.tolist(), arg.tolist()
+    network, sink_of = [0.0] * (1 << n), [0] * (1 << n)  # column subset -> best score, its sink
+    for subset in range(1, 1 << n):
+        network[subset] = -math.inf
         for sink in (i for i in range(n) if subset >> i & 1):
             rest = subset & ~(1 << sink)
-            rest_score, rest_edges = best_network[rest]
-            family, parents = best_parents[sink, rest]
-            edges = rest_edges + tuple((p, names[sink]) for p in members(parents))
-            options.append((rest_score + family, edges))
-        best_network[subset] = max(options)
-    total, edges = best_network[subsets[-1]]
-    return total, build_dag(names, sorted(edges))
+            total = network[rest] + best[sink][rest]
+            if total > network[subset]:
+                network[subset], sink_of[subset] = total, sink
+    edges, subset = [], (1 << n) - 1
+    while subset:
+        sink = sink_of[subset]
+        subset &= ~(1 << sink)
+        edges += [(parent, names[sink]) for parent in members(arg[sink][subset])]
+    return network[-1], build_dag(names, sorted(edges))
 
 
 def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4) -> Dag:

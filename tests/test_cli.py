@@ -547,6 +547,39 @@ class TestUsageErrors:
         assert capsys.readouterr().err.endswith(f"heartbn {argv[0]}: error: {rule}\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "option, value, code, message",
+        [
+            ("--given", "-1,cp", 2, "unknown node '-1'"),
+            ("--x", "-fbs", 2, "unknown node '-fbs'"),
+            ("--evidence", "-1=2,cp=3", 2, "unknown node '-1'"),
+            ("--seeds", "-1,1", 1, "error: argument --seeds: '-1,1': seed '-1' is not a number"),
+        ],
+    )
+    def test_value_starting_with_dash_reaches_its_rule(
+        self, pipeline, tmp_path, capsys, option, value, code, message
+    ):
+        # argparse took such a value for an option name: "expected one argument"
+        model, report = str(pipeline["model"]), str(tmp_path / "r.json")
+        argv = {
+            "--given": ["dsep", "--model", model, "--x", "fbs", "--y", "target"],
+            "--x": ["dsep", "--model", model, "--y", "target"],
+            "--evidence": ["predict", "--model", model],
+            "--seeds": ["evaluate", "--data", str(pipeline["table"]), "--method", "nb",
+                        "--report", report],
+        }[option]
+        assert main([*argv, option, value]) == code
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert main([*argv, f"{option}={value}"]) == code
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("name", ["--target", "--x", "-h"])
+    def test_option_name_after_an_option_is_a_missing_value(self, pipeline, capsys, name):
+        argv = ["predict", "--model", str(pipeline["model"]), "--evidence", name, "x"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith("argument --evidence: expected one argument\n")
+
 
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``code`` with ``args`` in a new interpreter importing heartbn from src."""

@@ -425,7 +425,7 @@ class TestImmutable:
     def test_networks_and_skeletons_still_copy_and_pickle(self, heart_net, heart_table):
         # a mapping proxy cannot be pickled, and numpy rebuilds an array as a
         # writable copy; all of them rebuild through their checks
-        skeleton = Skeleton(("a", "b"), frozenset(), {("b", "a"): {"c"}})
+        skeleton = Skeleton(("a", "b", "c"), {("a", "c"), ("b", "c")}, {("b", "a"): {"c"}})
         for copied in (copy.deepcopy(skeleton), pickle.loads(pickle.dumps(skeleton))):
             assert copied == skeleton
             with pytest.raises(TypeError):

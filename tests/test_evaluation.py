@@ -75,6 +75,12 @@ class TestMetrics:
         # fp >= tp > 0 is no degenerate case: precision is tp / (tp + fp)
         assert metrics(dict(tp=tp, fp=fp, fn=1, tn=3))["precision"] == tp / (tp + fp)
 
+    @pytest.mark.parametrize("tp, fp, fn", [(1, 3, 3), (1, 1, 2), (2, 7, 1)])
+    def test_f1_is_the_harmonic_mean_whenever_tp_is_positive(self, tp, fp, fn):
+        # precision + recall is at most 1 here: (1, 3, 3) gives 1/4 + 1/4, so F1 is 1/4
+        p, r = tp / (tp + fp), tp / (tp + fn)
+        assert metrics(dict(tp=tp, fp=fp, fn=fn, tn=2))["f1"] == 2.0 * p * r / (p + r)
+
     @pytest.mark.parametrize("tp", range(4))
     def test_degenerate_fields_name_the_zero_denominators(self, tp):
         # every nonempty confusion with cells 0-3; F1 is degenerate exactly

@@ -1090,6 +1090,31 @@ class TestExactOptimum:
         renamed_optimum, _ = oracles.exact_optimum(renamed, kind, 5.0)
         assert abs(renamed_optimum - optimum) <= 1e-12 * abs(optimum)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_all_fourteen_heart_columns_under_bic(self, heart_table, seed):
+        # hc stops 1.26 and 11.85 below the optimum on splits 0 and 1, and
+        # reaches it on split 2; the paper's network is 8.6-15 below it
+        train, _ = split(heart_table, 0.8, seed)
+        optimum, dag = oracles.exact_optimum(train)
+        assert abs(score(dag, train) - optimum) <= 1e-9 * abs(optimum)
+        for rival in (hill_climb(train), heart_network()):
+            assert score(rival, train) <= optimum + 1e-9 * abs(optimum)
+
+    @pytest.mark.parametrize("source", ["heart 0-7", "heart 6-13", "sampled"])
+    def test_bic_bound_skips_families_and_keeps_the_optimum(self, heart_table, monkeypatch, source):
+        if source == "sampled":
+            data = sample_table(random_net(np.random.default_rng(9), 8, max_card=4), 80, 9)
+        else:
+            train, _ = split(heart_table, 0.8, 0)
+            columns = slice(0, 8) if source == "heart 0-7" else slice(6, 14)
+            data = DataTable(train.schema[columns], train.rows[:, columns])
+        scored, family_scores = [], learn._family_scores
+        monkeypatch.setattr(learn, "_family_scores", lambda data, orders, *rest: (
+            scored.append(len(orders)) or family_scores(data, orders, *rest)))
+        bounded = oracles.exact_optimum(data)
+        assert oracles.exact_optimum(data, bound=False) == bounded
+        assert scored[0] < scored[1] == 8 * 2**7
+
 
 def chain_data(seed: int, n: int = 2000) -> DataTable:
     rng = np.random.default_rng(seed)
